@@ -15,7 +15,7 @@
 //! The engine consults the budget only at its existing safe points — the
 //! per-cycle [`maybe_gc`](crate::BddManager::maybe_gc) /
 //! [`maybe_reorder`](crate::BddManager::maybe_reorder) calls and (amortized)
-//! the ITE cache-miss path — and aborts by unwinding with a typed
+//! the ITE and constrain cache-miss paths — and aborts by unwinding with a typed
 //! [`BudgetExceeded`] panic payload. Unwinding at a safe point leaves the
 //! manager **allocation-consistent**: every table mutation between two safe
 //! points completes atomically, so a caught abort leaves a GC-able, reusable

@@ -14,12 +14,14 @@ use crate::node::{Bdd, Node, Var, FREE_VAR, TERMINAL_VAR};
 pub(crate) const FREE_NIL: u32 = u32::MAX;
 
 // Process-global engine metrics (see DESIGN.md § "Observability"). The hot
-// counters (ITE cache traffic, store growth) are accumulated in plain
+// counters (computed-table traffic, store growth) are accumulated in plain
 // per-manager fields — `ite` runs tens of millions of times per simulation,
 // and an atomic op per call would be measurable — and flushed here in
 // batches at every garbage collection and on manager drop.
 static M_ITE_HIT: Counter = Counter::new("bdd.ite.cache_hit");
 static M_ITE_MISS: Counter = Counter::new("bdd.ite.cache_miss");
+static M_CONSTRAIN_HIT: Counter = Counter::new("bdd.constrain.cache_hit");
+static M_CONSTRAIN_MISS: Counter = Counter::new("bdd.constrain.cache_miss");
 static M_UNIQUE_GROW: Counter = Counter::new("bdd.unique.grow");
 static M_GC_RUNS: Counter = Counter::new("bdd.gc.runs");
 static M_GC_COLLECTED: Counter = Counter::new("bdd.gc.collected");
@@ -31,14 +33,21 @@ static M_PEAK_LIVE: Gauge = Gauge::new("bdd.unique.peak_live");
 /// the table to double rather than thrash.
 const DEFAULT_GC_THRESHOLD: usize = 1 << 20;
 
-/// The budget is consulted on the ITE cache-miss path only once per this
-/// many misses (a power of two; the check is a tick-counter mask). A miss
+/// The budget is consulted on the ITE and constrain cache-miss paths only
+/// once per this many misses (a power of two; the check is a tick-counter
+/// mask shared by both operations). A miss
 /// allocates at most one node, so the allocated-node overshoot past a node
 /// budget is bounded by this interval plus the handful of nodes the
 /// unwinding recursion had in flight — the "small multiple of the
 /// safe-point interval" contract gated by the `budget_abort` perf-smoke
 /// case.
 const BUDGET_CHECK_INTERVAL: u32 = 1 << 10;
+
+/// Condition-slot tag of the [`BddManager::constrain`] entries kept in the
+/// ITE computed table. `ite` resolves a constant condition before its lookup
+/// and never stores one, so `(CONSTRAIN_TAG, f, care)` keys cannot collide
+/// with ITE triples.
+const CONSTRAIN_TAG: Bdd = Bdd::TRUE;
 
 /// Summary statistics of a [`BddManager`], useful for reproducing the
 /// "limited by the computational power of BDDs" observations of Chapter 6.
@@ -55,7 +64,8 @@ pub struct BddStats {
     pub gc_runs: usize,
     /// Number of allocated variables.
     pub vars: usize,
-    /// Number of entries in the if-then-else memo table.
+    /// Number of entries in the computed table: the if-then-else memo plus
+    /// the op-tagged [`constrain`](BddManager::constrain) entries it holds.
     pub ite_cache_entries: usize,
     /// [`ite`](BddManager::ite) calls answered from the memo table.
     pub ite_hits: usize,
@@ -63,6 +73,12 @@ pub struct BddStats {
     /// compute their result. `ite_hits / (ite_hits + ite_misses)` is the
     /// cache hit-rate the perf-smoke gate records per workload.
     pub ite_misses: usize,
+    /// [`constrain`](BddManager::constrain) steps (top-level or recursive)
+    /// answered from the computed table; never counted as ITE hits.
+    pub constrain_hits: usize,
+    /// [`constrain`](BddManager::constrain) steps that had to compute their
+    /// result; never counted as ITE misses.
+    pub constrain_misses: usize,
     /// Times the node store grew its backing allocation (a doubling of the
     /// `Vec`), the `bdd.unique.grow` metric.
     pub unique_grows: usize,
@@ -132,6 +148,10 @@ pub struct BddManager {
     /// enumerated and rewritten in `O(nodes at level)` during an
     /// adjacent-level swap.
     pub(crate) subtables: Vec<FxMap<(Bdd, Bdd), Bdd>>,
+    /// The computed table: ITE standard triples, plus the `constrain`
+    /// entries keyed `(CONSTRAIN_TAG, regular f, care)`. Sharing one table
+    /// gives both operations one invalidation path — the collection's
+    /// `retain` and the reorderer's `clear`.
     pub(crate) ite_cache: FxMap<(Bdd, Bdd, Bdd), Bdd>,
     pub(crate) num_vars: u32,
     /// `var2level[v]` is the current level (0 = topmost) of variable `v`.
@@ -163,14 +183,18 @@ pub struct BddManager {
     pub(crate) allocated: usize,
     pub(crate) peak_live: usize,
     gc_runs: usize,
-    /// ITE memo-table traffic and store growth (see the module-level metric
-    /// statics); `flushed_*` are the portions already pushed to the global
-    /// registry, so a flush only adds the delta.
+    /// Computed-table traffic (ITE and constrain) and store growth (see the
+    /// module-level metric statics); `flushed_*` are the portions already
+    /// pushed to the global registry, so a flush only adds the delta.
     ite_hits: usize,
     ite_misses: usize,
+    constrain_hits: usize,
+    constrain_misses: usize,
     unique_grows: usize,
     flushed_ite_hits: usize,
     flushed_ite_misses: usize,
+    flushed_constrain_hits: usize,
+    flushed_constrain_misses: usize,
     flushed_unique_grows: usize,
     pub(crate) reorder_runs: usize,
     pub(crate) reorder_swaps: usize,
@@ -178,9 +202,10 @@ pub struct BddManager {
     /// Optional resource budget (see [`set_budget`](Self::set_budget)):
     /// checked unconditionally at the [`maybe_gc`](Self::maybe_gc) /
     /// [`maybe_reorder`](Self::maybe_reorder) safe points and — amortized
-    /// over [`BUDGET_CHECK_INTERVAL`] misses — on the ITE cache-miss path.
+    /// over [`BUDGET_CHECK_INTERVAL`] misses — on the ITE and constrain
+    /// cache-miss paths.
     budget: Option<Budget>,
-    /// ITE-miss tick counter driving the amortized budget check.
+    /// Cache-miss tick counter driving the amortized budget check.
     budget_tick: u32,
 }
 
@@ -240,9 +265,13 @@ impl BddManager {
             gc_runs: 0,
             ite_hits: 0,
             ite_misses: 0,
+            constrain_hits: 0,
+            constrain_misses: 0,
             unique_grows: 0,
             flushed_ite_hits: 0,
             flushed_ite_misses: 0,
+            flushed_constrain_hits: 0,
+            flushed_constrain_misses: 0,
             flushed_unique_grows: 0,
             reorder_runs: 0,
             reorder_swaps: 0,
@@ -254,8 +283,9 @@ impl BddManager {
 
     /// Attaches a resource [`Budget`]: the manager checks it at its safe
     /// points (every [`maybe_gc`](Self::maybe_gc) /
-    /// [`maybe_reorder`](Self::maybe_reorder) call, and the ITE cache-miss
-    /// path once per `BUDGET_CHECK_INTERVAL` (1024) misses) and aborts an
+    /// [`maybe_reorder`](Self::maybe_reorder) call, and the ITE and
+    /// constrain cache-miss paths once per `BUDGET_CHECK_INTERVAL` (1024)
+    /// misses) and aborts an
     /// exceeded computation by unwinding with a [`crate::BudgetExceeded`]
     /// panic payload.
     ///
@@ -293,8 +323,8 @@ impl BddManager {
     }
 
     /// The amortized flavour of [`check_budget`](Self::check_budget) for the
-    /// ITE cache-miss path: a no-op without a budget, and one tick plus a
-    /// mask test otherwise.
+    /// ITE and constrain cache-miss paths: a no-op without a budget, and one
+    /// tick plus a mask test otherwise.
     #[inline]
     fn check_budget_amortized(&mut self) {
         if self.budget.is_none() {
@@ -821,8 +851,9 @@ impl BddManager {
 
     /// Restriction (cofactor): `f` with `var` fixed to `value`.
     ///
-    /// This is the cofactoring operation used to constrain the transition
-    /// relation to a particular instruction class (Section 5.2).
+    /// The verifier uses it to find the instruction bits a class forces to a
+    /// constant; the Section 5.2 cofactoring of the simulated state by the
+    /// class assumption is [`constrain`](Self::constrain).
     pub fn restrict(&mut self, f: Bdd, var: Var, value: bool) -> Bdd {
         let mut memo = FxMap::default();
         self.restrict_rec(f, var.0, value, &mut memo)
@@ -883,6 +914,10 @@ impl BddManager {
     /// functions while preserving every value that can still be observed under
     /// the class assumption.
     ///
+    /// Results are kept in the computed table across calls, so constraining
+    /// many functions by one care set — every register bit, every cycle —
+    /// shares the sub-results of their common sub-DAGs.
+    ///
     /// # Panics
     /// Panics if `care` is the constant false function (an empty care set has
     /// no generalized cofactor).
@@ -891,16 +926,24 @@ impl BddManager {
             !care.is_false(),
             "generalized cofactor with an empty care set"
         );
-        let mut memo = FxMap::default();
-        self.constrain_rec(f, care, &mut memo)
+        let result = self.constrain_rec(f, care);
+        // The generalized cofactor is idempotent, `(f↓c)↓c = f↓c`: recording
+        // that lets a later call on the result — a register bit that held its
+        // value for a cycle, a sampled output that is a register — hit at once.
+        if !care.is_true() && !result.is_const() {
+            let r = result.regular();
+            self.ite_cache.insert((CONSTRAIN_TAG, r, care), r);
+        }
+        result
     }
 
     /// The generalized cofactor commutes with negation of `f` (it rebuilds
     /// `f`'s leaves under `care`'s guidance), so the recursion strips `f`'s
-    /// complement attribute and memoizes on `(regular f, care)`. The care
-    /// argument does **not** commute and keeps its attribute in the key;
-    /// `f == ¬care` short-circuits to false the way `f == care` does to true.
-    fn constrain_rec(&mut self, f: Bdd, care: Bdd, memo: &mut FxMap<(Bdd, Bdd), Bdd>) -> Bdd {
+    /// complement attribute and keys its computed-table entry on
+    /// `(CONSTRAIN_TAG, regular f, care)`. The care argument does **not**
+    /// commute and keeps its attribute in the key; `f == ¬care`
+    /// short-circuits to false the way `f == care` does to true.
+    fn constrain_rec(&mut self, f: Bdd, care: Bdd) -> Bdd {
         if care.is_true() || f.is_const() {
             return f;
         }
@@ -912,24 +955,28 @@ impl BddManager {
         }
         let compl = f.is_compl();
         let f = f.regular();
-        if let Some(&r) = memo.get(&(f, care)) {
+        let key = (CONSTRAIN_TAG, f, care);
+        if let Some(&r) = self.ite_cache.get(&key) {
+            self.constrain_hits += 1;
             return if compl { r.negate() } else { r };
         }
+        self.constrain_misses += 1;
+        self.check_budget_amortized();
         let vf = self.node(f).var;
         let vc = self.node(care).var;
         let top = if self.lvl(vc) < self.lvl(vf) { vc } else { vf };
         let (f0, f1) = self.split(f, top);
         let (c0, c1) = self.split(care, top);
         let result = if c0.is_false() {
-            self.constrain_rec(f1, c1, memo)
+            self.constrain_rec(f1, c1)
         } else if c1.is_false() {
-            self.constrain_rec(f0, c0, memo)
+            self.constrain_rec(f0, c0)
         } else {
-            let lo = self.constrain_rec(f0, c0, memo);
-            let hi = self.constrain_rec(f1, c1, memo);
+            let lo = self.constrain_rec(f0, c0);
+            let hi = self.constrain_rec(f1, c1);
             self.mk(top, lo, hi)
         };
-        memo.insert((f, care), result);
+        self.ite_cache.insert(key, result);
         if compl {
             result.negate()
         } else {
@@ -1229,8 +1276,9 @@ impl BddManager {
     /// Mark-and-sweep collection: marks everything reachable from the
     /// registered roots and from `extra_roots`, reclaims every other node
     /// into a free list for reuse, drops the reclaimed nodes from the unique
-    /// table, drops the operation-cache entries that name reclaimed nodes
-    /// (entries over surviving nodes stay hot across the collection), and
+    /// table, drops the computed-table entries — ITE triples and `constrain`
+    /// entries alike — that name reclaimed nodes (entries over surviving
+    /// nodes stay hot across the collection), and
     /// shrinks both tables when they are mostly empty afterwards.
     ///
     /// Handles not covered by the roots are invalidated — see the type-level
@@ -1284,8 +1332,10 @@ impl BddManager {
             self.free_count += 1;
             collected += 1;
         }
-        // Drop memo entries that name reclaimed nodes; entries whose triple
-        // and result all survived are still verbatim-valid, and keeping them
+        // Drop computed-table entries that name reclaimed nodes (a constrain
+        // entry's constant tag is never dead, so one test covers both
+        // operations); entries whose key and result all survived are still
+        // verbatim-valid, and keeping them
         // spares the next cycle from re-expanding (and re-allocating) the
         // shared subproblems it has in common with this one.
         let dead = |b: Bdd| !b.is_const() && !marked[b.index()];
@@ -1316,17 +1366,22 @@ impl BddManager {
         GcStats { collected, live }
     }
 
-    /// Pushes the per-manager deltas of the batched hot counters (ITE cache
-    /// traffic, store growth, peak live) to the process-global metrics
+    /// Pushes the per-manager deltas of the batched hot counters (ITE and
+    /// constrain cache traffic, store growth, peak live) to the process-global
+    /// metrics
     /// registry. Runs after every collection and on drop, so short-lived
     /// per-plan managers still report.
     fn flush_metrics(&mut self) {
         M_ITE_HIT.add((self.ite_hits - self.flushed_ite_hits) as u64);
         M_ITE_MISS.add((self.ite_misses - self.flushed_ite_misses) as u64);
+        M_CONSTRAIN_HIT.add((self.constrain_hits - self.flushed_constrain_hits) as u64);
+        M_CONSTRAIN_MISS.add((self.constrain_misses - self.flushed_constrain_misses) as u64);
         M_UNIQUE_GROW.add((self.unique_grows - self.flushed_unique_grows) as u64);
         M_PEAK_LIVE.set_max(self.peak_live as u64);
         self.flushed_ite_hits = self.ite_hits;
         self.flushed_ite_misses = self.ite_misses;
+        self.flushed_constrain_hits = self.constrain_hits;
+        self.flushed_constrain_misses = self.constrain_misses;
         self.flushed_unique_grows = self.unique_grows;
     }
 
@@ -1534,6 +1589,8 @@ impl BddManager {
             ite_cache_entries: self.ite_cache.len(),
             ite_hits: self.ite_hits,
             ite_misses: self.ite_misses,
+            constrain_hits: self.constrain_hits,
+            constrain_misses: self.constrain_misses,
             unique_grows: self.unique_grows,
             reorder_runs: self.reorder_runs,
             reorder_swaps: self.reorder_swaps,

@@ -126,3 +126,54 @@ fn safe_point_checks_fire_without_ite_traffic() {
         BudgetExceeded::Cancelled
     );
 }
+
+/// Equality of two `bits`-bit words with every `x` variable ordered before
+/// every `y` variable — exponential in `bits` — and the care set `y_last`:
+/// constraining the first by the second rebuilds nearly every node.
+fn split_equality(m: &mut BddManager, bits: usize) -> (Bdd, Bdd) {
+    let xs = m.new_vars(bits);
+    let ys = m.new_vars(bits);
+    let mut eq = Bdd::TRUE;
+    for (x, y) in xs.iter().zip(&ys) {
+        let (vx, vy) = (m.var(*x), m.var(*y));
+        let bit = m.xnor(vx, vy);
+        eq = m.and(eq, bit);
+    }
+    let care = m.var(ys[bits - 1]);
+    (eq, care)
+}
+
+#[test]
+fn node_budget_trips_inside_one_constrain() {
+    // Unbudgeted twin: the single call allocates several check intervals'
+    // worth of nodes, so the overshoot bound below means something.
+    let mut twin = BddManager::new();
+    let (f, care) = split_equality(&mut twin, 14);
+    let before = twin.stats().allocated;
+    twin.constrain(f, care);
+    let cost = twin.stats().allocated - before;
+    assert!(cost > 4 * 1024, "the constrain allocates only {cost} nodes");
+
+    let mut m = BddManager::new();
+    let (f, care) = split_equality(&mut m, 14);
+    let limit = m.stats().allocated + 100;
+    m.set_budget(Budget::unlimited().with_node_limit(limit));
+    assert_eq!(expect_abort(|| m.constrain(f, care)), BudgetExceeded::Nodes);
+    // Each miss allocates at most one node, so the abort fires within one
+    // check interval (plus the frames in flight) of the limit.
+    let allocated = m.stats().allocated;
+    assert!(allocated > limit, "the abort fired past the limit");
+    assert!(
+        allocated <= limit + 1024 + 64,
+        "overshoot {} exceeds the check interval",
+        allocated - limit
+    );
+
+    // The manager is reusable: unbudgeted, the same call completes and
+    // agrees with its operand on the care set.
+    m.clear_budget();
+    let g = m.constrain(f, care);
+    let lhs = m.and(g, care);
+    let rhs = m.and(f, care);
+    assert_eq!(lhs, rhs);
+}

@@ -167,4 +167,60 @@ proptest! {
         let f2 = build(&mut m, &vars, &fe);
         prop_assert_eq!(f2, f);
     }
+
+    /// Constrain results live in the computed table across calls. A
+    /// collection that reclaims the slots an entry names must drop it: once
+    /// unrelated nodes reuse those slots, constraining the rebuilt operands
+    /// again yields the rooted first result, which still agrees with `f` on
+    /// the care set.
+    #[test]
+    fn constrain_entries_do_not_outlive_their_slots(
+        (fe, ce, ge) in (arb_expr(NVARS, 4), arb_expr(NVARS, 4), arb_expr(NVARS, 4))
+    ) {
+        let mut m = BddManager::new();
+        let vars = m.new_vars(NVARS);
+        let f = build(&mut m, &vars, &fe);
+        let c = build(&mut m, &vars, &ce);
+        prop_assume!(!c.is_false());
+        let first = m.constrain(f, c);
+        m.add_root(first);
+        // `f` and `c` are unrooted, so their slots are reclaimed, and `g`
+        // takes them over before the operands are rebuilt.
+        m.gc();
+        let _g = build(&mut m, &vars, &ge);
+        let f = build(&mut m, &vars, &fe);
+        let c = build(&mut m, &vars, &ce);
+        let again = m.constrain(f, c);
+        prop_assert_eq!(again, first);
+        let agree = m.xnor(again, f);
+        let covered = m.and(c, agree);
+        prop_assert_eq!(covered, c);
+    }
+}
+
+/// `(f↓c)↓c = f↓c`: constraining a result again by the same care set returns
+/// the same handle from a single computed-table hit, allocating nothing and
+/// leaving the ITE counters alone.
+#[test]
+fn constrain_is_idempotent_through_the_computed_table() {
+    let mut m = BddManager::new();
+    let v = m.new_vars(4);
+    let (a, b, c, d) = (m.var(v[0]), m.var(v[1]), m.var(v[2]), m.var(v[3]));
+    let ac = m.and(a, c);
+    let bd = m.and(b, d);
+    let f = m.or(ac, bd);
+    let care = m.or(a, b);
+    let g = m.constrain(f, care);
+    assert!(!g.is_const() && g != f, "the cofactor must be non-trivial");
+    let before = m.stats();
+    let h = m.constrain(g, care);
+    let after = m.stats();
+    assert_eq!(h, g);
+    assert_eq!(after.allocated, before.allocated);
+    assert_eq!(after.constrain_hits, before.constrain_hits + 1);
+    assert_eq!(after.constrain_misses, before.constrain_misses);
+    assert_eq!(
+        (after.ite_hits, after.ite_misses),
+        (before.ite_hits, before.ite_misses)
+    );
 }

@@ -78,7 +78,10 @@ static M_CACHE_CORRUPT: Counter = Counter::new("cache.corrupt");
 /// store format moved to version 2 (`pv_bdd::store::FORMAT_VERSION`).
 /// Pre-complement artifacts are unreadable by the new importer, so the epoch
 /// bump retires them as clean cache misses rather than decode errors.
-pub const ENGINE_EPOCH: u32 = 3;
+///
+/// Epoch 4: β reports' `metrics` gained `bdd.constrain.cache_hit` and
+/// `bdd.constrain.cache_miss`, changing report bytes for identical inputs.
+pub const ENGINE_EPOCH: u32 = 4;
 
 /// Environment variable overriding the default cache directory.
 pub const PV_CACHE_DIR: &str = "PV_CACHE_DIR";

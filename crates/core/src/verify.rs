@@ -501,7 +501,7 @@ impl Verifier {
     ///
     /// **Memory:** every in-flight plan owns a full `BddManager`, so peak
     /// residency is up to `threads ×` the largest single plan's peak-live
-    /// footprint (the Alpha0 slot-4 plan alone peaks at ~12.8 M live nodes).
+    /// footprint (the Alpha0 slot-4 plan alone peaks at ~3.6 M live nodes).
     /// On a machine that runs a big sweep near its memory ceiling, set
     /// `PV_THREADS` (or this knob) below the core count — `1` restores the
     /// sequential footprint exactly.
@@ -513,8 +513,9 @@ impl Verifier {
     /// Attaches a resource [`Budget`] — wall-clock deadline, total-node
     /// limit, cooperative cancel flag — governing every plan this verifier
     /// checks. Each plan's manager observes a [`Budget::child`] of it at the
-    /// engine's safe points (per simulation cycle, and every ~1024 ITE cache
-    /// misses), so a trip aborts the plan within a bounded overshoot.
+    /// engine's safe points (per simulation cycle, and every ~1024 ITE or
+    /// constrain cache misses), so a trip aborts the plan within a bounded
+    /// overshoot.
     ///
     /// A tripped plan does **not** fail the batch: it is recorded as a
     /// [`PlanFailure`] with zero statistics and the remaining plans still
@@ -960,6 +961,14 @@ impl Verifier {
         let metrics = BTreeMap::from([
             ("bdd.ite.cache_hit".to_owned(), stats.ite_hits as u64),
             ("bdd.ite.cache_miss".to_owned(), stats.ite_misses as u64),
+            (
+                "bdd.constrain.cache_hit".to_owned(),
+                stats.constrain_hits as u64,
+            ),
+            (
+                "bdd.constrain.cache_miss".to_owned(),
+                stats.constrain_misses as u64,
+            ),
             ("bdd.unique.grow".to_owned(), stats.unique_grows as u64),
         ]);
         Ok(PlanReport {
@@ -1126,7 +1135,10 @@ impl Verifier {
                     BddVec::constant(manager, 0, 1),
                 );
             }
-            let (mut next_state, outputs) = sym.step(manager, &state, &inputs);
+            let (mut next_state, outputs) = {
+                let _span = pv_obs::span("sim.eval");
+                sym.step(manager, &state, &inputs)
+            };
             // Generalized cofactoring of the state by the instruction-class
             // constraint — the "cofactor the transition relation outputs with
             // respect to the inputs" step of Section 5.2. Values reachable
@@ -1135,12 +1147,14 @@ impl Verifier {
             // conditioned on anyway) are dropped, which keeps the state BDDs
             // within capacity.
             if !assumption.is_true() {
+                let _span = pv_obs::span("sim.constrain");
                 for bit in &mut next_state.regs {
                     *bit = manager.constrain(*bit, assumption);
                 }
             }
             for &(slot, sample_cycle) in sample_cycles {
                 if sample_cycle == cycle {
+                    let _span = pv_obs::span("sim.sample");
                     let observed: BTreeMap<String, BddVec> = spec
                         .observed
                         .iter()
