@@ -13,8 +13,7 @@
 //!   point.
 //!
 //! The engine consults the budget only at its existing safe points — the
-//! per-cycle [`maybe_gc`](crate::BddManager::maybe_gc) /
-//! [`maybe_reorder`](crate::BddManager::maybe_reorder) calls and (amortized)
+//! per-cycle [`maybe_gc`](crate::BddManager::maybe_gc) call and (amortized)
 //! the ITE and constrain cache-miss paths — and aborts by unwinding with a typed
 //! [`BudgetExceeded`] panic payload. Unwinding at a safe point leaves the
 //! manager **allocation-consistent**: every table mutation between two safe

@@ -11,6 +11,9 @@
 //!   regular-then canonical form, and `ite` normalizes standard triples, so
 //!   negation is a single bit flip with zero allocation and a function
 //!   shares its entire subgraph with its complement,
+//! * a **static variable order**: a variable's position in the order is its
+//!   allocation index ([`Var::index`]), so callers fix the order by the order
+//!   in which they allocate variables,
 //! * restriction (cofactoring), existential/universal quantification (the
 //!   *smoothing* operator of Definition 3.3.1), composition and monotone
 //!   variable replacement,
@@ -19,12 +22,7 @@
 //!   logic used when building word-level datapaths symbolically,
 //! * [`TransitionSystem`], the transition-relation representation of a
 //!   synchronous machine together with image computation and breadth-first
-//!   reachability (Coudert–Berthet–Madre 1989, Section 3.3 of the thesis), and
-//! * **dynamic variable reordering**: grouped Rudell sifting over a
-//!   var↔level indirection ([`BddManager::reorder`],
-//!   [`BddManager::maybe_reorder`], [`AutoReorderPolicy`]) with reorder
-//!   groups ([`BddManager::group_vars`]) that keep interleaved words and
-//!   present/next pairs adjacent while their blocks move, and
+//!   reachability (Coudert–Berthet–Madre 1989, Section 3.3 of the thesis),
 //! * cooperative **resource budgets** ([`Budget`], [`BudgetExceeded`],
 //!   [`BddManager::set_budget`]): wall-clock deadlines, allocated-node
 //!   limits and cancellation, checked at the manager's safe points and
@@ -62,7 +60,6 @@ mod hash;
 mod manager;
 mod node;
 mod relation;
-mod reorder;
 pub mod store;
 mod vec;
 
@@ -70,5 +67,4 @@ pub use budget::{Budget, BudgetExceeded};
 pub use manager::{BddManager, BddStats, GcStats};
 pub use node::{Bdd, Var};
 pub use relation::{ReachableSet, TransitionSystem};
-pub use reorder::{AutoReorderPolicy, ReorderStats};
 pub use vec::BddVec;

@@ -2,12 +2,10 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use crate::hash::FxMap;
-use std::time::Duration;
-
 use pv_obs::{Counter, Gauge};
 
 use crate::budget::Budget;
+use crate::hash::FxMap;
 use crate::node::{Bdd, Node, Var, FREE_VAR, TERMINAL_VAR};
 
 /// Sentinel terminating the free-list chain threaded through reclaimed slots.
@@ -82,13 +80,6 @@ pub struct BddStats {
     /// Times the node store grew its backing allocation (a doubling of the
     /// `Vec`), the `bdd.unique.grow` metric.
     pub unique_grows: usize,
-    /// Number of dynamic-reordering passes performed
-    /// ([`reorder`](BddManager::reorder) and automatic triggers).
-    pub reorder_runs: usize,
-    /// Total adjacent-level swaps across all reordering passes.
-    pub reorder_swaps: usize,
-    /// Total wall-clock time spent reordering.
-    pub reorder_time: Duration,
 }
 
 /// Outcome of one mark-and-sweep collection.
@@ -119,16 +110,13 @@ pub struct GcStats {
 ///
 /// See the [crate-level documentation](crate) for an example.
 ///
-/// # Variable order and dynamic reordering
+/// # Variable order
 ///
-/// A variable's identity ([`Var`], stable for the life of the manager) is
-/// decoupled from its *level* — its position in the ROBDD order. Levels start
-/// out equal to allocation order and can be changed by the sifting-based
-/// reorderer ([`reorder`](Self::reorder), [`maybe_reorder`](Self::maybe_reorder));
-/// see the `reorder` module. Like a garbage collection, a reordering pass
-/// invalidates every handle that is not covered by the registered roots (or
-/// the extra roots passed to the reordering call); covered handles keep
-/// denoting the same Boolean function.
+/// The ROBDD order is allocation order: a variable's position in the order
+/// is its [`Var::index`], fixed for the life of the manager. Callers choose
+/// the order by choosing the allocation order (interleaved words, FORCE
+/// bit orders); the manager never moves a variable.
+///
 /// # Threading
 ///
 /// A manager is a plain owned value — node store, unique tables and caches
@@ -144,25 +132,14 @@ pub struct BddManager {
     pub(crate) nodes: Vec<Node>,
     /// Per-variable unique tables: `subtables[v]` maps `(lo, hi)` to the
     /// handle of the live node `(v, lo, hi)`. Keyed by children only — the
-    /// variable is the subtable index — so one level's nodes can be
-    /// enumerated and rewritten in `O(nodes at level)` during an
-    /// adjacent-level swap.
+    /// variable is the subtable index.
     pub(crate) subtables: Vec<FxMap<(Bdd, Bdd), Bdd>>,
     /// The computed table: ITE standard triples, plus the `constrain`
     /// entries keyed `(CONSTRAIN_TAG, regular f, care)`. Sharing one table
-    /// gives both operations one invalidation path — the collection's
-    /// `retain` and the reorderer's `clear`.
+    /// gives both operations one invalidation path: the collection's
+    /// `retain`.
     pub(crate) ite_cache: FxMap<(Bdd, Bdd, Bdd), Bdd>,
     pub(crate) num_vars: u32,
-    /// `var2level[v]` is the current level (0 = topmost) of variable `v`.
-    pub(crate) var2level: Vec<u32>,
-    /// `level2var[l]` is the variable currently at level `l`.
-    pub(crate) level2var: Vec<u32>,
-    /// Reorder-group id per variable. Variables sharing a group occupy
-    /// contiguous levels in a fixed relative order and are moved as one block
-    /// by the sifting reorderer (see [`group_vars`](Self::group_vars)).
-    pub(crate) group_of: Vec<u32>,
-    pub(crate) next_group: u32,
     /// Head of the free-list chained through reclaimed slots (`FREE_NIL` when
     /// empty).
     pub(crate) free_head: u32,
@@ -175,11 +152,6 @@ pub struct BddManager {
     /// Current live-node count above which [`maybe_gc`](Self::maybe_gc)
     /// collects; re-derived from the live set after every collection.
     gc_threshold: usize,
-    /// Automatic-reordering policy (see [`set_auto_reorder`](Self::set_auto_reorder)).
-    pub(crate) auto_reorder: crate::reorder::AutoReorderPolicy,
-    /// Current live-node count above which [`maybe_reorder`](Self::maybe_reorder)
-    /// sifts; re-derived adaptively after every reordering pass.
-    pub(crate) reorder_threshold: usize,
     pub(crate) allocated: usize,
     pub(crate) peak_live: usize,
     gc_runs: usize,
@@ -196,12 +168,9 @@ pub struct BddManager {
     flushed_constrain_hits: usize,
     flushed_constrain_misses: usize,
     flushed_unique_grows: usize,
-    pub(crate) reorder_runs: usize,
-    pub(crate) reorder_swaps: usize,
-    pub(crate) reorder_time: Duration,
     /// Optional resource budget (see [`set_budget`](Self::set_budget)):
-    /// checked unconditionally at the [`maybe_gc`](Self::maybe_gc) /
-    /// [`maybe_reorder`](Self::maybe_reorder) safe points and — amortized
+    /// checked unconditionally at the [`maybe_gc`](Self::maybe_gc) safe
+    /// point and — amortized
     /// over [`BUDGET_CHECK_INTERVAL`] misses — on the ITE and constrain
     /// cache-miss paths.
     budget: Option<Budget>,
@@ -249,17 +218,11 @@ impl BddManager {
             subtables: Vec::new(),
             ite_cache: FxMap::default(),
             num_vars: 0,
-            var2level: Vec::new(),
-            level2var: Vec::new(),
-            group_of: Vec::new(),
-            next_group: 0,
             free_head: FREE_NIL,
             free_count: 0,
             roots: FxMap::default(),
             gc_floor: DEFAULT_GC_THRESHOLD,
             gc_threshold: DEFAULT_GC_THRESHOLD,
-            auto_reorder: crate::reorder::AutoReorderPolicy::Off,
-            reorder_threshold: usize::MAX,
             allocated: 2,
             peak_live: 2,
             gc_runs: 0,
@@ -273,17 +236,13 @@ impl BddManager {
             flushed_constrain_hits: 0,
             flushed_constrain_misses: 0,
             flushed_unique_grows: 0,
-            reorder_runs: 0,
-            reorder_swaps: 0,
-            reorder_time: Duration::ZERO,
             budget: None,
             budget_tick: 0,
         }
     }
 
     /// Attaches a resource [`Budget`]: the manager checks it at its safe
-    /// points (every [`maybe_gc`](Self::maybe_gc) /
-    /// [`maybe_reorder`](Self::maybe_reorder) call, and the ITE and
+    /// points (every [`maybe_gc`](Self::maybe_gc) call, and the ITE and
     /// constrain cache-miss paths once per `BUDGET_CHECK_INTERVAL` (1024)
     /// misses) and aborts an
     /// exceeded computation by unwinding with a [`crate::BudgetExceeded`]
@@ -336,14 +295,9 @@ impl BddManager {
         }
     }
 
-    /// Allocates a fresh variable at the bottom of the current order, in a
-    /// reorder group of its own.
+    /// Allocates a fresh variable at the bottom of the order.
     pub fn new_var(&mut self) -> Var {
         let v = Var(self.num_vars);
-        self.var2level.push(self.num_vars);
-        self.level2var.push(self.num_vars);
-        self.group_of.push(self.next_group);
-        self.next_group += 1;
         self.subtables.push(FxMap::default());
         self.num_vars += 1;
         v
@@ -365,20 +319,12 @@ impl BddManager {
     /// the other's is exponential (Bryant 1986). It is the default layout for
     /// operand pairs ([`crate::BddVec::new_interleaved`]) and for the
     /// present/next state families of [`crate::TransitionSystem`].
-    ///
-    /// Each rank — bit `i` of every family — is placed in one reorder group,
-    /// so dynamic reordering moves corresponding bits as a block and cannot
-    /// un-interleave the families (see [`group_vars`](Self::group_vars)).
     pub fn new_vars_interleaved(&mut self, families: usize, width: usize) -> Vec<Vec<Var>> {
         let mut out = vec![Vec::with_capacity(width); families];
         for _ in 0..width {
-            let mut rank = Vec::with_capacity(families);
             for family in out.iter_mut() {
-                let v = self.new_var();
-                family.push(v);
-                rank.push(v);
+                family.push(self.new_var());
             }
-            self.group_vars(&rank);
         }
         out
     }
@@ -386,92 +332,6 @@ impl BddManager {
     /// Number of variables allocated so far.
     pub fn var_count(&self) -> usize {
         self.num_vars as usize
-    }
-
-    // ------------------------------------------------------ variable order --
-
-    /// Current level of `v` in the variable order (0 = topmost). Levels change
-    /// under dynamic reordering; the variable's [`Var::index`] does not.
-    ///
-    /// # Panics
-    /// Panics if `v` was not allocated by this manager.
-    pub fn level_of(&self, v: Var) -> usize {
-        assert!(
-            v.0 < self.num_vars,
-            "variable {v} not allocated in this manager"
-        );
-        self.var2level[v.0 as usize] as usize
-    }
-
-    /// The variable currently at `level`.
-    ///
-    /// # Panics
-    /// Panics if `level >= var_count()`.
-    pub fn var_at_level(&self, level: usize) -> Var {
-        Var(self.level2var[level])
-    }
-
-    /// The current variable order, topmost first.
-    pub fn current_order(&self) -> Vec<Var> {
-        self.level2var.iter().map(|&v| Var(v)).collect()
-    }
-
-    /// Places `vars` into one reorder group: dynamic reordering will keep
-    /// them at contiguous levels in their current relative order and move
-    /// them as a single block. Use this for the bits of a word (or for
-    /// present/next state pairs) whose adjacency a reordering pass must not
-    /// destroy — the interleaving wins of
-    /// [`new_vars_interleaved`](Self::new_vars_interleaved) and the
-    /// order-preservation requirement of [`replace`](Self::replace) both
-    /// depend on it.
-    ///
-    /// # Panics
-    /// Panics if the variables do not currently occupy contiguous levels, or
-    /// if any of them belongs to a multi-variable group that is not wholly
-    /// contained in `vars` (merging whole groups into a larger one is
-    /// allowed; splitting a group is not).
-    pub fn group_vars(&mut self, vars: &[Var]) {
-        if vars.len() < 2 {
-            return;
-        }
-        let mut levels: Vec<u32> = vars.iter().map(|&v| self.var2level[v.0 as usize]).collect();
-        levels.sort_unstable();
-        for w in levels.windows(2) {
-            assert_eq!(
-                w[0] + 1,
-                w[1],
-                "grouped variables must occupy contiguous levels"
-            );
-        }
-        let members: std::collections::HashSet<u32> = vars.iter().map(|v| v.0).collect();
-        for &v in vars {
-            let g = self.group_of[v.0 as usize];
-            let group_contained = self
-                .group_of
-                .iter()
-                .enumerate()
-                .filter(|&(_, &x)| x == g)
-                .all(|(w, _)| members.contains(&(w as u32)));
-            assert!(
-                group_contained,
-                "variable {v} is in a multi-variable group not wholly contained in the new group"
-            );
-        }
-        let group = self.group_of[vars[0].0 as usize];
-        for &v in vars {
-            self.group_of[v.0 as usize] = group;
-        }
-    }
-
-    /// Current level of a raw variable index; terminals (and reclaimed slots)
-    /// order below every real variable.
-    #[inline]
-    pub(crate) fn lvl(&self, var: u32) -> u32 {
-        if var >= self.num_vars {
-            u32::MAX
-        } else {
-            self.var2level[var as usize]
-        }
     }
 
     /// Returns the constant function for `value`.
@@ -541,9 +401,8 @@ impl BddManager {
 
     /// Allocates a table slot for a (not yet hash-consed, canonical-form)
     /// node, reusing the free list, and enters it into its variable's
-    /// subtable — the one allocation protocol shared by [`mk`](Self::mk) and
-    /// the reorderer's refcounting `mk_ref`. Returns the regular handle.
-    pub(crate) fn alloc_node(&mut self, node: Node) -> Bdd {
+    /// subtable. Returns the regular handle.
+    fn alloc_node(&mut self, node: Node) -> Bdd {
         debug_assert!(!node.hi.is_compl(), "canonical form: then edge regular");
         let idx = if self.free_head != FREE_NIL {
             let idx = self.free_head;
@@ -741,13 +600,9 @@ impl BddManager {
         } else {
             self.node(h).var
         };
-        let mut top = vf;
-        if self.lvl(vg) < self.lvl(top) {
-            top = vg;
-        }
-        if self.lvl(vh) < self.lvl(top) {
-            top = vh;
-        }
+        // The top variable is the smallest index; a constant's
+        // `TERMINAL_VAR` sorts after every real variable.
+        let top = vf.min(vg).min(vh);
         let (f0, f1) = self.split(f, top);
         let (g0, g1) = self.split(g, top);
         let (h0, h1) = self.split(h, top);
@@ -869,7 +724,7 @@ impl BddManager {
         let compl = f.is_compl();
         let f = f.regular();
         let n = self.node(f);
-        if self.lvl(n.var) > self.lvl(var) {
+        if n.var > var {
             return if compl { f.negate() } else { f };
         }
         if let Some(&r) = memo.get(&f) {
@@ -964,7 +819,7 @@ impl BddManager {
         self.check_budget_amortized();
         let vf = self.node(f).var;
         let vc = self.node(care).var;
-        let top = if self.lvl(vc) < self.lvl(vf) { vc } else { vf };
+        let top = vf.min(vc);
         let (f0, f1) = self.split(f, top);
         let (c0, c1) = self.split(care, top);
         let result = if c0.is_false() {
@@ -987,19 +842,9 @@ impl BddManager {
     /// Existential quantification (the *smoothing* operator `S_x f` of
     /// Definition 3.3.1): `∃ vars . f`.
     pub fn exists(&mut self, f: Bdd, vars: &[Var]) -> Bdd {
-        let sorted = self.sorted_by_level(vars);
+        let sorted = sorted_indices(vars);
         let mut memo = FxMap::default();
         self.exists_rec(f, &sorted, &mut memo)
-    }
-
-    /// The raw indices of `vars`, deduplicated and sorted by **current level**
-    /// — the order the top-down quantification recursions consume them in.
-    fn sorted_by_level(&self, vars: &[Var]) -> Vec<u32> {
-        let mut sorted: Vec<u32> = vars.iter().map(|v| v.0).collect();
-        sorted.sort_unstable();
-        sorted.dedup();
-        sorted.sort_unstable_by_key(|&v| self.lvl(v));
-        sorted
     }
 
     /// Existential quantification does **not** commute with negation
@@ -1011,8 +856,7 @@ impl BddManager {
         }
         let (var, f0, f1) = self.cofactors(f);
         // Skip quantified variables that are above the root of f.
-        let root_level = self.lvl(var);
-        let pos = vars.partition_point(|&v| self.lvl(v) < root_level);
+        let pos = vars.partition_point(|&v| v < var);
         let vars = &vars[pos..];
         if vars.is_empty() {
             return f;
@@ -1044,7 +888,7 @@ impl BddManager {
     /// `∃ vars . (f ∧ g)`, computed in one recursive pass as described for the
     /// image computation of Section 3.3 (Burch et al. 1990).
     pub fn and_exists(&mut self, f: Bdd, g: Bdd, vars: &[Var]) -> Bdd {
-        let sorted = self.sorted_by_level(vars);
+        let sorted = sorted_indices(vars);
         let mut memo = FxMap::default();
         self.and_exists_rec(f, g, &sorted, &mut memo)
     }
@@ -1086,9 +930,8 @@ impl BddManager {
         } else {
             self.node(g).var
         };
-        let top = if self.lvl(vg) < self.lvl(vf) { vg } else { vf };
-        let top_level = self.lvl(top);
-        let pos = vars.partition_point(|&v| self.lvl(v) < top_level);
+        let top = vf.min(vg);
+        let pos = vars.partition_point(|&v| v < top);
         let vars_below = &vars[pos..];
         let (f0, f1) = self.split(f, top);
         let (g0, g1) = self.split(g, top);
@@ -1117,70 +960,18 @@ impl BddManager {
     }
 
     /// Replaces each variable of `f` that appears as a key of `map` with the
-    /// corresponding value.
+    /// corresponding value, in one linear rewriting pass.
     ///
-    /// When the replacement is *order-preserving* on `f`'s support — mapped
-    /// variables keep their relative **level** order and none crosses an
-    /// unmapped support variable — the substitution is a single linear
-    /// rewriting pass. This is the case for the interleaved present/next
-    /// state layout used by [`crate::TransitionSystem`], and stays the case
-    /// under dynamic reordering when each present/next pair shares a reorder
-    /// group (see [`group_vars`](Self::group_vars)). Otherwise — e.g. after
-    /// sifting an ungrouped layout — the substitution falls back to one
-    /// functional composition per mapped variable, which is slower but
-    /// correct for any order.
+    /// The replacement must be *order-preserving* on `f`'s support: mapped
+    /// variables keep their relative order and none crosses an unmapped
+    /// support variable. The present→next renaming of
+    /// [`crate::TransitionSystem`] satisfies this under both the interleaved
+    /// layout and a blocked one (all present variables, then all next).
+    /// Debug builds assert it at every rewritten node.
     pub fn replace(&mut self, f: Bdd, map: &HashMap<Var, Var>) -> Bdd {
         let raw: FxMap<u32, u32> = map.iter().map(|(k, v)| (k.0, v.0)).collect();
-        // While no reordering pass has ever run, levels are identical to
-        // allocation order and the caller-supplied layouts (interleaved
-        // present/next pairs) are monotone by construction — skip the
-        // support scan on this hot path; `replace_rec` keeps its
-        // per-node debug assertion either way.
-        if self.reorder_runs == 0 || self.replace_is_monotone(f, &raw) {
-            let mut memo = FxMap::default();
-            return self.replace_rec(f, &raw, &mut memo);
-        }
-        // General rename: compose out one mapped variable at a time. Correct
-        // regardless of order because the map is a rename onto fresh
-        // variables (values may not occur in `f`'s support).
-        let mut acc = f;
-        for (&k, &v) in &raw {
-            debug_assert!(
-                !self.support(f).contains(&Var(v)),
-                "general replace requires the target variable to be fresh in f"
-            );
-            let projection = self.var(Var(v));
-            acc = self.compose(acc, Var(k), projection);
-        }
-        acc
-    }
-
-    /// `true` when rewriting `f`'s mapped variables in place cannot violate
-    /// the level order: mapped support variables keep their relative order
-    /// and no mapped variable moves across an unmapped support variable.
-    fn replace_is_monotone(&self, f: Bdd, map: &FxMap<u32, u32>) -> bool {
-        let support = self.support(f);
-        let mut mapped: Vec<(u32, u32)> = Vec::new(); // (old level, new level)
-        let mut unmapped_levels: Vec<u32> = Vec::new();
-        for v in support {
-            match map.get(&v.0) {
-                Some(&to) => mapped.push((self.lvl(v.0), self.lvl(to))),
-                None => unmapped_levels.push(self.lvl(v.0)),
-            }
-        }
-        mapped.sort_unstable();
-        if mapped.windows(2).any(|w| w[0].1 >= w[1].1) {
-            return false;
-        }
-        // No unmapped support variable may lie strictly between a mapped
-        // variable's old and new levels (the rewrite would carry the mapped
-        // decision across it).
-        unmapped_levels.sort_unstable();
-        mapped.iter().all(|&(from, to)| {
-            let (low, high) = if from < to { (from, to) } else { (to, from) };
-            let first_inside = unmapped_levels.partition_point(|&l| l <= low);
-            unmapped_levels[first_inside..].iter().all(|&l| l >= high)
-        })
+        let mut memo = FxMap::default();
+        self.replace_rec(f, &raw, &mut memo)
     }
 
     /// Variable renaming commutes with negation, so the recursion strips the
@@ -1199,11 +990,8 @@ impl BddManager {
         let hi = self.replace_rec(n.hi, map, memo);
         let new_var = *map.get(&n.var).unwrap_or(&n.var);
         debug_assert!(
-            self.top_var(lo)
-                .is_none_or(|v| self.lvl(v.0) > self.lvl(new_var))
-                && self
-                    .top_var(hi)
-                    .is_none_or(|v| self.lvl(v.0) > self.lvl(new_var)),
+            self.top_var(lo).is_none_or(|v| v.0 > new_var)
+                && self.top_var(hi).is_none_or(|v| v.0 > new_var),
             "non-monotone variable replacement"
         );
         let result = self.mk(new_var, lo, hi);
@@ -1272,6 +1060,14 @@ impl BddManager {
         }
         Some(self.gc_with_roots(extra_roots))
     }
+
+    // Exists only so the frozen benchmark harness compiles; the next benchmark change deletes it.
+    #[doc(hidden)]
+    pub fn group_vars(&mut self, _vars: &[Var]) {}
+
+    // Exists only so the frozen benchmark harness compiles; the next benchmark change deletes it.
+    #[doc(hidden)]
+    pub fn maybe_reorder(&mut self, _extra_roots: &[Bdd]) {}
 
     /// Mark-and-sweep collection: marks everything reachable from the
     /// registered roots and from `extra_roots`, reclaims every other node
@@ -1523,14 +1319,13 @@ impl BddManager {
     /// Enumerates every satisfying total assignment of `f` over `vars`,
     /// calling `visit` with each. Intended for small variable sets (tests and
     /// counterexample expansion); the number of calls is exponential in
-    /// `vars.len()`. The assignment pairs are presented in the current
-    /// variable order (topmost first), which the enumeration needs to proceed
-    /// top-down.
+    /// `vars.len()`. The assignment pairs are presented in variable order
+    /// (topmost first), which the enumeration needs to proceed top-down.
     pub fn for_each_model<F: FnMut(&[(Var, bool)])>(&self, f: Bdd, vars: &[Var], mut visit: F) {
-        let mut by_level: Vec<Var> = vars.to_vec();
-        by_level.sort_unstable_by_key(|&v| self.lvl(v.0));
-        let mut assignment: Vec<(Var, bool)> = Vec::with_capacity(by_level.len());
-        self.for_each_model_rec(f, &by_level, &mut assignment, &mut visit);
+        let mut ordered: Vec<Var> = vars.to_vec();
+        ordered.sort_unstable();
+        let mut assignment: Vec<(Var, bool)> = Vec::with_capacity(ordered.len());
+        self.for_each_model_rec(f, &ordered, &mut assignment, &mut visit);
     }
 
     fn for_each_model_rec<F: FnMut(&[(Var, bool)])>(
@@ -1592,9 +1387,6 @@ impl BddManager {
             constrain_hits: self.constrain_hits,
             constrain_misses: self.constrain_misses,
             unique_grows: self.unique_grows,
-            reorder_runs: self.reorder_runs,
-            reorder_swaps: self.reorder_swaps,
-            reorder_time: self.reorder_time,
         }
     }
 
@@ -1604,6 +1396,15 @@ impl BddManager {
     pub fn total_nodes(&self) -> usize {
         self.allocated
     }
+}
+
+/// The raw indices of `vars`, deduplicated and sorted — the order the
+/// top-down quantification recursions consume them in.
+fn sorted_indices(vars: &[Var]) -> Vec<u32> {
+    let mut sorted: Vec<u32> = vars.iter().map(|v| v.0).collect();
+    sorted.sort_unstable();
+    sorted.dedup();
+    sorted
 }
 
 impl Drop for BddManager {
@@ -1768,26 +1569,6 @@ mod tests {
         assert_eq!(m.stats().vars, 8);
         assert_eq!(m.stats().allocated, m.total_nodes());
         assert!(m.stats().peak_live >= m.stats().nodes);
-    }
-
-    #[test]
-    fn group_vars_merge_rules_are_symmetric() {
-        let mut m = BddManager::new();
-        let v = m.new_vars(4);
-        m.group_vars(&[v[0], v[1]]);
-        // Growing an existing group is allowed from either direction...
-        m.group_vars(&[v[0], v[1], v[2]]);
-        let g = m.new_vars(2);
-        m.group_vars(&[g[1], g[0]]);
-        // ...but splitting one is rejected regardless of argument order.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            m.group_vars(&[v[2], v[3]]);
-        }));
-        assert!(result.is_err(), "splitting a group must panic");
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            m.group_vars(&[v[3], v[2]]);
-        }));
-        assert!(result.is_err(), "argument order must not matter");
     }
 
     #[test]

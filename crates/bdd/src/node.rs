@@ -4,11 +4,9 @@ use std::fmt;
 
 /// A Boolean variable managed by a [`crate::BddManager`].
 ///
-/// The index is the variable's *identity* — stable for the life of the
-/// manager, assigned in allocation order. Its position in the ROBDD order is
-/// its **level** ([`crate::BddManager::level_of`]); the two start out equal
-/// and diverge once dynamic reordering moves variables
-/// ([`crate::BddManager::reorder`]).
+/// The index is assigned in allocation order, is stable for the life of the
+/// manager, and *is* the variable's position in the ROBDD order: a variable
+/// with a smaller index is decided nearer the root.
 ///
 /// ```
 /// use pv_bdd::BddManager;
@@ -16,14 +14,16 @@ use std::fmt;
 /// let a = m.new_var();
 /// let b = m.new_var();
 /// assert!(a.index() < b.index());
-/// assert_eq!(m.level_of(a), a.index()); // until a reorder moves it
+/// let (va, vb) = (m.var(a), m.var(b));
+/// let f = m.and(va, vb);
+/// assert_eq!(m.top_var(f), Some(a)); // the earlier variable is on top
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct Var(pub(crate) u32);
 
 impl Var {
-    /// The variable's stable index (allocation order; *not* its current
-    /// level once the order has been resifted).
+    /// The variable's stable index: its allocation order, which is also its
+    /// position in the variable order.
     pub fn index(self) -> usize {
         self.0 as usize
     }

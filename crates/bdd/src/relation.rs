@@ -40,11 +40,9 @@ struct Cluster {
 /// image computation to stay a linear rewrite, the `present` and `next`
 /// variables should be allocated interleaved (each `next[i]` immediately
 /// after `present[i]`, as [`crate::BddManager::new_vars_interleaved`]
-/// produces and the netlist symbolic simulator does) and each pair placed in
-/// one reorder group so sifting moves it as a block
-/// ([`crate::BddManager::group_vars`]); for other layouts — e.g. a sifted
-/// ungrouped order — the renaming falls back to per-variable composition,
-/// slower but correct.
+/// produces and the netlist symbolic simulator does), or blocked (all
+/// `present` variables, then all `next`, in matching order); see
+/// [`crate::BddManager::replace`].
 ///
 /// Constructing a system registers its relation clusters and initial-state
 /// set as garbage-collection roots in the manager, so a
@@ -178,15 +176,14 @@ impl TransitionSystem {
                 (p, support)
             })
             .collect();
-        // Sort by the bottom-most quantifiable variable in the support
-        // (bottom-most by *current level* — the order may have been resifted):
-        // a conjunct whose support ends early lets everything above it be
+        // Sort by the bottom-most quantifiable variable in the support: a
+        // conjunct whose support ends early lets everything above it be
         // smoothed out early. Ties break on the topmost variable so clusters
         // with similar spans end up adjacent and merge.
         parts.sort_by_key(|(_, s)| {
             (
-                s.iter().map(|&v| m.level_of(v)).max().map_or(0, |l| l + 1),
-                s.iter().map(|&v| m.level_of(v)).min().map_or(0, |l| l + 1),
+                s.iter().map(|v| v.index()).max().map_or(0, |l| l + 1),
+                s.iter().map(|v| v.index()).min().map_or(0, |l| l + 1),
             )
         });
         let mut rels: Vec<Bdd> = Vec::new();
@@ -289,9 +286,7 @@ impl TransitionSystem {
     /// Breadth-first reachability from the initial states:
     /// `C_0 = init`, `C_{i+1} = C_i ∪ image(C_i)`, until a fixpoint.
     ///
-    /// Between iterations the manager is offered a chance to reorder its
-    /// variables ([`BddManager::maybe_reorder`], a no-op unless an
-    /// [`crate::AutoReorderPolicy`] is enabled) and to collect garbage
+    /// Between iterations the manager is offered a chance to collect garbage
     /// ([`BddManager::maybe_gc`]); the relation clusters and `init` are
     /// already rooted, and the current frontier is passed as an extra root.
     /// Callers holding further unrooted handles across this call should use
@@ -301,7 +296,7 @@ impl TransitionSystem {
     }
 
     /// [`reachable`](Self::reachable), additionally protecting `extra_roots`
-    /// from the between-iteration garbage collections and reordering passes.
+    /// from the between-iteration garbage collections.
     pub fn reachable_with_roots(&self, m: &mut BddManager, extra_roots: &[Bdd]) -> ReachableSet {
         let mut current = self.init;
         let mut iterations = 0usize;
@@ -319,10 +314,8 @@ impl TransitionSystem {
             let mut roots = Vec::with_capacity(extra_roots.len() + 1);
             roots.push(current);
             roots.extend_from_slice(extra_roots);
-            // Both are safe points: nothing unrooted is in flight, so the
-            // image garbage can be reclaimed and — when the auto-reorder
-            // policy fires — the order resifted before the next image.
-            m.maybe_reorder(&roots);
+            // A safe point: nothing unrooted is in flight, so the image
+            // garbage can be reclaimed before the next image.
             m.maybe_gc(&roots);
         }
     }

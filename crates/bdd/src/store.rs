@@ -3,7 +3,8 @@
 //! rebuilds the functions in another (typically fresh) manager.
 //!
 //! The format is line-oriented and designed for content addressing: exporting
-//! the same functions from managers in any reordering state produces
+//! the same functions from managers with different node-table histories
+//! (slot reuse after collections, other functions alive alongside) produces
 //! byte-identical text, so a hash of the export is a stable fingerprint of
 //! the *functions*, not of the manager they happened to live in.
 //!
@@ -27,11 +28,9 @@
 //! never as misread garbage.
 //!
 //! Node records are written children-first (a child id is always smaller than
-//! its parent's id), variables are the **stable variable indices**
-//! ([`Var::index`]) rather than current levels, and ids are assigned in
-//! depth-first postorder from the roots in the order given, so the text is a
-//! canonical function of `(roots, functions)` given the manager's variable
-//! order.
+//! its parent's id), variables are their indices ([`Var::index`]), and ids
+//! are assigned in depth-first postorder from the roots in the order given,
+//! so the text is a canonical function of `(roots, functions)`.
 //!
 //! Round trip:
 //!

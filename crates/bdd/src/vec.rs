@@ -49,9 +49,8 @@ impl BddVec {
     /// This is the default layout for words that will be combined bitwise or
     /// arithmetically — a ripple-carry [`add`](Self::add) over interleaved
     /// operands stays linear in the width, whereas operands allocated
-    /// wholesale one after the other blow up exponentially. Each rank is one
-    /// reorder group, so dynamic reordering keeps corresponding bits adjacent
-    /// (see [`BddManager::new_vars_interleaved`]). Returns the words together
+    /// wholesale one after the other blow up exponentially (see
+    /// [`BddManager::new_vars_interleaved`]). Returns the words together
     /// with their variables (needed for quantification and counterexample
     /// expansion).
     pub fn new_interleaved(

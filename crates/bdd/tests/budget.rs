@@ -113,18 +113,13 @@ fn manager_stays_consistent_and_reusable_after_abort() {
 
 #[test]
 fn safe_point_checks_fire_without_ite_traffic() {
-    // `maybe_gc`/`maybe_reorder` are the per-cycle safe points; they must
-    // observe cancellation even when no ITE miss ever ticks the amortized
-    // counter.
+    // `maybe_gc` is the per-cycle safe point; it must observe cancellation
+    // even when no ITE miss ever ticks the amortized counter.
     let mut m = BddManager::new();
     let budget = Budget::unlimited();
     m.set_budget(budget.child());
     budget.cancel();
     assert_eq!(expect_abort(|| m.maybe_gc(&[])), BudgetExceeded::Cancelled);
-    assert_eq!(
-        expect_abort(|| m.maybe_reorder(&[])),
-        BudgetExceeded::Cancelled
-    );
 }
 
 /// Equality of two `bits`-bit words with every `x` variable ordered before

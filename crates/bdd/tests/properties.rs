@@ -1,6 +1,8 @@
 //! Property-based tests of the ROBDD manager: Boolean-algebra laws, agreement
-//! with truth-table semantics, quantifier laws, and bit-vector arithmetic
-//! against native `u64` arithmetic.
+//! with truth-table semantics, quantifier laws, variable renaming, and
+//! bit-vector arithmetic against native `u64` arithmetic.
+
+use std::collections::HashMap;
 
 use proptest::prelude::*;
 use pv_bdd::{Bdd, BddManager, BddVec, Var};
@@ -104,6 +106,34 @@ proptest! {
         let direct = m.and_exists(f, g, &[v]);
         let composed = { let t = m.and(f, g); m.exists(t, &[v]) };
         prop_assert_eq!(direct, composed);
+    }
+
+    /// Renaming present-state variables to next-state variables in one
+    /// `replace` pass equals composing each next-state projection in, one
+    /// variable at a time, under both order-preserving layouts a transition
+    /// system uses: interleaved (`p0 n0 p1 n1 …`) and blocked (`p0 p1 … n0
+    /// n1 …`).
+    #[test]
+    fn replace_equals_per_variable_compose(e in arb_expr(NVARS, 4), blocked in proptest::bool::ANY) {
+        let mut m = BddManager::new();
+        let (present, next) = if blocked {
+            let present = m.new_vars(NVARS);
+            (present, m.new_vars(NVARS))
+        } else {
+            let mut families = m.new_vars_interleaved(2, NVARS);
+            let next = families.pop().expect("two families");
+            (families.pop().expect("two families"), next)
+        };
+        let f = build(&mut m, &present, &e);
+        let map: HashMap<Var, Var> = present.iter().copied().zip(next.iter().copied()).collect();
+        let renamed = m.replace(f, &map);
+        let mut composed = f;
+        for (&p, &n) in present.iter().zip(&next) {
+            let projection = m.var(n);
+            composed = m.compose(composed, p, projection);
+        }
+        prop_assert_eq!(renamed, composed);
+        prop_assert!(m.support(renamed).iter().all(|v| next.contains(v)));
     }
 
     /// Model counting matches brute-force enumeration.

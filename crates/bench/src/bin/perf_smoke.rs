@@ -1,8 +1,8 @@
-//! Perf-smoke gate for the BDD engine: three small fixed workloads whose
+//! Perf-smoke gate for the BDD engine: nine small fixed workloads whose
 //! wall times and node counts are written to `BENCH_bdd.json` and compared
 //! against the checked-in baselines in `crates/bench/baselines/`.
 //!
-//! The workloads are the three hot spots the engine overhaul targeted:
+//! The workloads:
 //!
 //! 1. **12-bit counter reachability** (10 samples) — partitioned transition
 //!    relation with early quantification plus between-iteration garbage
@@ -12,12 +12,7 @@
 //!    variable-order default. The sequential ordering took 238 ms at 16 bits.
 //! 3. **Quickstart VSM verification** — the Section 6.2 experiment, with
 //!    per-cycle collection bounding live nodes.
-//! 4. **Reordered counter reachability** — the 12-bit counter again, but
-//!    with the *pessimal* blocked variable layout (all present bits, then
-//!    all next bits) and automatic sifting enabled, against its static-order
-//!    twin. The gate requires the sifted run to allocate fewer total nodes
-//!    than the static twin — the dynamic-reordering win.
-//! 5. **Parallel Alpha0 control-transfer sweep** (`alpha0_sweep_par`) — a
+//! 4. **Parallel Alpha0 control-transfer sweep** (`alpha0_sweep_par`) — a
 //!    three-position condensed-Alpha0 sweep run twice: sequentially
 //!    (`threads = 1`) and on a four-worker pool, one BDD manager per plan.
 //!    The two reports must be identical (the deterministic-merge guarantee),
@@ -31,36 +26,36 @@
 //!    the reach12/vsm/flush3 walls must stay within 1.1× of their own
 //!    pre-complement records. The runner's core count and the effective
 //!    `PV_THREADS` resolution are recorded as context fields.
-//! 6. **Flushing of the stallable VSM** (`flush3`) — the cross-flow bridge:
+//! 5. **Flushing of the stallable VSM** (`flush3`) — the cross-flow bridge:
 //!    the term-level pipeline description is derived from the stallable VSM
 //!    netlist (three in-flight latches → flush bound 3) and the Burch–Dill
 //!    commuting diagram is decided in EUF. The sequential and 4-worker
 //!    reports must be field-identical (the same deterministic-merge
-//!    guarantee as case 5, applied to EUF case-split blocks).
-//! 7. **Parallel EUF case split** (`flush_par`) — a deep (depth-12) term
+//!    guarantee as case 4, applied to EUF case-split blocks).
+//! 6. **Parallel EUF case split** (`flush_par`) — a deep (depth-12) term
 //!    pipeline whose case split is heavy enough to time: run sequentially
 //!    and on a four-worker pool. Report identity is gated always; on a
 //!    runner with at least two cores the parallel wall clock must beat the
-//!    sequential twin (skip-with-notice on one core, as in case 5).
-//! 8. **Traced-overhead twin** (`alpha0_sweep_traced`) — the case-5
+//!    sequential twin (skip-with-notice on one core, as in case 4).
+//! 7. **Traced-overhead twin** (`alpha0_sweep_traced`) — the case-4
 //!    sequential sweep re-run with span tracing live. Tracing must never
 //!    perturb verification (the traced report must match the untraced one
 //!    field for field), the emitted spans must bracket correctly, and the
 //!    traced wall clock may exceed the untraced twin by at most 10% (plus a
 //!    small absolute grace for timer noise) — the tentpole's overhead
 //!    budget, enforced.
-//! 9. **Warm artifact-cache replay** (`cache_warm`) — the family-matrix
+//! 8. **Warm artifact-cache replay** (`cache_warm`) — the family-matrix
 //!    smoke sweep (both flows per cell) run twice through the verification
 //!    service's job runner against one scratch cache: cold (every flow run
 //!    hits the engines and stores its artifacts), then warm (every flow run
 //!    is a file read). The gate requires the warm sweep to finish in at most
 //!    one fifth of the cold wall clock, with zero cache misses and
 //!    byte-identical reports.
-//! 10. **Budget abort** (`budget_abort`) — the 12-bit reachability workload
-//!     under a 20k-node budget. The abort must trip within the amortized
-//!     check interval past the limit and within a second of wall clock; the
-//!     governance-off cost is gated implicitly, since every other case runs
-//!     unbudgeted against unchanged baselines.
+//! 9. **Budget abort** (`budget_abort`) — the 12-bit reachability workload
+//!    under a 20k-node budget. The abort must trip within the amortized
+//!    check interval past the limit and within a second of wall clock; the
+//!    governance-off cost is gated implicitly, since every other case runs
+//!    unbudgeted against unchanged baselines.
 //!
 //! Every BDD-backed case also records its peak-live node count and its ITE
 //! cache hit-rate (`*_peak_live`, `*_ite_hit_rate`), and the cache replay
@@ -76,9 +71,9 @@ use std::time::{Duration, Instant};
 
 use pipeverify_core::cache::ArtifactCache;
 use pipeverify_core::{MachineSpec, SimulationPlan, Verifier};
-use pv_bdd::{AutoReorderPolicy, BddManager, BddVec, Budget, BudgetExceeded};
+use pv_bdd::{BddManager, BddVec, Budget, BudgetExceeded};
+use pv_bench::counter_system;
 use pv_bench::matrix::{cell_bugs, smoke_configs};
-use pv_bench::{counter_system, counter_system_blocked};
 use pv_flush::{FlushVerifier, PipelineDesc};
 use pv_isa::alpha0::Alpha0Config;
 use pv_proc::alpha0::{self, PipelineConfig};
@@ -126,10 +121,6 @@ const PRE_COMPL_WALL_FACTOR: f64 = 1.1;
 /// of the relative ceiling and `record + grace` (the same shape as the
 /// traced-overhead gate).
 const PRE_COMPL_WALL_GRACE_S: f64 = 0.05;
-/// Live-node floor for the reorder workload's sifting trigger: low enough
-/// that the blocked 12-bit counter reorders within its first few fixpoint
-/// iterations.
-const REORDER12_FLOOR: usize = 1 << 12;
 /// Worker count of the parallel Alpha0 sweep twin (the acceptance criterion
 /// is phrased for four workers; the pool clamps to the plan count anyway).
 const SWEEP_THREADS: usize = 4;
@@ -319,62 +310,7 @@ fn main() {
         ));
     }
 
-    // 4. Reordered vs static counter reachability on the pessimal blocked
-    //    variable layout.
-    let reorder_bits = 12usize;
-    let run_blocked = |reorder: bool| {
-        let mut m = BddManager::new();
-        if reorder {
-            m.set_auto_reorder(AutoReorderPolicy::Sifting {
-                floor: REORDER12_FLOOR,
-            });
-        }
-        let ts = counter_system_blocked(&mut m, reorder_bits);
-        let start = Instant::now();
-        let reach = ts.reachable(&mut m);
-        assert!(
-            reach.iterations >= 1 << reorder_bits,
-            "fixpoint after 2^{reorder_bits} increments"
-        );
-        (start.elapsed().as_secs_f64(), m.stats())
-    };
-    let (static_wall, static_stats) = run_blocked(false);
-    let (reorder_wall, reorder_stats) = run_blocked(true);
-    println!(
-        "reorder12     : static {static_wall:.3} s / {} allocated; sifted {reorder_wall:.3} s / {} allocated ({} passes, {} swaps)",
-        static_stats.allocated,
-        reorder_stats.allocated,
-        reorder_stats.reorder_runs,
-        reorder_stats.reorder_swaps
-    );
-    measurements.push(Measurement {
-        key: "reorder12_wall_s",
-        value: reorder_wall,
-    });
-    measurements.push(Measurement {
-        key: "reorder12_allocated",
-        value: reorder_stats.allocated as f64,
-    });
-    measurements.push(Measurement {
-        key: "reorder12_peak_live",
-        value: reorder_stats.peak_live as f64,
-    });
-    measurements.push(Measurement {
-        key: "reorder12_ite_hit_rate",
-        value: hit_rate(reorder_stats.ite_hits, reorder_stats.ite_misses),
-    });
-    measurements.push(Measurement {
-        key: "reorder12_static_twin_allocated",
-        value: static_stats.allocated as f64,
-    });
-    if reorder_stats.allocated >= static_stats.allocated {
-        failures.push(format!(
-            "reorder12 allocated {} nodes but its static-order twin allocated {} — sifting must win",
-            reorder_stats.allocated, static_stats.allocated
-        ));
-    }
-
-    // 5. Parallel Alpha0 control-transfer sweep vs its sequential twin: same
+    // 4. Parallel Alpha0 control-transfer sweep vs its sequential twin: same
     //    plans, same netlists, one fresh BDD manager per plan either way.
     //
     //    The runner's core count and the worker count `PV_THREADS` actually
@@ -546,7 +482,7 @@ fn main() {
         ));
     }
 
-    // 6. Flushing of the stallable VSM: derive the term-level pipeline from
+    // 5. Flushing of the stallable VSM: derive the term-level pipeline from
     //    the netlist the β-relation flow simulates, decide the commuting
     //    diagram, and gate the deterministic-merge guarantee of the parallel
     //    EUF case split (report identity for any worker count).
@@ -605,8 +541,8 @@ fn main() {
         ));
     }
 
-    // 7. Parallel EUF case split on a deep pipeline: sequential vs 4-worker
-    //    twin, with the same >=2-core skip-with-notice rule as case 5.
+    // 6. Parallel EUF case split on a deep pipeline: sequential vs 4-worker
+    //    twin, with the same >=2-core skip-with-notice rule as case 4.
     let deep = PipelineDesc::with_depth(FLUSH_PAR_DEPTH);
     let start = Instant::now();
     let deep_seq = FlushVerifier::new(deep.clone()).with_threads(1).verify();
@@ -737,13 +673,13 @@ fn main() {
     });
     std::fs::remove_dir_all(&scratch).ok();
 
-    // 10. Budget abort latency (`budget_abort`): the 12-bit counter
-    //     reachability workload under a node budget far below its full
-    //     allocation. The abort must land promptly — within the amortized
-    //     check interval past the limit, not after a multiple of the
-    //     workload — and the wall clock must reflect an *early* exit.
-    //     Governance-off overhead is gated by every other case: none of
-    //     them set a budget, and their baselines are unchanged.
+    // 9. Budget abort latency (`budget_abort`): the 12-bit counter
+    //    reachability workload under a node budget far below its full
+    //    allocation. The abort must land promptly — within the amortized
+    //    check interval past the limit, not after a multiple of the
+    //    workload — and the wall clock must reflect an *early* exit.
+    //    Governance-off overhead is gated by every other case: none of
+    //    them set a budget, and their baselines are unchanged.
     let abort_start = Instant::now();
     let mut m = BddManager::new();
     m.set_budget(Budget::unlimited().with_node_limit(BUDGET_ABORT_LIMIT));

@@ -2,9 +2,6 @@
 //! VSM design pair under the paper's simulation plan. Useful when tuning the
 //! variable order or the netlists; not part of the evaluation itself.
 //!
-//! Set `PROBE_REORDER=1` to enable per-cycle auto-sifting
-//! (`PROBE_REORDER_FLOOR` tunes the live-node trigger floor, default 2^18).
-//!
 //! Set `PROBE_SWEEP=1` to instead time the verifier's full default plan sweep
 //! on the worker pool — `PV_THREADS` picks the worker count (`PV_THREADS=1`
 //! is the sequential A/B twin) and the probe prints the per-plan wall-time
@@ -16,7 +13,7 @@ use std::time::Instant;
 use pipeverify_core::{
     pool, CycleInput, MachineSpec, SimulationPlan, SimulationSchedule, Verifier,
 };
-use pv_bdd::{AutoReorderPolicy, BddManager, BddVec, Var};
+use pv_bdd::{BddManager, BddVec, Var};
 use pv_netlist::SymbolicSim;
 use pv_proc::vsm::{self, VsmConfig};
 
@@ -55,21 +52,10 @@ fn main() {
     let pipelined = vsm::pipelined(VsmConfig::reduced(num_regs)).expect("build");
     let sym = SymbolicSim::new(&pipelined);
     let mut manager = BddManager::new();
-    if std::env::var("PROBE_REORDER").as_deref() == Ok("1") {
-        let floor: usize = std::env::var("PROBE_REORDER_FLOOR")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(1 << 18);
-        manager.set_auto_reorder(AutoReorderPolicy::Sifting { floor });
-    }
     let slot_vars: Vec<Vec<Var>> = schedule
         .slot_classes
         .iter()
-        .map(|_| {
-            let vars = manager.new_vars(spec.instr_width);
-            manager.group_vars(&vars);
-            vars
-        })
+        .map(|_| manager.new_vars(spec.instr_width))
         .collect();
     let mut state = sym.initial_state(&manager);
     for (cycle, input) in schedule.pipelined_inputs.iter().enumerate() {
@@ -87,21 +73,15 @@ fn main() {
         inputs.insert("reset".to_owned(), reset);
         let (next, _outputs) = sym.step(&mut manager, &state, &inputs);
         state = next;
-        // Reorder at the safe point if enabled, then collect the per-cycle
-        // garbage with only the live state rooted, so the reported live count
-        // is the real per-cycle growth (the slot words are rebuilt from their
-        // variables each cycle).
-        manager.maybe_reorder(&state.regs);
+        // Collect the per-cycle garbage with only the live state rooted, so
+        // the reported live count is the real per-cycle growth (the slot
+        // words are rebuilt from their variables each cycle).
         manager.gc_with_roots(&state.regs);
         let state_nodes: usize = state.regs.iter().map(|&b| manager.node_count(b)).sum();
         let stats = manager.stats();
         println!(
-            "cycle {cycle:2} ({input:?}): live = {:8}, allocated = {:9}, state nodes = {state_nodes:8}, reorders = {} ({} swaps, {:.2} s)",
-            stats.nodes,
-            stats.allocated,
-            stats.reorder_runs,
-            stats.reorder_swaps,
-            stats.reorder_time.as_secs_f64(),
+            "cycle {cycle:2} ({input:?}): live = {:8}, allocated = {:9}, state nodes = {state_nodes:8}",
+            stats.nodes, stats.allocated,
         );
     }
 }

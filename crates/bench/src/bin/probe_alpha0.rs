@@ -3,9 +3,8 @@
 //!
 //! Environment variables: `PROBE_SIDE` (`pipelined` | `unpipelined`, default
 //! `pipelined`), `PROBE_ALU` (`full` | `condensed`, default `condensed`),
-//! `PROBE_SLOTS` (number of ordinary slots when no control transfer is used),
-//! `PROBE_REORDER` (`1` enables per-cycle auto-sifting, default off) and
-//! `PROBE_REORDER_FLOOR` (live-node trigger floor, default 2^18).
+//! and `PROBE_SLOTS` (number of ordinary slots when no control transfer is
+//! used).
 //!
 //! `PROBE_SWEEP=1` switches the probe from per-cycle growth to the parallel
 //! control-transfer sweep A/B: it verifies every sweep position on the
@@ -19,7 +18,7 @@ use std::time::Instant;
 use pipeverify_core::{
     pool, CycleInput, MachineSpec, SimulationPlan, SimulationSchedule, Verifier,
 };
-use pv_bdd::{AutoReorderPolicy, BddManager, BddVec, Var};
+use pv_bdd::{BddManager, BddVec, Var};
 use pv_isa::alpha0::Alpha0Config;
 use pv_netlist::SymbolicSim;
 use pv_proc::alpha0::{self, AluModel, PipelineConfig};
@@ -96,27 +95,12 @@ fn main() {
     };
     println!("side = {side}, alu = {alu:?}, cycles = {}", inputs.len());
 
-    let reorder = std::env::var("PROBE_REORDER").as_deref() == Ok("1");
-    let reorder_floor: usize = std::env::var("PROBE_REORDER_FLOOR")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1 << 18);
-
     let sym = SymbolicSim::new(&netlist);
     let mut manager = BddManager::new();
-    if reorder {
-        manager.set_auto_reorder(AutoReorderPolicy::Sifting {
-            floor: reorder_floor,
-        });
-    }
     let slot_vars: Vec<Vec<Var>> = schedule
         .slot_classes
         .iter()
-        .map(|_| {
-            let vars = manager.new_vars(spec.instr_width);
-            manager.group_vars(&vars);
-            vars
-        })
+        .map(|_| manager.new_vars(spec.instr_width))
         .collect();
     let mut state = sym.initial_state(&manager);
     for (cycle, input) in inputs.iter().enumerate() {
@@ -125,7 +109,6 @@ fn main() {
             CycleInput::Slot(j) => (BddVec::from_vars(&mut manager, &slot_vars[*j]), 0),
             CycleInput::DontCare => {
                 let vars = manager.new_vars(spec.instr_width);
-                manager.group_vars(&vars);
                 (BddVec::from_vars(&mut manager, &vars), 0)
             }
         };
@@ -134,21 +117,14 @@ fn main() {
         io.insert("reset".to_owned(), BddVec::constant(&manager, reset, 1));
         let (next, _outputs) = sym.step(&mut manager, &state, &io);
         state = next;
-        // The reordering safe point mirrors the verifier's, then the
-        // per-cycle garbage is collected with only the live state rooted, so
-        // the reported live count is the real per-cycle growth.
-        manager.maybe_reorder(&state.regs);
+        // The per-cycle garbage is collected with only the live state
+        // rooted, so the reported live count is the real per-cycle growth.
         manager.gc_with_roots(&state.regs);
         let state_nodes: usize = state.regs.iter().map(|&b| manager.node_count(b)).sum();
         let stats = manager.stats();
         println!(
-            "cycle {cycle:2} ({input:?}): live = {:8}, allocated = {:9}, state nodes = {state_nodes:8}, vars = {}, reorders = {} ({} swaps, {:.2} s)",
-            stats.nodes,
-            stats.allocated,
-            stats.vars,
-            stats.reorder_runs,
-            stats.reorder_swaps,
-            stats.reorder_time.as_secs_f64(),
+            "cycle {cycle:2} ({input:?}): live = {:8}, allocated = {:9}, state nodes = {state_nodes:8}, vars = {}",
+            stats.nodes, stats.allocated, stats.vars,
         );
     }
 }

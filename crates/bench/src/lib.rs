@@ -56,34 +56,9 @@ pub fn counter_system(m: &mut BddManager, n: usize) -> TransitionSystem {
     let mut present = Vec::with_capacity(n);
     let mut next = Vec::with_capacity(n);
     for _ in 0..n {
-        let p = m.new_var();
-        let nv = m.new_var();
-        m.group_vars(&[p, nv]);
-        present.push(p);
-        next.push(nv);
+        present.push(m.new_var());
+        next.push(m.new_var());
     }
-    counter_from_vars(m, enable, present, next)
-}
-
-/// The same `n`-bit counter as [`counter_system`], but with a **deliberately
-/// pessimal** variable layout: all present-state variables first, then all
-/// next-state variables, no reorder groups. Under this order the partitioned
-/// image computation's intermediate products have to carry every present bit
-/// while the next bits accumulate — the blow-up dynamic reordering is meant
-/// to sift away. The static twin of the `perf_smoke` reorder workload.
-pub fn counter_system_blocked(m: &mut BddManager, n: usize) -> TransitionSystem {
-    let enable = m.new_var();
-    let present = m.new_vars(n);
-    let next = m.new_vars(n);
-    counter_from_vars(m, enable, present, next)
-}
-
-fn counter_from_vars(
-    m: &mut BddManager,
-    enable: Var,
-    present: Vec<Var>,
-    next: Vec<Var>,
-) -> TransitionSystem {
     let state = BddVec::from_vars(m, &present);
     let en = m.var(enable);
     let inc = state.inc(m);

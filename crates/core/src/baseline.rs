@@ -72,7 +72,6 @@ pub fn product_equivalence(left: &Netlist, right: &Netlist) -> Result<ProductRep
     let mut input_vars: Vec<Var> = Vec::new();
     for port in left.inputs() {
         let vars = m.new_vars(port.width);
-        m.group_vars(&vars);
         input_vars.extend_from_slice(&vars);
         inputs.insert(port.name.clone(), BddVec::from_vars(&mut m, &vars));
     }
@@ -92,14 +91,12 @@ pub fn product_equivalence(left: &Netlist, right: &Netlist) -> Result<ProductRep
         if i < bits_l {
             let p = m.new_var();
             let n = m.new_var();
-            m.group_vars(&[p, n]);
             pres_l.push(p);
             next_l.push(n);
         }
         if i < bits_r {
             let p = m.new_var();
             let n = m.new_var();
-            m.group_vars(&[p, n]);
             pres_r.push(p);
             next_r.push(n);
         }
@@ -181,7 +178,6 @@ pub fn product_equivalence(left: &Netlist, right: &Netlist) -> Result<ProductRep
             break true;
         }
         current = next_set;
-        m.maybe_reorder(&[current, not_property]);
         m.maybe_gc(&[current, not_property]);
     };
     let free_vars = m.var_count() - state_bits;

@@ -81,7 +81,11 @@ static M_CACHE_CORRUPT: Counter = Counter::new("cache.corrupt");
 ///
 /// Epoch 4: β reports' `metrics` gained `bdd.constrain.cache_hit` and
 /// `bdd.constrain.cache_miss`, changing report bytes for identical inputs.
-pub const ENGINE_EPOCH: u32 = 4;
+///
+/// Epoch 5: the BDD engine lost dynamic variable ordering, and plan reports
+/// dropped its three pass/swap/time keys, so an epoch-4 report no longer
+/// decodes.
+pub const ENGINE_EPOCH: u32 = 5;
 
 /// Environment variable overriding the default cache directory.
 pub const PV_CACHE_DIR: &str = "PV_CACHE_DIR";

@@ -317,22 +317,6 @@ where
     results
 }
 
-/// [`par_map`] with panics caught at the unit boundary: every item gets a
-/// slot, `Err(`[`UnitPanic`]`)` where its unit panicked. The fan-out shape
-/// of the job scheduler, where one poisoned job must not take down its
-/// batch.
-pub fn par_map_caught<I, R, F>(threads: usize, items: &[I], f: F) -> Vec<Result<R, UnitPanic>>
-where
-    I: Sync,
-    R: Send,
-    F: Fn(usize, &I) -> R + Sync,
-{
-    par_map_prefix_caught(threads, items, |_| {}, |i, item| (f(i, item), false))
-        .into_iter()
-        .map(|slot| slot.expect("every item is computed when none is terminal"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -499,23 +483,6 @@ mod tests {
                 "on_cutoff fired for a terminal index (got {lowest})"
             );
         }
-    }
-
-    #[test]
-    fn par_map_caught_returns_every_slot() {
-        let items: Vec<usize> = (0..12).collect();
-        let slots = par_map_caught(3, &items, |_, &x| {
-            if x == 0 {
-                panic!("zero");
-            }
-            x + 1
-        });
-        assert_eq!(slots.len(), 12);
-        assert!(slots[0].is_err());
-        assert!(slots[1..]
-            .iter()
-            .enumerate()
-            .all(|(i, s)| s.as_ref().ok() == Some(&(i + 2))));
     }
 
     #[test]

@@ -480,18 +480,6 @@ pub fn plan_report_to_json(r: &PlanReport) -> Json {
         ),
         ("bdd_vars".to_owned(), Json::from_u64(r.bdd_vars as u64)),
         (
-            "bdd_reorders".to_owned(),
-            Json::from_u64(r.bdd_reorders as u64),
-        ),
-        (
-            "bdd_reorder_swaps".to_owned(),
-            Json::from_u64(r.bdd_reorder_swaps as u64),
-        ),
-        (
-            "bdd_reorder_time_ns".to_owned(),
-            duration_to_json(r.bdd_reorder_time),
-        ),
-        (
             "filters".to_owned(),
             Json::Arr(vec![
                 Json::Str(r.filters.0.clone()),
@@ -532,9 +520,6 @@ pub fn plan_report_from_json(v: &Json) -> Result<PlanReport, ReportIoError> {
         bdd_nodes: get_usize(v, "bdd_nodes")?,
         bdd_peak_live: get_usize(v, "bdd_peak_live")?,
         bdd_vars: get_usize(v, "bdd_vars")?,
-        bdd_reorders: get_usize(v, "bdd_reorders")?,
-        bdd_reorder_swaps: get_usize(v, "bdd_reorder_swaps")?,
-        bdd_reorder_time: get_duration(v, "bdd_reorder_time_ns")?,
         filters: (
             filters[0]
                 .as_str()

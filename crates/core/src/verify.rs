@@ -16,16 +16,10 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::time::{Duration, Instant};
 
-use pv_bdd::{AutoReorderPolicy, Bdd, BddManager, BddVec, Budget, Var};
+use pv_bdd::{Bdd, BddManager, BddVec, Budget, Var};
 use pv_netlist::{Netlist, SymbolicSim};
 
 use crate::flow::FlowErrorKind;
-
-/// Live-node floor above which the verifier's per-plan managers start
-/// triggering dynamic variable reordering (grouped sifting) at the per-cycle
-/// safe points, when [`Verifier::with_auto_reorder`] has opted in.
-const AUTO_REORDER_FLOOR: usize = 1 << 18;
-
 use crate::plan::{CycleInput, SimulationPlan, SimulationSchedule, Slot};
 use crate::pool;
 use crate::spec::MachineSpec;
@@ -141,12 +135,6 @@ pub struct PlanReport {
     pub bdd_peak_live: usize,
     /// BDD variables allocated.
     pub bdd_vars: usize,
-    /// Dynamic variable-reordering passes.
-    pub bdd_reorders: usize,
-    /// Adjacent-level swaps those passes performed.
-    pub bdd_reorder_swaps: usize,
-    /// Wall-clock time spent reordering.
-    pub bdd_reorder_time: Duration,
     /// The output filtering functions (pipelined, unpipelined) — the
     /// `1 0 0 0 1 …` strings of Section 6.2.
     pub filters: (String, String),
@@ -221,12 +209,6 @@ pub struct VerificationReport {
     pub bdd_peak_live: usize,
     /// Total BDD variables allocated across all plans.
     pub bdd_vars: usize,
-    /// Dynamic variable-reordering passes across all plans' managers.
-    pub bdd_reorders: usize,
-    /// Total adjacent-level swaps those passes performed.
-    pub bdd_reorder_swaps: usize,
-    /// Total wall-clock time spent reordering.
-    pub bdd_reorder_time: Duration,
     /// The output filtering functions of the last plan checked
     /// (pipelined, unpipelined) — the `1 0 0 0 1 …` strings of Section 6.2.
     pub filters: (String, String),
@@ -293,9 +275,6 @@ impl VerificationReport {
             bdd_nodes: 0,
             bdd_peak_live: 0,
             bdd_vars: 0,
-            bdd_reorders: 0,
-            bdd_reorder_swaps: 0,
-            bdd_reorder_time: Duration::ZERO,
             filters: (String::new(), String::new()),
             counterexample: None,
             threads_used,
@@ -314,9 +293,6 @@ impl VerificationReport {
             report.bdd_nodes += plan.bdd_nodes;
             report.bdd_peak_live = report.bdd_peak_live.max(plan.bdd_peak_live);
             report.bdd_vars += plan.bdd_vars;
-            report.bdd_reorders += plan.bdd_reorders;
-            report.bdd_reorder_swaps += plan.bdd_reorder_swaps;
-            report.bdd_reorder_time += plan.bdd_reorder_time;
             report.filters = plan.filters.clone();
             report.counterexample = plan.counterexample.clone();
             for (key, value) in &plan.metrics {
@@ -366,13 +342,6 @@ impl fmt::Display for VerificationReport {
             "BDD nodes / vars  : {} / {} (peak live {})",
             self.bdd_nodes, self.bdd_vars, self.bdd_peak_live
         )?;
-        writeln!(
-            f,
-            "BDD reordering    : {} passes / {} swaps in {:.3} s",
-            self.bdd_reorders,
-            self.bdd_reorder_swaps,
-            self.bdd_reorder_time.as_secs_f64()
-        )?;
         if let Some(slowest) = self.slowest_plan() {
             writeln!(
                 f,
@@ -405,7 +374,6 @@ impl fmt::Display for VerificationReport {
 #[derive(Clone, Debug)]
 pub struct Verifier {
     spec: MachineSpec,
-    auto_reorder: bool,
     static_order: bool,
     threads: Option<usize>,
     budget: Option<Budget>,
@@ -430,40 +398,15 @@ const _: () = {
 
 impl Verifier {
     /// Creates a verifier for a design pair with the given properties.
-    /// Dynamic variable reordering is off by default (see
-    /// [`with_auto_reorder`](Self::with_auto_reorder) for why, and for how to
-    /// opt in); the worker count defaults to the `PV_THREADS` environment
-    /// variable (see [`with_threads`](Self::with_threads)).
+    /// The worker count defaults to the `PV_THREADS` environment variable
+    /// (see [`with_threads`](Self::with_threads)).
     pub fn new(spec: MachineSpec) -> Self {
         Verifier {
             spec,
-            auto_reorder: false,
             static_order: true,
             threads: None,
             budget: None,
         }
-    }
-
-    /// Opts the per-plan BDD managers in to (or back out of) dynamic variable
-    /// reordering. When enabled, each manager sifts its order at the
-    /// per-cycle safe points once the live-node count passes an adaptive
-    /// threshold; slot instruction words and the don't-care words move as
-    /// blocks, and the report carries the pass/swap/time counters.
-    ///
-    /// It is **off by default** because on the β-relation simulation flow the
-    /// allocation order — slot words in program order, present/next register
-    /// bits interleaved — already encodes the problem structure, and sifting
-    /// measurably hurts: on the condensed Alpha0 slot-4 plan a single
-    /// mid-run pass inflates total allocation from 51.5 M to ≥124 M nodes
-    /// and wall time 2.4×, with continuous sifting worse still (the sifted
-    /// orders optimise the live set at the trigger point, not the later
-    /// cycles' compositions). Reordering pays off on reachability-style
-    /// workloads whose initial order is bad — see the `reorder12` perf-smoke
-    /// case, where it beats the static twin ~25× — so the switch is per
-    /// verifier, not global.
-    pub fn with_auto_reorder(mut self, enabled: bool) -> Self {
-        self.auto_reorder = enabled;
-        self
     }
 
     /// Enables or disables the FORCE-derived **static** bit order for the
@@ -765,11 +708,6 @@ impl Verifier {
         if let Some(budget) = budget {
             manager.set_budget(budget);
         }
-        if self.auto_reorder {
-            manager.set_auto_reorder(AutoReorderPolicy::Sifting {
-                floor: AUTO_REORDER_FLOOR,
-            });
-        }
 
         // One vector of instruction variables per slot, shared by both
         // machines, restricted to the slot's instruction class. Bits that the
@@ -779,8 +717,8 @@ impl Verifier {
         // instruction class" step of Section 5.2, and it keeps the BDDs much
         // smaller; the residual (non-cube) part of the constraint is carried
         // as an assumption and applied when the sampled formulae are compared.
-        // Each slot word is one reorder group: sifting moves whole
-        // instruction words past each other instead of scattering their bits.
+        // Slot words are allocated in program order, one contiguous block
+        // each.
         //
         // Inside a block, the bits follow the FORCE-derived static order
         // (`pv_netlist::order`) when enabled: `instr_order[k]` is the
@@ -801,7 +739,6 @@ impl Verifier {
             .iter()
             .map(|_| {
                 let alloc = manager.new_vars(spec.instr_width);
-                manager.group_vars(&alloc);
                 match &instr_order {
                     Some(order) => {
                         let mut vars = alloc.clone();
@@ -980,9 +917,6 @@ impl Verifier {
             bdd_nodes: stats.allocated,
             bdd_peak_live: stats.peak_live,
             bdd_vars: stats.vars,
-            bdd_reorders: stats.reorder_runs,
-            bdd_reorder_swaps: stats.reorder_swaps,
-            bdd_reorder_time: stats.reorder_time,
             filters: (
                 schedule.pipelined_filter.to_string(),
                 schedule.unpipelined_filter.to_string(),
@@ -1110,7 +1044,6 @@ impl Verifier {
                 CycleInput::Slot(j) => (slot_words[*j].clone(), false),
                 CycleInput::DontCare if is_implementation && cycle <= last_slot_cycle => {
                     let vars = manager.new_vars(spec.instr_width);
-                    manager.group_vars(&vars);
                     dontcare_vars.push((cycle, vars.clone()));
                     (BddVec::from_vars(manager, &vars), false)
                 }
@@ -1182,10 +1115,7 @@ impl Verifier {
             // constrain temporaries — is dead now; everything still needed
             // is either rooted (assumption, slot words, samples) or passed
             // here (the state the next cycle starts from). This is also the
-            // reordering safe point: when the live state has outgrown the
-            // adaptive threshold, the manager resifts the order before the
-            // next cycle's composition.
-            manager.maybe_reorder(&state.regs);
+            // per-cycle budget safe point.
             manager.maybe_gc(&state.regs);
         }
         (samples, dontcare_vars)

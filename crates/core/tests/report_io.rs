@@ -144,17 +144,17 @@ fn arb_plan_report() -> impl Strategy<Value = PlanReport> {
         (
             arb_plan(),
             (0usize..32),
-            proptest::collection::vec(any::<usize>(), 8),
+            proptest::collection::vec(any::<usize>(), 6),
         ),
         proptest::option::of((
             arb_plan(),
             proptest::collection::vec(any::<u64>(), 1..5),
             arb_recipe(),
         )),
-        (any::<u64>(), any::<u64>(), arb_metrics()),
+        (any::<u64>(), arb_metrics()),
     )
         .prop_map(
-            |((plan, index, stats), cex, (reorder_ns, wall_ns, metrics))| PlanReport {
+            |((plan, index, stats), cex, (wall_ns, metrics))| PlanReport {
                 plan,
                 plan_index: index,
                 samples_compared: stats[0] % 1000,
@@ -163,9 +163,6 @@ fn arb_plan_report() -> impl Strategy<Value = PlanReport> {
                 bdd_nodes: stats[3] % 1_000_000,
                 bdd_peak_live: stats[4] % 1_000_000,
                 bdd_vars: stats[5] % 10_000,
-                bdd_reorders: stats[6] % 100,
-                bdd_reorder_swaps: stats[7] % 100_000,
-                bdd_reorder_time: Duration::from_nanos(reorder_ns),
                 filters: ("beta".to_owned(), "dynamic-beta".to_owned()),
                 counterexample: cex.map(|(plan, instrs, replay)| {
                     let slot = instrs.len() - 1;
@@ -225,7 +222,6 @@ proptest! {
         prop_assert_eq!(decoded.plan, report.plan);
         prop_assert_eq!(decoded.plan_index, report.plan_index);
         prop_assert_eq!(decoded.counterexample, report.counterexample);
-        prop_assert_eq!(decoded.bdd_reorder_time, report.bdd_reorder_time);
         prop_assert_eq!(decoded.wall_time, report.wall_time);
         prop_assert_eq!(decoded.filters, report.filters);
         prop_assert_eq!(decoded.metrics, report.metrics);

@@ -219,11 +219,8 @@ impl<'a> SymbolicSim<'a> {
     ///
     /// Fresh variables are allocated in `manager`: first one variable per
     /// primary-input bit (in port order), then, per register bit, its present
-    /// and next variables adjacent to each other — the interleaving required
-    /// by [`TransitionSystem`]'s image computation. Each input port's word
-    /// and each present/next pair is placed in a reorder group
-    /// ([`BddManager::group_vars`]), so dynamic reordering moves words and
-    /// state pairs as blocks and cannot un-interleave the layout.
+    /// and next variables adjacent to each other — an order-preserving
+    /// present→next layout, as [`TransitionSystem`]'s image renaming needs.
     ///
     /// The relation clusters, the initial-state set and the output functions
     /// are registered as garbage-collection roots in `manager`, so the
@@ -236,7 +233,6 @@ impl<'a> SymbolicSim<'a> {
         let mut all_input_vars = Vec::new();
         for p in &netlist.inputs {
             let vars = manager.new_vars(p.width);
-            manager.group_vars(&vars);
             all_input_vars.extend_from_slice(&vars);
             inputs.insert(p.name.clone(), BddVec::from_vars(manager, &vars));
             input_vars.push((p.name.clone(), vars));
@@ -246,7 +242,6 @@ impl<'a> SymbolicSim<'a> {
         for _ in &netlist.regs {
             let p = manager.new_var();
             let n = manager.new_var();
-            manager.group_vars(&[p, n]);
             present.push(p);
             next.push(n);
         }

@@ -8,7 +8,7 @@
 //!
 //! * [`metrics`]: process-global counters, gauges and histograms behind
 //!   atomics, named hierarchically with dots (`bdd.ite.cache_hit`,
-//!   `pool.claim`, `server.cache.miss`). Call-sites hold `static` handles
+//!   `pool.claim`, `cache.miss`). Call-sites hold `static` handles
 //!   ([`Counter::new`] is `const`), so the steady-state cost of an increment
 //!   is one relaxed atomic op; building with `--no-default-features`
 //!   compiles every operation out entirely.

@@ -29,8 +29,6 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use pv_obs::Counter;
-
 use pipeverify_core::cache::{content_key, ArtifactCache, ArtifactKind, CacheKey};
 use pipeverify_core::json::Json;
 use pipeverify_core::report_io;
@@ -52,13 +50,6 @@ pub const PV_DEADLINE_MS: &str = "PV_DEADLINE_MS";
 /// Environment default for [`JobRequest::node_budget`]. Unset or unparsable
 /// means unlimited.
 pub const PV_NODE_BUDGET: &str = "PV_NODE_BUDGET";
-
-/// Flow-run cache traffic at the service level — the `JobRunner`'s own
-/// per-instance counters mirrored into the registry, where a profile sees
-/// them next to the file-level `cache.*` counters of
-/// [`pipeverify_core::cache`].
-static M_SERVER_CACHE_HIT: Counter = Counter::new("server.cache.hit");
-static M_SERVER_CACHE_MISS: Counter = Counter::new("server.cache.miss");
 
 /// Runs verification jobs against the engines, fronted by an optional
 /// artifact cache. Shared across worker threads by reference (the hit/miss
@@ -141,7 +132,6 @@ impl JobRunner {
 
             if let Some(report) = self.load_report(key) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                M_SERVER_CACHE_HIT.incr();
                 eprintln!(
                     "pv: cache hit {key} ({} / job {} / {})",
                     flow.wire_name(),
@@ -157,7 +147,6 @@ impl JobRunner {
             }
 
             self.misses.fetch_add(1, Ordering::Relaxed);
-            M_SERVER_CACHE_MISS.incr();
             let report = match flow {
                 FlowKind::Beta => {
                     let started = std::time::Instant::now();

@@ -17,6 +17,11 @@ use pv_server::server::{self, BindAddr};
 #[test]
 fn a_job_burst_drains_completely_on_half_close() {
     const JOBS: u64 = 40;
+    /// Worker threads the server runs each arrival wave on.
+    const THREADS: usize = 4;
+    /// Distinct designs in the burst: jobs alternate a correct and a
+    /// bug-seeded design.
+    const DESIGNS: usize = 2;
 
     let scratch = std::env::temp_dir().join(format!("pv-server-soak-test-{}", std::process::id()));
     std::fs::remove_dir_all(&scratch).ok();
@@ -26,7 +31,7 @@ fn a_job_burst_drains_completely_on_half_close() {
     let shutdown = AtomicBool::new(false);
 
     let ids = std::thread::scope(|scope| {
-        let server = scope.spawn(|| server::serve(&addr, &runner, 4, &shutdown));
+        let server = scope.spawn(|| server::serve(&addr, &runner, THREADS, &shutdown));
 
         // Wait for the socket to appear, then flood it.
         let BindAddr::Unix(path) = &addr else {
@@ -90,9 +95,15 @@ fn a_job_burst_drains_completely_on_half_close() {
         (0..JOBS).collect::<Vec<_>>(),
         "zero dropped, zero duplicated responses"
     );
+    // A job misses the cache only if it looks up its design before the
+    // first job of that design has stored its report. Every such job is
+    // still running when that first store lands, and a wave runs at most
+    // `THREADS` jobs at once, so each design misses at most `THREADS` times
+    // however the arrival waves happen to split the burst; every later job
+    // of the design hits.
     assert!(
-        runner.cache_hits() >= (JOBS as usize) - 4,
-        "the burst warms after the first distinct designs ({} hits)",
+        runner.cache_hits() >= JOBS as usize - DESIGNS * THREADS,
+        "the burst warms after at most {THREADS} misses per design ({} hits)",
         runner.cache_hits()
     );
 

@@ -16,9 +16,6 @@
 //!   verified in its own BDD manager, so the sweep parallelises perfectly and
 //!   the report is identical for any thread count; `--threads 1` is the
 //!   sequential A/B twin.
-//! * `--reorder` — enable the verifier's dynamic variable reordering (off by
-//!   default — see `Verifier::with_auto_reorder` for the measured A/B
-//!   numbers).
 //! * `ALPHA0_ONLY_SLOT=<n>` — run a single sweep position instead of the
 //!   whole control-transfer sweep.
 
@@ -42,7 +39,6 @@ fn threads_flag() -> Option<usize> {
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let paper = std::env::args().any(|a| a == "--paper");
-    let reorder = std::env::args().any(|a| a == "--reorder");
     let isa = if paper {
         Alpha0Config::paper()
     } else {
@@ -65,7 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let spec = MachineSpec::alpha0_condensed(isa);
-    let mut verifier = Verifier::new(spec).with_auto_reorder(reorder);
+    let mut verifier = Verifier::new(spec);
     if let Some(threads) = threads_flag() {
         verifier = verifier.with_threads(threads);
     }
@@ -106,7 +102,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let sweep_wall = started.elapsed();
     for plan_report in &report.plan_reports {
         println!(
-            "  control transfer in slot {}: {} ({} formulae, {} BDD nodes, peak live {}, {} reorders, {:.2} s)",
+            "  control transfer in slot {}: {} ({} formulae, {} BDD nodes, peak live {}, {:.2} s)",
             positions[plan_report.plan_index],
             if plan_report.equivalent() {
                 "equivalent"
@@ -116,7 +112,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             plan_report.samples_compared,
             plan_report.bdd_nodes,
             plan_report.bdd_peak_live,
-            plan_report.bdd_reorders,
             plan_report.wall_time.as_secs_f64(),
         );
     }

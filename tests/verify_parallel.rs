@@ -15,9 +15,9 @@ use pipeverify::core::{MachineSpec, SimulationPlan, VerificationReport, Verifier
 use pipeverify::proc::alpha0::{self, Alpha0Bug, PipelineConfig};
 use pipeverify::proc::vsm::{self, VsmBug, VsmConfig};
 
-/// Asserts every deterministic field of two reports is identical. Wall-time
-/// fields (`bdd_reorder_time`, per-plan `wall_time`) and `threads_used` are
-/// the only fields allowed to differ between a sequential and a parallel run.
+/// Asserts every deterministic field of two reports is identical. The
+/// per-plan `wall_time` and `threads_used` are the only fields allowed to
+/// differ between a sequential and a parallel run.
 fn assert_reports_identical(sequential: &VerificationReport, parallel: &VerificationReport) {
     assert_eq!(sequential.machine, parallel.machine);
     assert_eq!(sequential.plans_checked, parallel.plans_checked);
@@ -27,8 +27,6 @@ fn assert_reports_identical(sequential: &VerificationReport, parallel: &Verifica
     assert_eq!(sequential.bdd_nodes, parallel.bdd_nodes);
     assert_eq!(sequential.bdd_peak_live, parallel.bdd_peak_live);
     assert_eq!(sequential.bdd_vars, parallel.bdd_vars);
-    assert_eq!(sequential.bdd_reorders, parallel.bdd_reorders);
-    assert_eq!(sequential.bdd_reorder_swaps, parallel.bdd_reorder_swaps);
     assert_eq!(sequential.filters, parallel.filters);
     assert_eq!(sequential.counterexample, parallel.counterexample);
     // The per-plan breakdowns must agree plan by plan as well.
@@ -42,8 +40,6 @@ fn assert_reports_identical(sequential: &VerificationReport, parallel: &Verifica
         assert_eq!(s.bdd_nodes, p.bdd_nodes);
         assert_eq!(s.bdd_peak_live, p.bdd_peak_live);
         assert_eq!(s.bdd_vars, p.bdd_vars);
-        assert_eq!(s.bdd_reorders, p.bdd_reorders);
-        assert_eq!(s.bdd_reorder_swaps, p.bdd_reorder_swaps);
         assert_eq!(s.filters, p.filters);
         assert_eq!(s.counterexample, p.counterexample);
     }
