@@ -4,103 +4,62 @@
 //! Alpha0 and 43 min for the pipelined Alpha0 (ratio ≈ 1.9), roughly an order
 //! of magnitude more than the VSM, on a condensed datapath (4-bit ALU reduced
 //! to and/or/cmpeq, the single-register-file-model optimisation). The shapes
-//! to reproduce: pipelined > unpipelined, and Alpha0 ≫ VSM.
+//! to reproduce: pipelined > unpipelined, and Alpha0 ≫ VSM. The per-machine
+//! walls come from the verifier's `sim.pipelined` / `sim.unpipelined` spans.
 //!
-//! Because one Alpha0 verification takes tens of seconds, this experiment is
-//! reported as one-shot timed runs (printed below) rather than as a sampled
-//! Criterion distribution; the sampled distributions for the cheaper VSM runs
-//! are in `exp_vsm`.
+//! To keep the bench short, the paper plan is reported as a one-shot timed
+//! run (printed below) and only a two-instruction plan is sampled. The
+//! control-transfer position sweep is the `alpha0_verify` example.
 
 use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pipeverify_core::{MachineSpec, SimulationPlan, Verifier};
-use pv_bench::{symbolic_simulation_cost, Side};
+use pv_bench::traced_verify_plan;
 use pv_isa::alpha0::Alpha0Config;
 use pv_proc::alpha0::{self, PipelineConfig};
 
 fn bench_alpha0(c: &mut Criterion) {
     // Condensed datapath and condensed ALU, as in the thesis (EXPERIMENTS.md).
     let isa = Alpha0Config::condensed();
-    let spec = MachineSpec::alpha0_condensed(isa);
     let plan = SimulationPlan::paper_alpha0();
     let pipelined = alpha0::pipelined(PipelineConfig::condensed(isa)).expect("build");
     let unpipelined = alpha0::unpipelined(PipelineConfig::condensed(isa)).expect("build");
+    let verifier = Verifier::new(MachineSpec::alpha0_condensed(isa));
 
     println!("=== Section 6.3: Alpha0 (k = 5, d = 1, condensed datapath + ALU) ===");
     println!("paper: unpipelined 23 min, pipelined 43 min (SPARCstation 10), ratio ≈ 1.9");
-
-    let t0 = Instant::now();
-    let unpipelined_nodes = symbolic_simulation_cost(&spec, &unpipelined, Side::Unpipelined, &plan);
-    let unpipelined_time = t0.elapsed();
-    let t1 = Instant::now();
-    let pipelined_nodes = symbolic_simulation_cost(&spec, &pipelined, Side::Pipelined, &plan);
-    let pipelined_time = t1.elapsed();
+    let started = Instant::now();
+    let (report, pipelined_us, unpipelined_us) =
+        traced_verify_plan(&verifier, &pipelined, &unpipelined, &plan).expect("verify");
     println!(
-        "measured symbolic simulation: unpipelined {:.2?} ({unpipelined_nodes} BDD nodes), \
-         pipelined {:.2?} ({pipelined_nodes} BDD nodes), ratio {:.2}",
-        unpipelined_time,
-        pipelined_time,
-        pipelined_time.as_secs_f64() / unpipelined_time.as_secs_f64().max(1e-9),
+        "full verification of the paper plan: {:.2?}; symbolic simulation: unpipelined {:.2?}, \
+         pipelined {:.2?}, ratio {:.2}; {} BDD nodes created",
+        started.elapsed(),
+        Duration::from_micros(unpipelined_us),
+        Duration::from_micros(pipelined_us),
+        pipelined_us as f64 / unpipelined_us.max(1) as f64,
+        report.bdd_nodes,
     );
-
-    let verifier = Verifier::new(MachineSpec::alpha0_condensed(isa));
-    let t2 = Instant::now();
-    let report = verifier
-        .verify_plan(&pipelined, &unpipelined, &plan)
-        .expect("verify");
-    println!("full verification of the paper plan: {:.2?}", t2.elapsed());
     println!("PIPELINED filter  : {}", report.filters.0);
     println!("UNPIPELINED filter: {}", report.filters.1);
     assert!(report.equivalent());
 
-    // The control-transfer position sweep of Section 5.3 on the worker pool:
-    // every position is verified in its own BDD manager, so the batch fans
-    // out over `PV_THREADS` workers (default: all cores), submitted highest
-    // slot first (longest-first scheduling — the late slots dominate) so the
-    // makespan approaches the slot-4 critical path. Run once with
-    // PV_THREADS=1 and once without for the sequential-vs-parallel A/B.
-    let sweep: Vec<SimulationPlan> = (0..verifier.spec().k)
-        .rev()
-        .map(|x| SimulationPlan::with_control_at(verifier.spec().k, x))
-        .collect();
-    let t3 = Instant::now();
-    let sweep_report = verifier
-        .verify_plans(&pipelined, &unpipelined, &sweep)
-        .expect("sweep");
-    let sweep_wall = t3.elapsed();
-    assert!(sweep_report.equivalent());
-    let k = verifier.spec().k;
-    println!(
-        "control-transfer sweep ({} plans): {:.2?} wall on {} worker thread(s); \
-         per-plan sum {:.2?} ({:.2}x concurrency), slowest slot {} at {:.2?}",
-        sweep.len(),
-        sweep_wall,
-        sweep_report.threads_used,
-        sweep_report.plan_wall_total(),
-        sweep_report.plan_wall_total().as_secs_f64() / sweep_wall.as_secs_f64().max(1e-9),
-        sweep_report
-            .slowest_plan()
-            .map_or(0, |p| k - 1 - p.plan_index),
-        sweep_report
-            .slowest_plan()
-            .map_or(Duration::ZERO, |p| p.wall_time),
-    );
-
     // A sampled Criterion entry for the cheapest meaningful Alpha0 run: the
-    // symbolic simulation of a two-instruction plan. It keeps the harness
-    // honest about run-to-run variance without multiplying the minutes-long
-    // runs above.
+    // verification of a two-instruction plan. It keeps the harness honest
+    // about run-to-run variance without multiplying the run above.
     let short = SimulationPlan::all_normal(2);
     let mut group = c.benchmark_group("section6.3_alpha0");
     group.sample_size(10);
-    group.measurement_time(std::time::Duration::from_secs(3));
-    group.warm_up_time(std::time::Duration::from_secs(1));
-    group.bench_function("unpipelined_symbolic_simulation_2_slots", |b| {
-        b.iter(|| symbolic_simulation_cost(&spec, &unpipelined, Side::Unpipelined, &short))
-    });
-    group.bench_function("pipelined_symbolic_simulation_2_slots", |b| {
-        b.iter(|| symbolic_simulation_cost(&spec, &pipelined, Side::Pipelined, &short))
+    group.measurement_time(Duration::from_secs(3));
+    group.warm_up_time(Duration::from_secs(1));
+    group.bench_function("full_verification_2_slots", |b| {
+        b.iter(|| {
+            let r = verifier
+                .verify_plan(&pipelined, &unpipelined, &short)
+                .expect("verify");
+            assert!(r.equivalent());
+        })
     });
     group.finish();
 }

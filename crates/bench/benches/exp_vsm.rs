@@ -8,45 +8,43 @@
 //! machines and BDD packages; the *shape* to reproduce is that the pipelined
 //! simulation costs more than the unpipelined one (roughly 1.5–2×) and that
 //! the whole verification completes in bounded time thanks to the
-//! definite-machine argument.
+//! definite-machine argument. The per-machine walls come from the verifier's
+//! `sim.pipelined` / `sim.unpipelined` spans.
+
+use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pipeverify_core::{MachineSpec, SimulationPlan, Verifier};
-use pv_bench::{symbolic_simulation_cost, Side};
+use pv_bench::traced_verify_plan;
 use pv_proc::vsm::{self, VsmConfig};
 
 fn bench_vsm(c: &mut Criterion) {
     // Reduced register-file model, as in the thesis (see EXPERIMENTS.md).
-    let spec = MachineSpec::vsm_reduced(2);
     let plan = SimulationPlan::paper_vsm();
     let pipelined = vsm::pipelined(VsmConfig::reduced(2)).expect("build");
     let unpipelined = vsm::unpipelined(VsmConfig::reduced(2)).expect("build");
+    let verifier = Verifier::new(MachineSpec::vsm_reduced(2));
 
     println!("=== Section 6.2: VSM (k = 4, d = 1) ===");
     println!("paper: unpipelined 175 s, pipelined 292 s (SPARCstation 10), ratio ≈ 1.7");
+    let (report, pipelined_us, unpipelined_us) =
+        traced_verify_plan(&verifier, &pipelined, &unpipelined, &plan).expect("verify");
     println!(
-        "BDD nodes created here: unpipelined {}, pipelined {}",
-        symbolic_simulation_cost(&spec, &unpipelined, Side::Unpipelined, &plan),
-        symbolic_simulation_cost(&spec, &pipelined, Side::Pipelined, &plan),
+        "measured symbolic simulation: unpipelined {:.2?}, pipelined {:.2?}, ratio {:.2}; \
+         {} BDD nodes created",
+        Duration::from_micros(unpipelined_us),
+        Duration::from_micros(pipelined_us),
+        pipelined_us as f64 / unpipelined_us.max(1) as f64,
+        report.bdd_nodes,
     );
-    let verifier = Verifier::new(MachineSpec::vsm_reduced(2));
-    let report = verifier
-        .verify_plan(&pipelined, &unpipelined, &plan)
-        .expect("verify");
     println!("PIPELINED filter  : {}", report.filters.0);
     println!("UNPIPELINED filter: {}", report.filters.1);
     assert!(report.equivalent());
 
     let mut group = c.benchmark_group("section6.2_vsm");
     group.sample_size(10);
-    group.measurement_time(std::time::Duration::from_secs(3));
-    group.warm_up_time(std::time::Duration::from_secs(1));
-    group.bench_function("unpipelined_symbolic_simulation", |b| {
-        b.iter(|| symbolic_simulation_cost(&spec, &unpipelined, Side::Unpipelined, &plan))
-    });
-    group.bench_function("pipelined_symbolic_simulation", |b| {
-        b.iter(|| symbolic_simulation_cost(&spec, &pipelined, Side::Pipelined, &plan))
-    });
+    group.measurement_time(Duration::from_secs(3));
+    group.warm_up_time(Duration::from_secs(1));
     group.bench_function("full_verification_paper_plan", |b| {
         b.iter(|| {
             let r = verifier

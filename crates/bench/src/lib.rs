@@ -1,51 +1,45 @@
 //! Shared helpers for the benchmark harness that regenerates the evaluation
-//! of Chapter 6 (see `benches/`). The helpers re-create, on top of the public
-//! API, the per-machine symbolic-simulation runs whose wall-clock times the
-//! thesis reports separately for the unpipelined and the pipelined machine.
+//! of Chapter 6 (see `benches/`). The thesis reports the symbolic-simulation
+//! wall of the unpipelined and the pipelined machine separately;
+//! [`traced_verify_plan`] reads both off the verifier's own `sim.*` spans,
+//! so the figures measure the one symbolic-simulation loop the verifier
+//! runs.
 
-use std::collections::BTreeMap;
-use std::time::Duration;
-
-use pipeverify_core::{
-    CycleInput, MachineSpec, SimulationPlan, SimulationSchedule, Slot, VerificationReport,
-};
+use pipeverify_core::{SimulationPlan, VerificationReport, Verifier, VerifyError};
 use pv_bdd::{Bdd, BddManager, BddVec, TransitionSystem, Var};
-use pv_netlist::{Netlist, SymbolicSim};
+use pv_netlist::Netlist;
 
 pub mod matrix;
 
-/// Prints the per-plan breakdown and wall-clock summary of a pooled sweep
-/// run — shared by the `probe` and `probe_alpha0` `PROBE_SWEEP=1` modes.
-/// `label` maps a plan index to the caller's display label (`plan 3`,
-/// `slot 4`, …). The summary ratio is labelled *concurrency*, not speedup:
-/// per-plan walls are measured inside each worker and include preemption, so
-/// the sequential baseline is a separate `PV_THREADS=1` run.
-pub fn print_sweep_breakdown<F: Fn(usize) -> String>(
-    report: &VerificationReport,
-    wall: Duration,
-    label: F,
-) {
-    for plan in &report.plan_reports {
-        println!(
-            "{}: {:9} allocated, peak live {:9}, {:.3} s — {}",
-            label(plan.plan_index),
-            plan.bdd_nodes,
-            plan.bdd_peak_live,
-            plan.wall_time.as_secs_f64(),
-            if plan.equivalent() {
-                "equivalent"
-            } else {
-                "NOT equivalent"
-            }
-        );
-    }
-    println!(
-        "sweep: {:.3} s wall on {} thread(s); per-plan sum {:.3} s ({:.2}x concurrency; A/B against a PV_THREADS=1 run for the true speedup)",
-        wall.as_secs_f64(),
-        report.threads_used,
-        report.plan_wall_total().as_secs_f64(),
-        report.plan_wall_total().as_secs_f64() / wall.as_secs_f64().max(1e-9),
-    );
+/// Checks `plan` with span tracing on and returns the report plus the
+/// `sim.pipelined` and `sim.unpipelined` span walls (µs) under `plan.check`
+/// — the per-machine figures of Sections 6.2/6.3. A single-plan check runs
+/// on the calling thread, so its events are this thread's. Tracing is
+/// process-global: the helper drains any buffered events before the run and
+/// switches tracing off after it. With the `obs` feature off the spans are
+/// compiled out and both walls are 0.
+///
+/// # Errors
+/// See [`Verifier::verify`].
+pub fn traced_verify_plan(
+    verifier: &Verifier,
+    pipelined: &Netlist,
+    unpipelined: &Netlist,
+    plan: &SimulationPlan,
+) -> Result<(VerificationReport, u64, u64), VerifyError> {
+    pv_obs::take_events();
+    pv_obs::set_trace_enabled(true);
+    let report = verifier.verify_plan(pipelined, unpipelined, plan);
+    pv_obs::set_trace_enabled(false);
+    let profile = pv_obs::fold::fold(&pv_obs::take_events(), "plan.check");
+    let wall = |name: &str| {
+        profile
+            .rows
+            .iter()
+            .find(|row| row.name == name)
+            .map_or(0, |row| row.total_us)
+    };
+    Ok((report?, wall("sim.pipelined"), wall("sim.unpipelined")))
 }
 
 /// An `n`-bit counter with an enable input, as a partitioned transition
@@ -74,105 +68,4 @@ pub fn counter_system(m: &mut BddManager, n: usize) -> TransitionSystem {
     let init_cube: Vec<(Var, bool)> = present.iter().map(|&v| (v, false)).collect();
     let init = m.cube(&init_cube);
     TransitionSystem::from_partitions(m, vec![enable], present, next, partitions, init)
-}
-
-/// Which side of a design pair to simulate.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Side {
-    /// The pipelined implementation.
-    Pipelined,
-    /// The unpipelined specification.
-    Unpipelined,
-}
-
-/// Symbolically simulates one machine of a design pair over the cycles the
-/// verification methodology prescribes for `plan`, and returns the number of
-/// ROBDD nodes created — the cost metric (besides wall-clock time) that the
-/// thesis's experiments are limited by.
-///
-/// The state is cofactored by the instruction-class constraint after every
-/// cycle, exactly as the verifier does (Section 5.2's cofactoring step), so
-/// the measured cost is the cost of the method, not of an unconstrained
-/// simulation.
-pub fn symbolic_simulation_cost(
-    spec: &MachineSpec,
-    netlist: &Netlist,
-    side: Side,
-    plan: &SimulationPlan,
-) -> usize {
-    let schedule = SimulationSchedule::expand(spec, plan);
-    let cycles = match side {
-        Side::Pipelined => &schedule.pipelined_inputs,
-        Side::Unpipelined => &schedule.unpipelined_inputs,
-    };
-    let mut manager = BddManager::new();
-    let slot_vars: Vec<Vec<Var>> = schedule
-        .slot_classes
-        .iter()
-        .map(|_| manager.new_vars(spec.instr_width))
-        .collect();
-    let mut assumption = Bdd::TRUE;
-    for (vars, class) in slot_vars.iter().zip(&schedule.slot_classes) {
-        let constraint = match class {
-            Slot::Normal => (spec.normal_class)(&mut manager, vars),
-            Slot::ControlTransfer => (spec.control_class)(&mut manager, vars),
-            Slot::Interrupt | Slot::Reset => Bdd::TRUE,
-        };
-        assumption = manager.and(assumption, constraint);
-    }
-    // The assumption survives every per-cycle collection below; the slot
-    // words are rebuilt from their variables each cycle, so they need no
-    // pinning.
-    manager.add_root(assumption);
-    let sym = SymbolicSim::new(netlist);
-    let mut state = sym.initial_state(&manager);
-    for input in cycles {
-        let (instr, reset) = match input {
-            CycleInput::Reset => (BddVec::constant(&manager, 0, spec.instr_width), 1),
-            CycleInput::Slot(j) => (BddVec::from_vars(&mut manager, &slot_vars[*j]), 0),
-            CycleInput::DontCare => (BddVec::constant(&manager, 0, spec.instr_width), 0),
-        };
-        let mut inputs = BTreeMap::new();
-        inputs.insert(spec.instr_port.clone(), instr);
-        inputs.insert(
-            spec.reset_port.clone(),
-            BddVec::constant(&manager, reset, 1),
-        );
-        if let Some(irq) = &spec.irq_port {
-            if netlist.input_width(irq).is_some() {
-                inputs.insert(irq.clone(), BddVec::constant(&manager, 0, 1));
-            }
-        }
-        let (mut next, _outputs) = sym.step(&mut manager, &state, &inputs);
-        if !assumption.is_true() {
-            for bit in &mut next.regs {
-                *bit = manager.constrain(*bit, assumption);
-            }
-        }
-        state = next;
-        manager.maybe_gc(&state.regs);
-    }
-    manager.total_nodes()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use pv_proc::vsm::{self, VsmConfig};
-
-    #[test]
-    fn pipelined_simulation_creates_more_nodes_than_unpipelined() {
-        let spec = MachineSpec::vsm_reduced(2);
-        let plan = SimulationPlan::paper_vsm();
-        let p = vsm::pipelined(VsmConfig::reduced(2)).expect("build");
-        let u = vsm::unpipelined(VsmConfig::reduced(2)).expect("build");
-        let pc = symbolic_simulation_cost(&spec, &p, Side::Pipelined, &plan);
-        let uc = symbolic_simulation_cost(&spec, &u, Side::Unpipelined, &plan);
-        // The thesis's pipelined-vs-unpipelined comparison is a wall-clock
-        // claim (292 s vs 175 s); node totals depend on how much per-cycle
-        // garbage each run accumulates, so here we only check that both runs
-        // are non-trivial and bounded.
-        assert!(pc > 1_000 && uc > 1_000);
-        assert!(pc < 10_000_000 && uc < 10_000_000);
-    }
 }

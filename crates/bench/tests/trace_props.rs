@@ -8,7 +8,9 @@
 //! must round-trip through `trace_io` byte-faithfully and satisfy the
 //! span-nesting discipline (every exit matches the innermost open enter on
 //! its thread, nothing left open) — the well-formedness `trace_report` and
-//! the `trace-smoke` CI gate rely on.
+//! the `trace-smoke` CI gate rely on — and its fold: one `plan.setup`,
+//! `sim.pipelined`, `sim.unpipelined` and `plan.compare` span under
+//! `plan.check`, and one `sim.cycle` span per simulated cycle.
 //!
 //! Tracing is process-global state, so the properties in this file share one
 //! lock and this file stays its own test binary.
@@ -88,5 +90,22 @@ proptest! {
         let completed = pv_obs::fold::check_nesting(&parsed)
             .map_err(|e| TestCaseError::fail(format!("span nesting violated: {e}")))?;
         prop_assert!(completed > 0, "no completed spans in the traced run");
+
+        // The plan check decomposes into setup / pipelined / unpipelined /
+        // compare, and every simulated cycle of both machines is one
+        // `sim.cycle` span.
+        let profile = pv_obs::fold::fold(&parsed, "plan.check");
+        let count = |name: &str| {
+            profile.rows.iter().find(|row| row.name == name).map_or(0, |row| row.count)
+        };
+        prop_assert_eq!(count("plan.check"), 1);
+        for phase in ["plan.setup", "sim.pipelined", "sim.unpipelined", "plan.compare"] {
+            prop_assert_eq!(count(phase), 1, "span {}", phase);
+        }
+        let report = &traced.plan_reports[0];
+        prop_assert_eq!(
+            count("sim.cycle"),
+            (report.pipelined_cycles + report.unpipelined_cycles) as u64
+        );
     }
 }

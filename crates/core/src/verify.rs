@@ -374,7 +374,6 @@ impl fmt::Display for VerificationReport {
 #[derive(Clone, Debug)]
 pub struct Verifier {
     spec: MachineSpec,
-    static_order: bool,
     threads: Option<usize>,
     budget: Option<Budget>,
 }
@@ -403,31 +402,9 @@ impl Verifier {
     pub fn new(spec: MachineSpec) -> Self {
         Verifier {
             spec,
-            static_order: true,
             threads: None,
             budget: None,
         }
-    }
-
-    /// Enables or disables the FORCE-derived **static** bit order for the
-    /// per-slot instruction words (see [`pv_netlist::order`]). It is **on by
-    /// default**: the order is computed once per plan from the pipelined
-    /// netlist's connectivity and decides which instruction bits get the
-    /// topmost BDD variables of each slot block. On ISAs that place control
-    /// fields in the high bits (the Alpha-style encodings of `pv-isa` put
-    /// the opcode in bits 31:26), declaration order allocates the decode
-    /// selector bits *last*, and the connectivity-derived order — which
-    /// fronts the high-fanout control bits — shrinks the condensed-Alpha0
-    /// sweep's total allocation by over 2.5×. `false` restores plain
-    /// declaration (LSB-first) order; the `exp_static_order` bin in
-    /// `pv-bench` reports the A/B.
-    ///
-    /// The order never changes *what* is verified, only the variable levels:
-    /// reports are field-by-field identical apart from node counts and wall
-    /// times.
-    pub fn with_static_order(mut self, enabled: bool) -> Self {
-        self.static_order = enabled;
-        self
     }
 
     /// Sets the worker count used by [`verify_plans`](Self::verify_plans)
@@ -703,6 +680,7 @@ impl Verifier {
         if plan.slots().contains(&Slot::Interrupt) && spec.irq_port.is_none() {
             return Err(VerifyError::InterruptWithoutIrqPort);
         }
+        let setup = pv_obs::span("plan.setup");
         let schedule = SimulationSchedule::expand(spec, plan);
         let mut manager = BddManager::new();
         if let Some(budget) = budget {
@@ -721,19 +699,17 @@ impl Verifier {
         // each.
         //
         // Inside a block, the bits follow the FORCE-derived static order
-        // (`pv_netlist::order`) when enabled: `instr_order[k]` is the
-        // instruction bit that receives the block's k-th (topmost-first)
-        // variable, so decode-selector bits branch before operand fields.
-        let instr_order: Option<Vec<usize>> = self
-            .static_order
-            .then(|| {
-                let mut report = pv_netlist::order::force_order(pipelined);
-                report
-                    .port_orders
-                    .remove(&spec.instr_port)
-                    .filter(|order| order.len() == spec.instr_width)
-            })
-            .flatten();
+        // (`pv_netlist::order`), computed from the pipelined netlist's
+        // connectivity: `instr_order[k]` is the instruction bit that receives
+        // the block's k-th (topmost-first) variable, so decode-selector bits
+        // branch before operand fields. On ISAs that put the opcode in the
+        // high bits, declaration (LSB-first) order would allocate those
+        // selector bits last. The order only changes variable levels, never
+        // what is verified.
+        let instr_order: Option<Vec<usize>> = pv_netlist::order::force_order(pipelined)
+            .port_orders
+            .remove(&spec.instr_port)
+            .filter(|order| order.len() == spec.instr_width);
         let slot_vars: Vec<Vec<Var>> = schedule
             .slot_classes
             .iter()
@@ -787,6 +763,7 @@ impl Verifier {
                 manager.add_root(bit);
             }
         }
+        drop(setup);
 
         let (pipelined_samples, pipelined_dontcare_vars) = self.simulate(
             &mut manager,
@@ -817,6 +794,7 @@ impl Verifier {
             assumption,
         );
 
+        let compare = pv_obs::span("plan.compare");
         let mut samples_compared = 0usize;
         let mut counterexample = None;
         'outer: for &(slot, pipelined_cycle, unpipelined_cycle) in &schedule.samples {
@@ -893,6 +871,7 @@ impl Verifier {
                 }
             }
         }
+        drop(compare);
 
         let stats = manager.stats();
         let metrics = BTreeMap::from([
@@ -1009,6 +988,11 @@ impl Verifier {
         BTreeMap<usize, BTreeMap<String, BddVec>>,
         Vec<(usize, Vec<Var>)>,
     ) {
+        let _span = pv_obs::span(if is_implementation {
+            "sim.pipelined"
+        } else {
+            "sim.unpipelined"
+        });
         let spec = &self.spec;
         let sym = SymbolicSim::new(netlist);
         let mut state = sym.initial_state(manager);

@@ -153,8 +153,10 @@ impl ThreadBuf {
 
 impl Drop for ThreadBuf {
     fn drop(&mut self) {
-        // Thread teardown is the backstop drain: a worker that never called
-        // `flush_thread` still delivers its buffer before it disappears.
+        // Thread teardown is a best-effort backstop drain. It runs in the
+        // TLS destructor, which a scoped-thread join does not wait for, so
+        // a joiner can export before it lands; workers call `flush_thread`
+        // after their last span closes instead of relying on it.
         self.flush();
     }
 }
@@ -234,8 +236,10 @@ pub fn flush_thread() {
 
 /// Drains every flushed event (plus the calling thread's buffer) and
 /// returns them merge-sorted by `(tid, seq)` — the canonical export order.
-/// Threads still running keep their unflushed tails; in this workspace
-/// every traced fan-out joins (scoped threads) before its caller exports.
+/// Other threads' unflushed tails are not included, even after the thread
+/// is joined: `std::thread::scope` can return before a worker's TLS
+/// destructor delivers its buffer. A traced worker must therefore call
+/// [`flush_thread`] after its last span closes, as the worker pool does.
 pub fn take_events() -> Vec<TraceEvent> {
     if !COMPILED {
         return Vec::new();
@@ -329,7 +333,9 @@ mod tests {
         std::thread::scope(|s| {
             for _ in 0..3 {
                 s.spawn(|| {
-                    let _g = span("test.trace.worker");
+                    // Close the span before flushing: an event recorded after
+                    // the last flush may miss the export (see `take_events`).
+                    drop(span("test.trace.worker"));
                     flush_thread();
                 });
             }
