@@ -1,609 +1,369 @@
-//! Perf-smoke gate for the BDD engine: nine small fixed workloads whose
-//! wall times and node counts are written to `BENCH_bdd.json` and compared
-//! against the checked-in baselines in `crates/bench/baselines/`.
+//! Perf-smoke gate: a table of small fixed workloads ([`CASES`]), each
+//! measured as rows of exact deterministic counts plus a wall time, and one
+//! gate loop that checks every row against
+//! `crates/bench/baselines/BENCH_bdd.json`:
 //!
-//! The workloads:
+//! * every count (`<case>_<count>`: BDD nodes allocated and peak live, ITE
+//!   cache hits and misses, EUF splits and closure checks, artifact-cache
+//!   hits and misses, the budget overshoot) must **equal** its baseline;
+//! * every wall (`<case>_wall_s`) must be at most [`WALL_FACTOR`] × its
+//!   baseline;
+//! * the baseline must hold exactly the keys the cases measure.
 //!
-//! 1. **12-bit counter reachability** (10 samples) — partitioned transition
-//!    relation with early quantification plus between-iteration garbage
-//!    collection. Before the overhaul this did not finish 10 samples within
-//!    500 s and grew past 10 GB RSS.
-//! 2. **16-bit interleaved adder** (median of 100 builds) — the interleaved
-//!    variable-order default. The sequential ordering took 238 ms at 16 bits.
-//! 3. **Quickstart VSM verification** — the Section 6.2 experiment, with
-//!    per-cycle collection bounding live nodes.
-//! 4. **Parallel Alpha0 control-transfer sweep** (`alpha0_sweep_par`) — a
-//!    three-position condensed-Alpha0 sweep run twice: sequentially
-//!    (`threads = 1`) and on a four-worker pool, one BDD manager per plan.
-//!    The two reports must be identical (the deterministic-merge guarantee),
-//!    and on a runner with at least two cores the parallel wall clock must
-//!    beat the sequential twin; on a single-core runner that gate is skipped
-//!    with a notice (there is nothing to win without a second core). The
-//!    sweep's allocated and peak-live node counts are additionally gated at
-//!    ≥ 1.4× below the committed pre-complement-edge record (kept in the
-//!    JSON as `*_pre_compl` fields): the attributed-edge engine plus the
-//!    FORCE static instruction-bit order must pay for themselves here, while
-//!    the reach12/vsm/flush3 walls must stay within 1.1× of their own
-//!    pre-complement records. The runner's core count and the effective
-//!    `PV_THREADS` resolution are recorded as context fields.
-//! 5. **Flushing of the stallable VSM** (`flush3`) — the cross-flow bridge:
-//!    the term-level pipeline description is derived from the stallable VSM
-//!    netlist (three in-flight latches → flush bound 3) and the Burch–Dill
-//!    commuting diagram is decided in EUF. The sequential and 4-worker
-//!    reports must be field-identical (the same deterministic-merge
-//!    guarantee as case 4, applied to EUF case-split blocks).
-//! 6. **Parallel EUF case split** (`flush_par`) — a deep (depth-12) term
-//!    pipeline whose case split is heavy enough to time: run sequentially
-//!    and on a four-worker pool. Report identity is gated always; on a
-//!    runner with at least two cores the parallel wall clock must beat the
-//!    sequential twin (skip-with-notice on one core, as in case 4).
-//! 7. **Traced-overhead twin** (`alpha0_sweep_traced`) — the case-4
-//!    sequential sweep re-run with span tracing live. Tracing must never
-//!    perturb verification (the traced report must match the untraced one
-//!    field for field), the emitted spans must bracket correctly, and the
-//!    traced wall clock may exceed the untraced twin by at most 10% (plus a
-//!    small absolute grace for timer noise) — the tentpole's overhead
-//!    budget, enforced.
-//! 8. **Warm artifact-cache replay** (`cache_warm`) — the family-matrix
-//!    smoke sweep (both flows per cell) run twice through the verification
-//!    service's job runner against one scratch cache: cold (every flow run
-//!    hits the engines and stores its artifacts), then warm (every flow run
-//!    is a file read). The gate requires the warm sweep to finish in at most
-//!    one fifth of the cold wall clock, with zero cache misses and
-//!    byte-identical reports.
-//! 9. **Budget abort** (`budget_abort`) — the 12-bit reachability workload
-//!    under a 20k-node budget. The abort must trip within the amortized
-//!    check interval past the limit and within a second of wall clock; the
-//!    governance-off cost is gated implicitly, since every other case runs
-//!    unbudgeted against unchanged baselines.
+//! Three twin gates ([`TWINS`]) compare two rows of the same run: a parallel
+//! twin must beat its sequential primary on a runner with at least two cores
+//! (skipped with a notice on one), the traced Alpha0 sweep may cost at most
+//! 10% over the untraced one (medians of alternating runs), and the warm
+//! artifact-cache sweep at most max(0.2 × cold, 5 ms). A parallel or traced
+//! twin redoes its primary's work, so its counts must equal the primary's;
+//! full report identity is owned by the tests (`tests/verify_parallel.rs`,
+//! `crates/flush/tests/depths.rs`, `crates/server/tests/cache.rs`,
+//! `crates/bench/tests/trace_props.rs`).
 //!
-//! Every BDD-backed case also records its peak-live node count and its ITE
-//! cache hit-rate (`*_peak_live`, `*_ite_hit_rate`), and the cache replay
-//! records its warm hit-rate — so a wall-time regression in the JSON
-//! artifact comes with a cause attached (nodes blew up / the memo table
-//! stopped hitting / the cache stopped answering).
-//!
-//! Exit status is non-zero when a hard limit (the acceptance criteria) is
-//! exceeded or any measurement regresses by more than an order of magnitude
-//! against the baseline file, making this runnable as a CI gate.
+//! Writes the fresh rows to `BENCH_bdd.json` in the current directory and
+//! exits non-zero when any gate fails.
 
-use std::time::{Duration, Instant};
+use std::collections::BTreeSet;
+use std::panic::{self, AssertUnwindSafe};
+use std::time::Instant;
 
 use pipeverify_core::cache::ArtifactCache;
-use pipeverify_core::{MachineSpec, SimulationPlan, Verifier};
+use pipeverify_core::json::Json;
+use pipeverify_core::{MachineSpec, SimulationPlan, VerificationReport, Verifier};
 use pv_bdd::{BddManager, BddVec, Budget, BudgetExceeded};
 use pv_bench::counter_system;
 use pv_bench::matrix::{cell_bugs, smoke_configs};
-use pv_flush::{FlushVerifier, PipelineDesc};
+use pv_flush::{FlushReport, FlushVerifier, PipelineDesc};
 use pv_isa::alpha0::Alpha0Config;
 use pv_proc::alpha0::{self, PipelineConfig};
-use pv_proc::family::FamilyBug;
 use pv_proc::vsm::{self, VsmConfig};
 use pv_server::job::JobRunner;
-use pv_server::protocol::{self, DesignSpec, FlowKind, JobRequest, PlanSet};
+use pv_server::protocol::{DesignSpec, FlowKind, JobRequest, PlanSet};
 use pv_server::sched;
 
-/// Hard wall-time limit on the 10-sample 12-bit reachability sweep (s).
-const REACH12_WALL_LIMIT_S: f64 = 60.0;
-/// Hard limit on the median 16-bit interleaved adder build (s).
-const ADDER16_MEDIAN_LIMIT_S: f64 = 0.005;
-/// Relative regression factor tolerated against the checked-in baseline.
-const REGRESSION_FACTOR: f64 = 10.0;
-
-/// Seed-engine figures (PR 1 profiling, before the GC / interleaving /
-/// partitioned-image overhaul), recorded alongside the fresh measurements so
-/// the JSON artifact documents the before/after.
-const SEED_REACH12_WALL_S: f64 = 500.0; // lower bound: did not finish
-const SEED_ADDER16_SEQUENTIAL_S: f64 = 0.238;
-const SEED_VSM_ALLOCATED_NODES: f64 = 900_000.0;
-
-/// Pre-complement-edge record of the condensed-Alpha0 sweep, measured at the
-/// commit immediately before attributed edges and the FORCE static order
-/// landed (same machine, same plans, deterministic counts). Kept in the JSON
-/// as `*_pre_compl` fields so the artifact documents the before/after; the
-/// tentpole gate requires the current engine to beat **both** counts by at
-/// least [`PRE_COMPL_REDUCTION_FACTOR`].
-const PRE_COMPL_ALPHA0_ALLOCATED: f64 = 3_329_787.0;
-const PRE_COMPL_ALPHA0_PEAK_LIVE: f64 = 1_327_284.0;
-/// Required reduction of the Alpha0 sweep's allocated and peak-live node
-/// counts over the pre-complement record (acceptance criterion: ≥ 1.4×).
-const PRE_COMPL_REDUCTION_FACTOR: f64 = 1.4;
-/// Pre-complement walls of the cases the edge retrofit must not slow down:
-/// complemented edges touch every ITE, so the non-sweep workloads gate at
-/// ≤ 1.1× their pre-complement record (plus an absolute grace — see
-/// [`PRE_COMPL_WALL_GRACE_S`]).
-const PRE_COMPL_REACH12_WALL_S: f64 = 0.401;
-const PRE_COMPL_VSM_WALL_S: f64 = 0.327;
-const PRE_COMPL_FLUSH3_WALL_S: f64 = 0.0278;
-const PRE_COMPL_WALL_FACTOR: f64 = 1.1;
-/// Absolute grace on the pre-complement wall gates: 10% of a sub-second wall
-/// sits inside scheduler noise on a busy runner, so each gate takes the max
-/// of the relative ceiling and `record + grace` (the same shape as the
-/// traced-overhead gate).
-const PRE_COMPL_WALL_GRACE_S: f64 = 0.05;
-/// Worker count of the parallel Alpha0 sweep twin (the acceptance criterion
-/// is phrased for four workers; the pool clamps to the plan count anyway).
-const SWEEP_THREADS: usize = 4;
-/// Slots of the condensed-Alpha0 sweep plans: a 3-position control-transfer
-/// sweep over 4-slot plans keeps the per-plan costs balanced (~0.8–1.2 s
-/// release), so the pool has real parallelism to exploit while the whole case
-/// stays a few seconds. The k = 5 paper sweep (whose slot-4 plan dominates at
-/// ~1 min) lives in the `alpha0_verify` example, not in the smoke gate.
-const SWEEP_SLOTS: usize = 4;
-const SWEEP_POSITIONS: usize = 3;
-/// Repetitions of the (fast) stallable-VSM flushing check, so the committed
-/// `flush3` wall figure sums to something timer noise cannot 10×.
-const FLUSH3_REPEATS: usize = 20;
-/// Depth of the term pipeline used for the parallel-EUF wall-clock A/B: deep
-/// enough that its case split takes a few hundred milliseconds sequentially
-/// (the cube walls are balanced — no block dominates — so a ≥2-core pool has
-/// real parallelism to win with).
-const FLUSH_PAR_DEPTH: usize = 12;
-/// Ceiling on the warm artifact-cache sweep's wall clock, as a fraction of
-/// its cold twin (acceptance criterion: warm ≤ 0.2× cold).
-const CACHE_WARM_FACTOR: f64 = 0.2;
-/// Node budget of the `budget_abort` case — a small fraction of what the
-/// 12-bit reachability fixpoint allocates, so the abort fires early.
-const BUDGET_ABORT_LIMIT: usize = 20_000;
-/// Bound on nodes allocated past the tripped limit: twice the manager's
-/// amortized check interval (1024 ITE misses), matching the contract the
-/// `pv-bdd` budget tests pin down.
-const BUDGET_ABORT_OVERSHOOT_LIMIT: usize = 2 * 1024;
-/// Hard wall ceiling for the budget abort — the full reach12 sweep takes
-/// seconds; an abort at 20k nodes must take a small fraction of one.
-const BUDGET_ABORT_WALL_LIMIT_S: f64 = 1.0;
-/// Absolute grace for the warm sweep: below this wall the ratio gate is
-/// satisfied outright. On a fast machine the whole cold smoke sweep is
-/// ~15 ms, so 0.2× of it sits inside scheduler noise — a warm sweep that
-/// finishes in a few milliseconds *is* the file-read path the ratio gate
-/// exists to enforce.
-const CACHE_WARM_GRACE_S: f64 = 0.005;
-/// Ceiling on the traced sequential Alpha0 sweep, as a factor of its
-/// untraced twin (acceptance criterion: `PV_TRACE=1` regresses ≤ 10% wall).
+/// Schema tag of the baseline file and of the emitted artifact.
+const SCHEMA: &str = "pipeverify-bdd-smoke-v2";
+/// The one wall rule: a row's wall may be at most this factor over its
+/// baseline.
+const WALL_FACTOR: f64 = 1.5;
+/// Worker count of every parallel twin and of the cache sweeps.
+const THREADS: usize = 4;
+/// Alternating untraced/traced sequential sweeps whose medians give the
+/// `alpha0_sweep_seq` and `alpha0_sweep_traced` walls.
+const TRACE_PAIRS: usize = 5;
+/// Traced twin: traced ≤ max(factor × untraced, untraced + grace); the
+/// grace covers timer noise on a sub-second sweep.
 const TRACE_OVERHEAD_FACTOR: f64 = 1.10;
-/// Absolute grace for the traced sweep: on a fast machine 10% of the
-/// sequential wall sits inside scheduler noise, so the gate takes the max
-/// of the relative and `untraced + grace` ceilings.
-const TRACE_OVERHEAD_GRACE_S: f64 = 0.5;
+const TRACE_OVERHEAD_GRACE_S: f64 = 0.05;
+/// Warm twin: warm ≤ max(factor × cold, grace); below the grace a warm
+/// sweep is already the file-read path the ratio exists to enforce.
+const CACHE_WARM_FACTOR: f64 = 0.2;
+const CACHE_WARM_GRACE_S: f64 = 0.005;
+/// Node budget of `budget_abort`, far below what reach12 allocates.
+const BUDGET_ABORT_LIMIT: usize = 20_000;
 
-struct Measurement {
-    key: &'static str,
-    value: f64,
+type Counts = Vec<(&'static str, usize)>;
+
+/// One measured case: exact deterministic counts and a wall time.
+struct Row {
+    case: &'static str,
+    wall: f64,
+    counts: Counts,
 }
 
-/// Hit-rate `hits / (hits + misses)`; 0 when nothing was looked up.
-fn hit_rate(hits: usize, misses: usize) -> f64 {
-    if hits + misses == 0 {
-        0.0
-    } else {
-        hits as f64 / (hits + misses) as f64
+impl Row {
+    fn new(case: &'static str, wall: f64, counts: Counts) -> Row {
+        Row { case, wall, counts }
+    }
+
+    /// The row's baseline entries: `<case>_<count>` per count, then
+    /// `<case>_wall_s`.
+    fn entries(&self) -> Vec<(String, Json)> {
+        let count = |&(name, n): &(&str, usize)| {
+            (format!("{}_{name}", self.case), Json::from_u64(n as u64))
+        };
+        let wall = (format!("{}_wall_s", self.case), Json::Num(self.wall));
+        self.counts.iter().map(count).chain([wall]).collect()
     }
 }
 
-/// Pulls a named counter out of a report's deterministic `metrics` snapshot.
-fn report_metric(metrics: &std::collections::BTreeMap<String, u64>, key: &str) -> u64 {
-    metrics.get(key).copied().unwrap_or(0)
+/// How a twin row relates to its primary.
+#[derive(Clone, Copy, PartialEq)]
+enum Twin {
+    Parallel, // more workers, same work: faster on ≥ 2 cores
+    Traced,   // tracing on, same work: within the overhead budget
+    Warm,     // warm cache: the primary's flow runs become file reads
 }
+
+/// `(primary, twin, rule)` for every twin gate.
+const TWINS: [(&str, &str, Twin); 4] = [
+    ("alpha0_sweep_seq", "alpha0_sweep_par", Twin::Parallel),
+    ("alpha0_sweep_seq", "alpha0_sweep_traced", Twin::Traced),
+    ("flush_par_seq", "flush_par_par", Twin::Parallel),
+    ("cache_cold", "cache_warm", Twin::Warm),
+];
+
+/// The table: every case in run order, each returning its rows.
+const CASES: [fn() -> Vec<Row>; 8] = [
+    reach12,
+    adder16,
+    vsm_quickstart,
+    alpha0_sweep,
+    flush3,
+    flush_par,
+    cache,
+    budget_abort,
+];
 
 fn main() {
-    let mut measurements: Vec<Measurement> = Vec::new();
-    let mut failures: Vec<String> = Vec::new();
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let threads = pipeverify_core::pool::default_threads();
+    println!("runner: {cores} core(s), effective PV_THREADS {threads}");
+    let rows: Vec<Row> = CASES.iter().flat_map(|case| case()).collect();
+    for row in &rows {
+        println!("{:<20}: {:.6} s  {:?}", row.case, row.wall, row.counts);
+    }
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/baselines/BENCH_bdd.json");
+    let failures = match std::fs::read_to_string(path).map(|text| Json::parse(&text)) {
+        Ok(Ok(baseline)) => gate(&rows, &baseline, cores),
+        Ok(Err(e)) => vec![format!("cannot parse {path}: {e}")],
+        Err(e) => vec![format!("cannot read {path}: {e}")],
+    };
+    std::fs::write("BENCH_bdd.json", render(&rows)).expect("write BENCH_bdd.json");
+    println!("wrote BENCH_bdd.json");
+    if !failures.is_empty() {
+        for f in &failures {
+            eprintln!("perf-smoke FAILURE: {f}");
+        }
+        std::process::exit(1);
+    }
+    println!("perf-smoke: OK");
+}
 
-    // 1. 12-bit counter reachability, 10 samples.
-    let samples = 10usize;
-    let mut peak_live = 0usize;
-    let mut allocated = 0usize;
-    let mut ite_hits = 0usize;
-    let mut ite_misses = 0usize;
+/// Checks every row against the baseline and every twin against its
+/// primary; returns one message per failed gate.
+fn gate(rows: &[Row], baseline: &Json, cores: usize) -> Vec<String> {
+    let mut failures = Vec::new();
+    if baseline.get("schema").and_then(Json::as_str) != Some(SCHEMA) {
+        failures.push(format!("baseline schema is not `{SCHEMA}`"));
+    }
+    for row in rows {
+        for (key, value) in row.entries() {
+            let base = baseline.get(&key).and_then(Json::as_f64);
+            let (Some(base), Some(v)) = (base, value.as_f64()) else {
+                failures.push(format!("{key} is missing from the baseline"));
+                continue;
+            };
+            let is_wall = key.ends_with("_wall_s");
+            if is_wall && v > WALL_FACTOR * base {
+                failures.push(format!("{key} = {v:.6} s > {WALL_FACTOR} x {base:.6} s"));
+            } else if !is_wall && v != base {
+                failures.push(format!("{key} = {v}, baseline {base} (exact)"));
+            }
+        }
+    }
+    let measured: BTreeSet<String> = rows.iter().flat_map(Row::entries).map(|e| e.0).collect();
+    for (key, _) in baseline.as_obj().unwrap_or_default() {
+        if key != "schema" && !measured.contains(key) {
+            failures.push(format!("baseline key {key} is measured by no case"));
+        }
+    }
+    for (primary, twin, rule) in TWINS {
+        let find = |case: &str| rows.iter().find(|r| r.case == case);
+        match (find(primary), find(twin)) {
+            (Some(p), Some(t)) => failures.extend(twin_failure(rule, p, t, cores)),
+            _ => failures.push(format!("twin pair {primary}/{twin} was not measured")),
+        }
+    }
+    failures
+}
+
+/// The twin gate: `twin` against `primary` under `rule`.
+fn twin_failure(rule: Twin, primary: &Row, twin: &Row, cores: usize) -> Option<String> {
+    let (p, t, pn, tn) = (primary.wall, twin.wall, primary.case, twin.case);
+    let (pc, tc) = (&primary.counts, &twin.counts);
+    if rule != Twin::Warm && tc != pc {
+        return Some(format!("{tn} counts {tc:?} differ from {pn} counts {pc:?}"));
+    }
+    let (ok, rule_text) = match rule {
+        Twin::Parallel if cores < 2 => {
+            println!("NOTICE: single-core runner, skipping {tn} < {pn}");
+            return None;
+        }
+        Twin::Parallel => (t < p, "below".to_owned()),
+        Twin::Traced => (
+            t <= (p * TRACE_OVERHEAD_FACTOR).max(p + TRACE_OVERHEAD_GRACE_S),
+            format!("within {TRACE_OVERHEAD_FACTOR} x (+{TRACE_OVERHEAD_GRACE_S} s)"),
+        ),
+        Twin::Warm => (
+            t <= (p * CACHE_WARM_FACTOR).max(CACHE_WARM_GRACE_S),
+            format!("within max({CACHE_WARM_FACTOR} x, {CACHE_WARM_GRACE_S} s)"),
+        ),
+    };
+    println!("twin {tn:<20}: {t:.4} s vs {pn} {p:.4} s");
+    (!ok).then(|| format!("{tn} {t:.4} s is not {rule_text} {pn} {p:.4} s"))
+}
+
+/// Renders rows in the baseline file's format: one key per line.
+fn render(rows: &[Row]) -> String {
+    let schema = ("schema".to_owned(), Json::Str(SCHEMA.to_owned()));
+    let lines: Vec<String> = std::iter::once(schema)
+        .chain(rows.iter().flat_map(Row::entries))
+        .map(|(key, value)| format!("  {}: {}", Json::Str(key).render(), value.render()))
+        .collect();
+    format!("{{\n{}\n}}\n", lines.join(",\n"))
+}
+
+/// Runs `f` and returns its wall time in seconds with its result.
+fn timed<T>(f: impl FnOnce() -> T) -> (f64, T) {
     let start = Instant::now();
-    for _ in 0..samples {
-        let mut m = BddManager::new();
-        let ts = counter_system(&mut m, 12);
-        let reach = ts.reachable(&mut m);
-        assert!(
-            reach.iterations >= 1 << 12,
-            "fixpoint after 2^12 increments"
-        );
-        let stats = m.stats();
-        peak_live = peak_live.max(stats.peak_live);
-        allocated = allocated.max(stats.allocated);
-        ite_hits += stats.ite_hits;
-        ite_misses += stats.ite_misses;
-    }
-    let reach_wall = start.elapsed().as_secs_f64();
-    let reach_hit_rate = hit_rate(ite_hits, ite_misses);
-    println!(
-        "reach12       : {samples} samples in {reach_wall:.3} s, peak live {peak_live}, allocated {allocated}, ITE hit-rate {:.3}",
-        reach_hit_rate
-    );
-    measurements.push(Measurement {
-        key: "reach12_wall_s",
-        value: reach_wall,
-    });
-    measurements.push(Measurement {
-        key: "reach12_peak_live",
-        value: peak_live as f64,
-    });
-    measurements.push(Measurement {
-        key: "reach12_ite_hit_rate",
-        value: reach_hit_rate,
-    });
-    if reach_wall > REACH12_WALL_LIMIT_S {
-        failures.push(format!(
-            "reach12 wall {reach_wall:.3} s exceeds the {REACH12_WALL_LIMIT_S} s hard limit"
-        ));
-    }
-    if reach_wall
-        > (PRE_COMPL_REACH12_WALL_S * PRE_COMPL_WALL_FACTOR)
-            .max(PRE_COMPL_REACH12_WALL_S + PRE_COMPL_WALL_GRACE_S)
-    {
-        failures.push(format!(
-            "reach12 wall {reach_wall:.3} s exceeds {PRE_COMPL_WALL_FACTOR}x the pre-complement record {PRE_COMPL_REACH12_WALL_S} s — the edge retrofit must not slow reachability"
-        ));
-    }
+    let out = f();
+    (start.elapsed().as_secs_f64(), out)
+}
 
-    // 2. 16-bit interleaved adder, median of 100 builds.
-    let mut times: Vec<Duration> = (0..100)
-        .map(|_| {
-            let start = Instant::now();
+fn median(mut walls: Vec<f64>) -> f64 {
+    walls.sort_by(f64::total_cmp);
+    walls[walls.len() / 2]
+}
+
+/// Allocated, peak-live, ITE-hit and ITE-miss counts, in that order.
+fn bdd_counts(values: [usize; 4]) -> Counts {
+    let names = ["allocated", "peak_live", "ite_hits", "ite_misses"];
+    names.into_iter().zip(values).collect()
+}
+
+fn report_counts(r: &VerificationReport) -> Counts {
+    let metric = |key: &str| r.metrics.get(key).map_or(0, |&n| n as usize);
+    let ite = [metric("bdd.ite.cache_hit"), metric("bdd.ite.cache_miss")];
+    bdd_counts([r.bdd_nodes, r.bdd_peak_live, ite[0], ite[1]])
+}
+
+fn flush_counts(r: &FlushReport) -> Counts {
+    vec![("splits", r.splits), ("closure_checks", r.closure_checks)]
+}
+
+/// 12-bit counter reachability, 10 samples; counts are one sample's (every
+/// sample does the same deterministic work).
+fn reach12() -> Vec<Row> {
+    let (wall, s) = timed(|| {
+        let mut stats = None;
+        for _ in 0..10 {
+            let mut m = BddManager::new();
+            let reach = counter_system(&mut m, 12).reachable(&mut m);
+            assert!(reach.iterations >= 1 << 12, "2^12 increments");
+            stats = Some(m.stats());
+        }
+        stats.expect("ten samples ran")
+    });
+    let counts = bdd_counts([s.allocated, s.peak_live, s.ite_hits, s.ite_misses]);
+    vec![Row::new("reach12", wall, counts)]
+}
+
+/// 16-bit interleaved adder: the wall is the median of 100 builds.
+fn adder16() -> Vec<Row> {
+    let mut walls = Vec::new();
+    let mut allocated = 0;
+    for _ in 0..100 {
+        let (wall, (m, sum)) = timed(|| {
             let mut m = BddManager::new();
             let words = BddVec::new_interleaved(&mut m, 2, 16);
             let sum = words[0].1.add(&mut m, &words[1].1);
-            assert_eq!(sum.width(), 16);
-            start.elapsed()
-        })
-        .collect();
-    times.sort_unstable();
-    let adder_median = times[times.len() / 2].as_secs_f64();
-    println!("adder16       : median {:.1} µs", adder_median * 1e6);
-    measurements.push(Measurement {
-        key: "adder16_median_s",
-        value: adder_median,
-    });
-    if adder_median > ADDER16_MEDIAN_LIMIT_S {
-        failures.push(format!(
-            "adder16 median {adder_median:.6} s exceeds the {ADDER16_MEDIAN_LIMIT_S} s hard limit"
-        ));
+            (m, sum)
+        });
+        assert_eq!(sum.width(), 16);
+        walls.push(wall);
+        allocated = m.stats().allocated;
     }
+    let counts = vec![("allocated", allocated)];
+    vec![Row::new("adder16", median(walls), counts)]
+}
 
-    // 3. Quickstart VSM verification.
-    let start = Instant::now();
-    let config = VsmConfig::reduced(2);
-    let pipelined = vsm::pipelined(config).expect("build pipelined VSM");
-    let unpipelined = vsm::unpipelined(config).expect("build unpipelined VSM");
-    let verifier = Verifier::new(MachineSpec::vsm_reduced(2));
-    let report = verifier
-        .verify(&pipelined, &unpipelined)
-        .expect("verify VSM");
+/// The quickstart VSM verification (§6.2), netlist construction included.
+fn vsm_quickstart() -> Vec<Row> {
+    let (wall, report) = timed(|| {
+        let config = VsmConfig::reduced(2);
+        let pipelined = vsm::pipelined(config).expect("build pipelined VSM");
+        let unpipelined = vsm::unpipelined(config).expect("build unpipelined VSM");
+        Verifier::new(MachineSpec::vsm_reduced(2))
+            .verify(&pipelined, &unpipelined)
+            .expect("verify VSM")
+    });
     assert!(report.equivalent(), "quickstart VSM must verify");
-    let vsm_wall = start.elapsed().as_secs_f64();
-    let vsm_hit_rate = hit_rate(
-        report_metric(&report.metrics, "bdd.ite.cache_hit") as usize,
-        report_metric(&report.metrics, "bdd.ite.cache_miss") as usize,
-    );
-    println!(
-        "vsm quickstart: {vsm_wall:.3} s, allocated {} nodes, peak live {}, ITE hit-rate {vsm_hit_rate:.3}",
-        report.bdd_nodes, report.bdd_peak_live
-    );
-    measurements.push(Measurement {
-        key: "vsm_wall_s",
-        value: vsm_wall,
-    });
-    measurements.push(Measurement {
-        key: "vsm_allocated_nodes",
-        value: report.bdd_nodes as f64,
-    });
-    measurements.push(Measurement {
-        key: "vsm_peak_live",
-        value: report.bdd_peak_live as f64,
-    });
-    measurements.push(Measurement {
-        key: "vsm_ite_hit_rate",
-        value: vsm_hit_rate,
-    });
-    if vsm_wall
-        > (PRE_COMPL_VSM_WALL_S * PRE_COMPL_WALL_FACTOR)
-            .max(PRE_COMPL_VSM_WALL_S + PRE_COMPL_WALL_GRACE_S)
-    {
-        failures.push(format!(
-            "vsm wall {vsm_wall:.3} s exceeds {PRE_COMPL_WALL_FACTOR}x the pre-complement record {PRE_COMPL_VSM_WALL_S} s — the edge retrofit must not slow the quickstart"
-        ));
-    }
+    vec![Row::new("vsm", wall, report_counts(&report))]
+}
 
-    // 4. Parallel Alpha0 control-transfer sweep vs its sequential twin: same
-    //    plans, same netlists, one fresh BDD manager per plan either way.
-    //
-    //    The runner's core count and the worker count `PV_THREADS` actually
-    //    resolves to are recorded as context fields: a wall-time comparison
-    //    between two JSON artifacts is meaningless without them, and the
-    //    skip-with-notice messages quote both so a skipped parallel gate is
-    //    attributable from the log alone.
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let effective_threads = pipeverify_core::pool::default_threads();
-    measurements.push(Measurement {
-        key: "cores",
-        value: cores as f64,
-    });
-    measurements.push(Measurement {
-        key: "pv_threads_effective",
-        value: effective_threads as f64,
-    });
+/// The 3-position condensed-Alpha0 control-transfer sweep over 4-slot
+/// plans: alternating untraced/traced sequential runs (so drift in the
+/// machine's speed hits both medians alike), then one run on the pool.
+fn alpha0_sweep() -> Vec<Row> {
     let isa = Alpha0Config::condensed();
     let pipelined = alpha0::pipelined(PipelineConfig::condensed(isa)).expect("build pipelined");
     let unpipelined =
         alpha0::unpipelined(PipelineConfig::condensed(isa)).expect("build unpipelined");
-    let sweep: Vec<SimulationPlan> = (0..SWEEP_POSITIONS)
-        .map(|x| SimulationPlan::with_control_at(SWEEP_SLOTS, x))
-        .collect();
+    let plans = [0, 1, 2].map(|x| SimulationPlan::with_control_at(4, x));
     let verifier = Verifier::new(MachineSpec::alpha0_condensed(isa));
-    let start = Instant::now();
-    let seq = verifier
-        .clone()
-        .with_threads(1)
-        .verify_plans(&pipelined, &unpipelined, &sweep)
-        .expect("sequential sweep");
-    let seq_wall = start.elapsed().as_secs_f64();
-    let start = Instant::now();
-    let par = verifier
-        .clone()
-        .with_threads(SWEEP_THREADS)
-        .verify_plans(&pipelined, &unpipelined, &sweep)
-        .expect("parallel sweep");
-    let par_wall = start.elapsed().as_secs_f64();
-    assert!(seq.equivalent() && par.equivalent(), "sweep must verify");
-    println!(
-        "alpha0_sweep  : sequential {seq_wall:.3} s; {} workers {par_wall:.3} s ({:.2}x) on {cores} core(s), {} nodes/plan-sum",
-        par.threads_used,
-        seq_wall / par_wall.max(1e-9),
-        par.bdd_nodes,
-    );
-    // The deterministic-merge guarantee, gated: any divergence between the
-    // sequential and the parallel report is a correctness failure, not a
-    // perf regression.
-    if seq.bdd_nodes != par.bdd_nodes
-        || seq.bdd_peak_live != par.bdd_peak_live
-        || seq.samples_compared != par.samples_compared
-        || seq.bdd_vars != par.bdd_vars
-        || seq.plans_checked != par.plans_checked
-        || seq.filters != par.filters
-    {
-        failures.push(format!(
-            "alpha0_sweep parallel report diverges from sequential: {} vs {} nodes, {} vs {} peak live, {} vs {} samples",
-            par.bdd_nodes, seq.bdd_nodes, par.bdd_peak_live, seq.bdd_peak_live,
-            par.samples_compared, seq.samples_compared
-        ));
-    }
-    measurements.push(Measurement {
-        key: "alpha0_sweep_seq_wall_s",
-        value: seq_wall,
-    });
-    measurements.push(Measurement {
-        key: "alpha0_sweep_par_wall_s",
-        value: par_wall,
-    });
-    measurements.push(Measurement {
-        key: "alpha0_sweep_allocated",
-        value: seq.bdd_nodes as f64,
-    });
-    measurements.push(Measurement {
-        key: "alpha0_sweep_peak_live",
-        value: seq.bdd_peak_live as f64,
-    });
-    // The pre-complement record rides along in the artifact, and the
-    // tentpole's reduction gate is enforced against it: complemented edges
-    // plus the FORCE static order must cut *both* the total allocation and
-    // the peak live set by at least PRE_COMPL_REDUCTION_FACTOR.
-    measurements.push(Measurement {
-        key: "alpha0_sweep_allocated_pre_compl",
-        value: PRE_COMPL_ALPHA0_ALLOCATED,
-    });
-    measurements.push(Measurement {
-        key: "alpha0_sweep_peak_live_pre_compl",
-        value: PRE_COMPL_ALPHA0_PEAK_LIVE,
-    });
-    if (seq.bdd_nodes as f64) * PRE_COMPL_REDUCTION_FACTOR > PRE_COMPL_ALPHA0_ALLOCATED {
-        failures.push(format!(
-            "alpha0_sweep allocated {} nodes — less than a {PRE_COMPL_REDUCTION_FACTOR}x reduction over the pre-complement record {PRE_COMPL_ALPHA0_ALLOCATED}",
-            seq.bdd_nodes
-        ));
-    }
-    if (seq.bdd_peak_live as f64) * PRE_COMPL_REDUCTION_FACTOR > PRE_COMPL_ALPHA0_PEAK_LIVE {
-        failures.push(format!(
-            "alpha0_sweep peak live {} nodes — less than a {PRE_COMPL_REDUCTION_FACTOR}x reduction over the pre-complement record {PRE_COMPL_ALPHA0_PEAK_LIVE}",
-            seq.bdd_peak_live
-        ));
-    }
-    measurements.push(Measurement {
-        key: "alpha0_sweep_ite_hit_rate",
-        value: hit_rate(
-            report_metric(&seq.metrics, "bdd.ite.cache_hit") as usize,
-            report_metric(&seq.metrics, "bdd.ite.cache_miss") as usize,
-        ),
-    });
-    if cores >= 2 {
-        if par_wall >= seq_wall {
-            failures.push(format!(
-                "alpha0_sweep_par {par_wall:.3} s did not beat the sequential twin {seq_wall:.3} s on {cores} cores — the worker pool must win"
-            ));
-        }
-    } else {
-        println!(
-            "alpha0_sweep  : NOTICE — single-core runner ({cores} core(s), effective PV_THREADS {effective_threads}), skipping the parallel-beats-sequential gate"
-        );
-    }
-
-    // 5b. Traced-overhead twin: the same sequential sweep with span tracing
-    //     live. Tracing must not perturb the report, the emitted events must
-    //     bracket correctly, and the wall-clock overhead is the tentpole's
-    //     ≤ 10% budget.
+    let run = |case: &'static str, threads: usize| {
+        let verifier = verifier.clone().with_threads(threads);
+        let (wall, report) = timed(|| verifier.verify_plans(&pipelined, &unpipelined, &plans));
+        let report = report.expect("sweep");
+        assert!(report.equivalent(), "the sweep must verify");
+        Row::new(case, wall, report_counts(&report))
+    };
+    let (mut untraced, mut traced) = (Vec::new(), Vec::new());
     pv_obs::take_events(); // drop anything earlier cases buffered
-    pv_obs::set_trace_enabled(true);
-    let start = Instant::now();
-    let traced = verifier
-        .with_threads(1)
-        .verify_plans(&pipelined, &unpipelined, &sweep)
-        .expect("traced sweep");
-    let traced_wall = start.elapsed().as_secs_f64();
-    pv_obs::set_trace_enabled(false);
-    let events = pv_obs::take_events();
-    println!(
-        "alpha0_traced : sequential {traced_wall:.3} s with tracing on ({:.1}% over untraced, {} events)",
-        100.0 * (traced_wall / seq_wall.max(1e-9) - 1.0),
-        events.len(),
-    );
-    if traced.bdd_nodes != seq.bdd_nodes
-        || traced.bdd_peak_live != seq.bdd_peak_live
-        || traced.samples_compared != seq.samples_compared
-        || traced.bdd_vars != seq.bdd_vars
-        || traced.plans_checked != seq.plans_checked
-        || traced.filters != seq.filters
-        || traced.metrics != seq.metrics
-    {
-        failures.push(format!(
-            "alpha0_sweep traced report diverges from untraced: {} vs {} nodes, {} vs {} peak live — tracing perturbed verification",
-            traced.bdd_nodes, seq.bdd_nodes, traced.bdd_peak_live, seq.bdd_peak_live,
-        ));
-    }
-    if events.is_empty() {
-        failures.push("alpha0_sweep traced run emitted no span events".to_owned());
-    }
-    if let Err(e) = pv_obs::fold::check_nesting(&events) {
-        failures.push(format!(
-            "alpha0_sweep traced events violate span nesting: {e}"
-        ));
-    }
-    measurements.push(Measurement {
-        key: "alpha0_sweep_traced_wall_s",
-        value: traced_wall,
-    });
-    if traced_wall > (seq_wall * TRACE_OVERHEAD_FACTOR).max(seq_wall + TRACE_OVERHEAD_GRACE_S) {
-        failures.push(format!(
-            "alpha0_sweep traced wall {traced_wall:.3} s exceeds the {TRACE_OVERHEAD_FACTOR}x overhead budget over the untraced {seq_wall:.3} s"
-        ));
-    }
-
-    // 5. Flushing of the stallable VSM: derive the term-level pipeline from
-    //    the netlist the β-relation flow simulates, decide the commuting
-    //    diagram, and gate the deterministic-merge guarantee of the parallel
-    //    EUF case split (report identity for any worker count).
-    let stallable = vsm::pipelined(VsmConfig::reduced(2).stallable()).expect("build stallable VSM");
-    let flush3 = FlushVerifier::from_netlist(&stallable).expect("derive flushing verifier");
-    assert_eq!(
-        flush3.desc().flush_bound(),
-        3,
-        "the stallable VSM drains in three bubble cycles"
-    );
-    let start = Instant::now();
-    let mut flush3_seq = flush3.clone().with_threads(1).verify();
-    for _ in 1..FLUSH3_REPEATS {
-        flush3_seq = flush3.clone().with_threads(1).verify();
-    }
-    let flush3_wall = start.elapsed().as_secs_f64();
-    assert!(
-        flush3_seq.valid(),
-        "the stallable VSM must verify: {flush3_seq}"
-    );
-    let flush3_par = flush3.clone().with_threads(SWEEP_THREADS).verify();
-    println!(
-        "flush3        : {FLUSH3_REPEATS} runs in {flush3_wall:.3} s ({} terms, {} splits over {} blocks, flush bound {})",
-        flush3_seq.terms,
-        flush3_seq.splits,
-        flush3_seq.cubes,
-        flush3.desc().flush_bound(),
-    );
-    if flush3_seq.splits != flush3_par.splits
-        || flush3_seq.closure_checks != flush3_par.closure_checks
-        || flush3_seq.terms != flush3_par.terms
-        || flush3_seq.cubes_checked != flush3_par.cubes_checked
-        || flush3_seq.counterexample != flush3_par.counterexample
-    {
-        failures.push(format!(
-            "flush3 parallel report diverges from sequential: {}/{} splits, {}/{} closure checks, {}/{} blocks",
-            flush3_par.splits, flush3_seq.splits,
-            flush3_par.closure_checks, flush3_seq.closure_checks,
-            flush3_par.cubes_checked, flush3_seq.cubes_checked,
-        ));
-    }
-    measurements.push(Measurement {
-        key: "flush3_wall_s",
-        value: flush3_wall,
-    });
-    measurements.push(Measurement {
-        key: "flush3_splits",
-        value: flush3_seq.splits as f64,
-    });
-    if flush3_wall
-        > (PRE_COMPL_FLUSH3_WALL_S * PRE_COMPL_WALL_FACTOR)
-            .max(PRE_COMPL_FLUSH3_WALL_S + PRE_COMPL_WALL_GRACE_S)
-    {
-        failures.push(format!(
-            "flush3 wall {flush3_wall:.4} s exceeds {PRE_COMPL_WALL_FACTOR}x the pre-complement record {PRE_COMPL_FLUSH3_WALL_S} s — the term-level flow must be untouched by the edge retrofit"
-        ));
-    }
-
-    // 6. Parallel EUF case split on a deep pipeline: sequential vs 4-worker
-    //    twin, with the same >=2-core skip-with-notice rule as case 4.
-    let deep = PipelineDesc::with_depth(FLUSH_PAR_DEPTH);
-    let start = Instant::now();
-    let deep_seq = FlushVerifier::new(deep.clone()).with_threads(1).verify();
-    let deep_seq_wall = start.elapsed().as_secs_f64();
-    let start = Instant::now();
-    let deep_par = FlushVerifier::new(deep)
-        .with_threads(SWEEP_THREADS)
-        .verify();
-    let deep_par_wall = start.elapsed().as_secs_f64();
-    assert!(deep_seq.valid(), "the deep pipeline must verify");
-    println!(
-        "flush_par     : depth {FLUSH_PAR_DEPTH} sequential {deep_seq_wall:.3} s; {} workers {deep_par_wall:.3} s ({:.2}x) on {cores} core(s), {} splits",
-        deep_par.threads_used,
-        deep_seq_wall / deep_par_wall.max(1e-9),
-        deep_seq.splits,
-    );
-    if deep_seq.splits != deep_par.splits
-        || deep_seq.closure_checks != deep_par.closure_checks
-        || deep_seq.counterexample != deep_par.counterexample
-    {
-        failures.push(format!(
-            "flush_par parallel report diverges from sequential: {}/{} splits, {}/{} closure checks",
-            deep_par.splits, deep_seq.splits, deep_par.closure_checks, deep_seq.closure_checks,
-        ));
-    }
-    measurements.push(Measurement {
-        key: "flush_par_seq_wall_s",
-        value: deep_seq_wall,
-    });
-    measurements.push(Measurement {
-        key: "flush_par_par_wall_s",
-        value: deep_par_wall,
-    });
-    if cores >= 2 {
-        if deep_par_wall >= deep_seq_wall {
-            failures.push(format!(
-                "flush_par {deep_par_wall:.3} s did not beat the sequential twin {deep_seq_wall:.3} s on {cores} cores — the parallel case split must win"
-            ));
+    for _ in 0..TRACE_PAIRS {
+        untraced.push(run("alpha0_sweep_seq", 1));
+        pv_obs::set_trace_enabled(true);
+        traced.push(run("alpha0_sweep_traced", 1));
+        pv_obs::set_trace_enabled(false);
+        let events = pv_obs::take_events();
+        assert!(!events.is_empty(), "no span events");
+        if let Err(e) = pv_obs::fold::check_nesting(&events) {
+            panic!("the traced sweep's events violate span nesting: {e}");
         }
-    } else {
-        println!(
-            "flush_par     : NOTICE — single-core runner ({cores} core(s), effective PV_THREADS {effective_threads}), skipping the parallel-beats-sequential gate"
-        );
     }
+    let with_median = |mut runs: Vec<Row>| {
+        runs[0].wall = median(runs.iter().map(|r| r.wall).collect());
+        runs.swap_remove(0)
+    };
+    let par = run("alpha0_sweep_par", THREADS);
+    vec![with_median(untraced), with_median(traced), par]
+}
 
-    // 8. Warm artifact-cache replay: the family-matrix smoke sweep through
-    //    the verification service's job runner, cold then warm against one
-    //    scratch cache. The warm sweep must cost at most CACHE_WARM_FACTOR
-    //    of the cold wall clock, miss nothing, and reproduce the cold
-    //    reports byte-for-byte.
+/// Flushing of the stallable VSM, 20 runs: the term-level description is
+/// derived from its netlist (three in-flight latches → flush bound 3).
+fn flush3() -> Vec<Row> {
+    let stallable = vsm::pipelined(VsmConfig::reduced(2).stallable()).expect("build stallable VSM");
+    let verifier = FlushVerifier::from_netlist(&stallable).expect("derive flushing verifier");
+    let verifier = verifier.with_threads(1);
+    let bound = verifier.desc().flush_bound();
+    assert_eq!(bound, 3, "the stallable VSM drains in three bubble cycles");
+    let (wall, reports) = timed(|| (0..20).map(|_| verifier.verify()).collect::<Vec<_>>());
+    let report = &reports[0];
+    assert!(report.valid(), "stallable VSM must verify: {report}");
+    vec![Row::new("flush3", wall, flush_counts(report))]
+}
+
+/// The EUF case split of a depth-12 term pipeline, sequential and parallel.
+fn flush_par() -> Vec<Row> {
+    let run = |case: &'static str, threads: usize| {
+        let verifier = FlushVerifier::new(PipelineDesc::with_depth(12)).with_threads(threads);
+        let (wall, report) = timed(|| verifier.verify());
+        assert!(report.valid(), "the deep pipeline must verify");
+        Row::new(case, wall, flush_counts(&report))
+    };
+    vec![run("flush_par_seq", 1), run("flush_par_par", THREADS)]
+}
+
+/// The family-matrix smoke sweep (both flows per cell) through the job
+/// runner: cold, then warm against the same scratch cache.
+fn cache() -> Vec<Row> {
     let scratch = std::env::temp_dir().join(format!("pv-perf-smoke-cache-{}", std::process::id()));
     std::fs::remove_dir_all(&scratch).ok();
     let mut jobs: Vec<JobRequest> = Vec::new();
     for config in smoke_configs() {
-        let mut cells: Vec<Option<FamilyBug>> = vec![None];
-        cells.extend(cell_bugs(&config).into_iter().map(Some));
-        for bug in cells {
-            let design = match bug {
-                Some(bug) => config.with_bug(bug),
-                None => config,
-            };
+        let bugs = cell_bugs(&config).into_iter().map(|b| config.with_bug(b));
+        for design in std::iter::once(config).chain(bugs) {
             jobs.push(JobRequest {
                 id: jobs.len() as u64,
                 design: DesignSpec::Family(design),
@@ -614,209 +374,106 @@ fn main() {
             });
         }
     }
-    let render_sweep = |runner: &JobRunner| -> (f64, Vec<String>) {
-        let start = Instant::now();
-        let outcomes = sched::run_jobs(runner, &jobs, SWEEP_THREADS, |_, _| {});
-        let wall = start.elapsed().as_secs_f64();
-        let lines = outcomes
-            .into_iter()
-            .map(|o| {
-                let response = o.expect("every smoke cell is verifiable");
-                // The cached flag is the one field allowed to differ between
-                // the cold and warm renderings.
-                protocol::response_to_json(&response)
-                    .render()
-                    .replace("\"cached\":true", "\"cached\":false")
-            })
-            .collect();
-        (wall, lines)
+    let sweep = |case: &'static str| {
+        let runner = JobRunner::new(Some(ArtifactCache::at(scratch.join("cache"))));
+        let (wall, outcomes) = timed(|| sched::run_jobs(&runner, &jobs, THREADS, |_, _| {}));
+        assert!(outcomes.iter().all(Result::is_ok), "a smoke cell failed");
+        let (hits, misses) = (runner.cache_hits(), runner.cache_misses());
+        Row::new(case, wall, vec![("hits", hits), ("misses", misses)])
     };
-    let cold_runner = JobRunner::new(Some(ArtifactCache::at(scratch.join("cache"))));
-    let (cache_cold_wall, cold_lines) = render_sweep(&cold_runner);
-    let warm_runner = JobRunner::new(Some(ArtifactCache::at(scratch.join("cache"))));
-    let (cache_warm_wall, warm_lines) = render_sweep(&warm_runner);
-    println!(
-        "cache_warm    : {} jobs cold {cache_cold_wall:.3} s ({} engine runs); warm {cache_warm_wall:.3} s ({} hits, {} misses)",
-        jobs.len(),
-        cold_runner.cache_misses(),
-        warm_runner.cache_hits(),
-        warm_runner.cache_misses(),
-    );
-    if warm_runner.cache_misses() != 0 {
-        failures.push(format!(
-            "cache_warm re-ran {} flow(s) the cache should have answered",
-            warm_runner.cache_misses()
-        ));
-    }
-    if warm_lines != cold_lines {
-        failures.push("cache_warm reports differ from the cold reports".to_owned());
-    }
-    if cache_warm_wall > (cache_cold_wall * CACHE_WARM_FACTOR).max(CACHE_WARM_GRACE_S) {
-        failures.push(format!(
-            "cache_warm {cache_warm_wall:.3} s exceeds {CACHE_WARM_FACTOR} x the cold sweep's {cache_cold_wall:.3} s — the warm path must be a file read, not a re-verification"
-        ));
-    }
-    measurements.push(Measurement {
-        key: "cache_cold_wall_s",
-        value: cache_cold_wall,
-    });
-    measurements.push(Measurement {
-        key: "cache_warm_wall_s",
-        value: cache_warm_wall,
-    });
-    measurements.push(Measurement {
-        key: "cache_warm_hit_rate",
-        value: hit_rate(
-            warm_runner.cache_hits() as usize,
-            warm_runner.cache_misses() as usize,
-        ),
-    });
+    let rows = vec![sweep("cache_cold"), sweep("cache_warm")];
     std::fs::remove_dir_all(&scratch).ok();
+    rows
+}
 
-    // 9. Budget abort latency (`budget_abort`): the 12-bit counter
-    //    reachability workload under a node budget far below its full
-    //    allocation. The abort must land promptly — within the amortized
-    //    check interval past the limit, not after a multiple of the
-    //    workload — and the wall clock must reflect an *early* exit.
-    //    Governance-off overhead is gated by every other case: none of
-    //    them set a budget, and their baselines are unchanged.
-    let abort_start = Instant::now();
+/// 12-bit reachability under a node budget far below its full allocation:
+/// the abort must be the node-limit abort, and its overshoot past the limit
+/// (bounded by the amortized check interval) is an exact count.
+fn budget_abort() -> Vec<Row> {
     let mut m = BddManager::new();
     m.set_budget(Budget::unlimited().with_node_limit(BUDGET_ABORT_LIMIT));
     // The abort unwinds via panic_any; silence the default hook for the
-    // expected panic so the smoke log stays readable.
-    let default_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let aborted = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let ts = counter_system(&mut m, 12);
-        let _ = ts.reachable(&mut m);
-    }));
-    std::panic::set_hook(default_hook);
-    let budget_abort_wall = abort_start.elapsed().as_secs_f64();
-    match aborted {
-        Err(payload) => {
-            let exceeded = payload.downcast_ref::<BudgetExceeded>().copied();
-            if exceeded != Some(BudgetExceeded::Nodes) {
-                failures.push(format!(
-                    "budget_abort unwound with {exceeded:?}, not the node-limit abort"
-                ));
-            }
-        }
-        Ok(()) => failures.push(format!(
-            "budget_abort: reachability finished under a {BUDGET_ABORT_LIMIT}-node budget — the limit never tripped"
-        )),
-    }
+    // expected panic so the log stays readable.
+    let default_hook = panic::take_hook();
+    panic::set_hook(Box::new(|_| {}));
+    let (wall, aborted) = timed(|| {
+        panic::catch_unwind(AssertUnwindSafe(|| {
+            counter_system(&mut m, 12).reachable(&mut m);
+        }))
+    });
+    panic::set_hook(default_hook);
+    let payload = aborted.expect_err("reachability finished under the node budget");
+    let exceeded = payload.downcast_ref::<BudgetExceeded>();
+    assert_eq!(exceeded, Some(&BudgetExceeded::Nodes));
     let overshoot = m.stats().allocated.saturating_sub(BUDGET_ABORT_LIMIT);
-    println!(
-        "budget_abort  : aborted in {budget_abort_wall:.4} s, allocated {} of {BUDGET_ABORT_LIMIT} + {overshoot} overshoot",
-        m.stats().allocated,
-    );
-    if overshoot > BUDGET_ABORT_OVERSHOOT_LIMIT {
-        failures.push(format!(
-            "budget_abort overshot the node limit by {overshoot} nodes (max {BUDGET_ABORT_OVERSHOOT_LIMIT}) — a budget check site is missing"
-        ));
-    }
-    if budget_abort_wall > BUDGET_ABORT_WALL_LIMIT_S {
-        failures.push(format!(
-            "budget_abort took {budget_abort_wall:.3} s to trip (max {BUDGET_ABORT_WALL_LIMIT_S} s) — the abort must be early, not after the workload"
-        ));
-    }
-    measurements.push(Measurement {
-        key: "budget_abort_wall_s",
-        value: budget_abort_wall,
-    });
-    measurements.push(Measurement {
-        key: "budget_abort_overshoot_nodes",
-        value: overshoot as f64,
-    });
-
-    // Compare against the checked-in baseline (order-of-magnitude gate; the
-    // absolute limits above are the hard acceptance criteria).
-    let baseline_path = concat!(env!("CARGO_MANIFEST_DIR"), "/baselines/BENCH_bdd.json");
-    match std::fs::read_to_string(baseline_path) {
-        Ok(baseline) => {
-            for m in &measurements {
-                // `cores` and `pv_threads_effective` describe the runner,
-                // not the engine: comparing them across machines is not a
-                // regression check.
-                if matches!(m.key, "cores" | "pv_threads_effective") {
-                    continue;
-                }
-                match json_number(&baseline, m.key) {
-                    Some(base) if base > 0.0 && m.value > base * REGRESSION_FACTOR => {
-                        failures.push(format!(
-                            "{} = {:.6} regressed more than {REGRESSION_FACTOR}× over baseline {:.6}",
-                            m.key, m.value, base
-                        ));
-                    }
-                    Some(_) => {}
-                    None => failures.push(format!("baseline file lacks key `{}`", m.key)),
-                }
-            }
-            // `flush3_splits` is a determinism canary, not a timing: the
-            // committed value is exact, and any drift — up *or* down — means
-            // the case-split decomposition or the verification condition
-            // changed, so it is gated by equality rather than the 10× rule.
-            if let (Some(base), Some(m)) = (
-                json_number(&baseline, "flush3_splits"),
-                measurements.iter().find(|m| m.key == "flush3_splits"),
-            ) {
-                if m.value != base {
-                    failures.push(format!(
-                        "flush3_splits = {} differs from the committed exact baseline {} — the case-split decomposition changed",
-                        m.value, base
-                    ));
-                }
-            }
-        }
-        Err(e) => failures.push(format!("cannot read baseline {baseline_path}: {e}")),
-    }
-
-    write_json(&measurements);
-
-    if failures.is_empty() {
-        println!("perf-smoke: OK");
-    } else {
-        for f in &failures {
-            eprintln!("perf-smoke FAILURE: {f}");
-        }
-        std::process::exit(1);
-    }
+    let counts = vec![("overshoot_nodes", overshoot)];
+    vec![Row::new("budget_abort", wall, counts)]
 }
 
-/// Writes `BENCH_bdd.json` into the current directory: the fresh
-/// measurements plus the seed-engine figures for the before/after record.
-fn write_json(measurements: &[Measurement]) {
-    let mut out = String::from("{\n");
-    out.push_str("  \"schema\": \"pipeverify-bdd-smoke-v1\",\n");
-    out.push_str(&format!(
-        "  \"seed_reach12_wall_s_lower_bound\": {SEED_REACH12_WALL_S},\n"
-    ));
-    out.push_str(&format!(
-        "  \"seed_adder16_sequential_s\": {SEED_ADDER16_SEQUENTIAL_S},\n"
-    ));
-    out.push_str(&format!(
-        "  \"seed_vsm_allocated_nodes\": {SEED_VSM_ALLOCATED_NODES},\n"
-    ));
-    for (i, m) in measurements.iter().enumerate() {
-        let comma = if i + 1 == measurements.len() { "" } else { "," };
-        out.push_str(&format!("  \"{}\": {:.9}{comma}\n", m.key, m.value));
-    }
-    out.push_str("}\n");
-    std::fs::write("BENCH_bdd.json", &out).expect("write BENCH_bdd.json");
-    println!("wrote BENCH_bdd.json");
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-/// Minimal flat-JSON number extraction: finds `"key"` and parses the number
-/// after the colon. Sufficient for the baseline files this tool writes.
-fn json_number(doc: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\"");
-    let at = doc.find(&needle)? + needle.len();
-    let rest = doc[at..].trim_start().strip_prefix(':')?.trim_start();
-    let end = rest
-        .find(|c: char| {
-            !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E' || c == '+')
-        })
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+    /// Synthetic rows covering every twin pair, each twin passing its gate.
+    fn rows() -> Vec<Row> {
+        let nodes = || vec![("allocated", 100), ("peak_live", 40)];
+        vec![
+            Row::new("alpha0_sweep_seq", 0.5, nodes()),
+            Row::new("alpha0_sweep_traced", 0.52, nodes()),
+            Row::new("alpha0_sweep_par", 0.4, nodes()),
+            Row::new("flush_par_seq", 0.4, vec![("splits", 384)]),
+            Row::new("flush_par_par", 0.25, vec![("splits", 384)]),
+            Row::new("cache_cold", 0.02, vec![("hits", 0), ("misses", 16)]),
+            Row::new("cache_warm", 0.004, vec![("hits", 16), ("misses", 0)]),
+        ]
+    }
+
+    /// The gate's failures on `cores` cores after `edit` changes the
+    /// measured rows; the baseline is the unedited rows' rendering.
+    fn failures(cores: usize, edit: impl FnOnce(&mut Vec<Row>)) -> Vec<String> {
+        let baseline = Json::parse(&render(&rows())).expect("rendered baseline parses");
+        let mut rows = rows();
+        edit(&mut rows);
+        gate(&rows, &baseline, cores)
+    }
+
+    #[test]
+    fn the_baseline_gate_is_exact_on_counts_and_keys() {
+        assert!(failures(2, |_| {}).is_empty());
+        // A count off by one (twin kept equal, so only the baseline fires).
+        let off_by_one = failures(2, |rows| {
+            rows[3].counts[0].1 += 1;
+            rows[4].counts[0].1 += 1;
+        });
+        assert_eq!(off_by_one.len(), 2);
+        assert!(off_by_one[0].starts_with("flush_par_seq_splits = 385, baseline 384"));
+        // A wall above WALL_FACTOR × baseline; the ceiling is inclusive.
+        let slow = failures(2, |rows| rows[5].wall = 0.02 * WALL_FACTOR * 1.01);
+        assert!(slow[0].starts_with("cache_cold_wall_s = 0.030300 s > 1.5 x 0.020000 s"));
+        assert!(failures(2, |rows| rows[5].wall = 0.02 * WALL_FACTOR).is_empty());
+        // A measured key the baseline lacks.
+        let new_key = failures(2, |rows| rows[5].counts.push(("corrupt", 0)));
+        assert_eq!(new_key, ["cache_cold_corrupt is missing from the baseline"]);
+        // Baseline keys no case produces.
+        let stale = failures(2, |rows| drop(rows.pop()));
+        assert!(stale[0].starts_with("baseline key cache_warm_hits is measured by no"));
+        assert!(stale[3].starts_with("twin pair cache_cold/cache_warm was not"));
+    }
+
+    #[test]
+    fn twin_gates_fail_on_slow_or_diverging_twins() {
+        // Parallel not faster: fails on two cores, skipped on one.
+        let slow_par = |rows: &mut Vec<Row>| rows[2].wall = 0.5;
+        let par = failures(2, slow_par);
+        assert!(par[0].contains("0.5000 s is not below alpha0_sweep_seq"));
+        assert!(failures(1, slow_par).is_empty());
+        // Traced over max(1.1 × 0.5, 0.5 + 0.05) = 0.55.
+        assert_eq!(failures(2, |rows| rows[1].wall = 0.56).len(), 1);
+        // Warm over max(0.2 × 0.02, 5 ms).
+        let warm = failures(2, |rows| rows[6].wall = 0.0051);
+        assert!(warm[0].starts_with("cache_warm 0.0051 s is not within"));
+        // A same-work twin whose counts diverge from its primary's.
+        let diverged = failures(2, |rows| rows[4].counts[0].1 = 383);
+        assert!(diverged[1].starts_with("flush_par_par counts"));
+    }
 }

@@ -152,61 +152,38 @@ fn parse_pv_threads(raw: &str) -> Option<usize> {
 /// the returned vector is not. With `threads <= 1` (or a single item) the
 /// items are processed inline on the caller's thread, in order, with no
 /// threads spawned.
+///
+/// A panicking unit does not unwind the pool (see [`par_map_prefix_caught`]):
+/// the remaining units complete first, then the **lowest-indexed** panic is
+/// re-raised on the caller's thread with its original payload.
 pub fn par_map<I, R, F>(threads: usize, items: &[I], f: F) -> Vec<R>
 where
     I: Sync,
     R: Send,
     F: Fn(usize, &I) -> R + Sync,
 {
-    par_map_prefix(threads, items, |i, item| (f(i, item), false))
+    par_map_prefix_caught(threads, items, |_| {}, |i, item| (f(i, item), false))
         .into_iter()
-        .map(|r| r.expect("par_map_prefix computes every item when none is terminal"))
+        // Slots come back in index order, so the first panic met is the
+        // lowest-indexed one.
+        .map(|slot| slot.expect("every item is computed when none is terminal"))
+        .map(|r| r.unwrap_or_else(|panic| resume_unwind(panic.into_payload())))
         .collect()
 }
 
-/// Like [`par_map`], but `f` additionally returns a *terminal* flag: once an
-/// item is terminal, items with **higher** indices no longer need to be
-/// computed (the verifier's "stop at the first counterexample").
+/// Applies `f` to every item on the pool, where `f` additionally returns a
+/// *terminal* flag: once an item is terminal, items with **higher** indices
+/// no longer need to be computed (the verifiers' "stop at the first
+/// counterexample").
 ///
 /// Every index up to and including the lowest terminal one is guaranteed to
 /// be computed (`Some`); indices past it may or may not be, depending on how
 /// far the workers had raced ahead. Callers that want sequential semantics
-/// must therefore consume the results in index order and stop at the first
-/// terminal item — exactly what
-/// [`Verifier::verify_plans`](crate::Verifier::verify_plans) does.
+/// must therefore consume the slots in index order and stop at the first
+/// terminal item — a panic in a slot past it belongs to work a sequential
+/// run would never have done, and must not be re-raised.
 ///
-/// A panicking unit no longer unwinds the pool (see
-/// [`par_map_prefix_caught`]): the remaining units complete first, then the
-/// **lowest-indexed** panic is re-raised on the caller's thread with its
-/// original payload.
-pub fn par_map_prefix<I, R, F>(threads: usize, items: &[I], f: F) -> Vec<Option<R>>
-where
-    I: Sync,
-    R: Send,
-    F: Fn(usize, &I) -> (R, bool) + Sync,
-{
-    let mut first_panic: Option<UnitPanic> = None;
-    let results = par_map_prefix_caught(threads, items, |_| {}, f)
-        .into_iter()
-        .map(|slot| match slot {
-            Some(Ok(r)) => Some(r),
-            Some(Err(panic)) => {
-                // Slots come back in index order, so the first error seen
-                // is the lowest-indexed one.
-                first_panic.get_or_insert(panic);
-                None
-            }
-            None => None,
-        })
-        .collect();
-    if let Some(panic) = first_panic {
-        resume_unwind(panic.into_payload());
-    }
-    results
-}
-
-/// The panic-isolating primitive under [`par_map`] / [`par_map_prefix`]:
-/// every unit runs inside [`std::panic::catch_unwind`], so one poisoned item
+/// Every unit runs inside [`std::panic::catch_unwind`], so one poisoned item
 /// yields an `Err(`[`UnitPanic`]`)` in its slot while every sibling
 /// completes. A panicked unit is **not** terminal — the prefix guarantee is
 /// unchanged, and slots keep index order.
@@ -342,11 +319,24 @@ mod tests {
         assert_eq!(par_map(0, &[1u32, 2], |_, &x| x), vec![1, 2]);
     }
 
+    /// Unwraps caught slots whose units are not expected to panic.
+    fn unwrap_slots<R>(slots: Vec<Option<Result<R, UnitPanic>>>) -> Vec<Option<R>> {
+        slots
+            .into_iter()
+            .map(|slot| slot.map(|r| r.expect("no unit panics")))
+            .collect()
+    }
+
     #[test]
     fn prefix_up_to_the_lowest_terminal_is_always_computed() {
         let items: Vec<usize> = (0..64).collect();
         for threads in [1, 2, 4, 8] {
-            let results = par_map_prefix(threads, &items, |_, &x| (x, x == 20));
+            let results = unwrap_slots(par_map_prefix_caught(
+                threads,
+                &items,
+                |_| {},
+                |_, &x| (x, x == 20),
+            ));
             for (i, r) in results.iter().enumerate().take(21) {
                 assert_eq!(r, &Some(i), "index {i} belongs to the prefix");
             }
@@ -371,13 +361,44 @@ mod tests {
     fn sequential_fallback_stops_at_the_terminal_item() {
         let calls = AtomicUsize::new(0);
         let items: Vec<usize> = (0..10).collect();
-        let results = par_map_prefix(1, &items, |_, &x| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            (x, x == 3)
-        });
+        let results = unwrap_slots(par_map_prefix_caught(
+            1,
+            &items,
+            |_| {},
+            |_, &x| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                (x, x == 3)
+            },
+        ));
         assert_eq!(calls.load(Ordering::Relaxed), 4);
         assert_eq!(results[3], Some(3));
         assert!(results[4..].iter().all(Option::is_none));
+    }
+
+    #[test]
+    fn a_panic_past_the_terminal_item_stays_outside_the_prefix() {
+        // A racing worker may reach (and panic in) a unit past the terminal
+        // one; the prefix is still all `Ok` on every thread count, so an
+        // in-order consumer that stops at the terminal item never meets it —
+        // exactly as a sequential run, which never computes that unit.
+        let items: Vec<usize> = (0..64).collect();
+        for threads in [1, 2, 4, 8] {
+            let slots = par_map_prefix_caught(
+                threads,
+                &items,
+                |_| {},
+                |_, &x| {
+                    if x == 21 {
+                        panic!("unit 21 poisoned");
+                    }
+                    (x, x == 20)
+                },
+            );
+            for (i, slot) in slots.iter().enumerate().take(21) {
+                let ok = slot.as_ref().and_then(|r| r.as_ref().ok());
+                assert_eq!(ok, Some(&i), "index {i} on {threads} threads");
+            }
+        }
     }
 
     #[test]

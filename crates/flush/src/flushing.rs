@@ -28,6 +28,7 @@
 //! and [`FlushReport::threads_used`] vary).
 
 use std::fmt;
+use std::panic::resume_unwind;
 use std::time::{Duration, Instant};
 
 use pipeverify_core::{pool, FlowCounterexample, FlowError, FlowReport, VerificationFlow};
@@ -284,15 +285,23 @@ impl FlushVerifier {
         let term_count = terms.len();
         let cubes = euf::split_cubes(&terms, negated, SPLIT_ATOMS);
         let threads = self.threads().min(cubes.len().max(1));
-        let results = pool::par_map_prefix(threads, &cubes, |_, cube| {
-            let _span = pv_obs::span("flow.flush.cube");
-            let report = euf::check_cube(&terms, negated, cube);
-            let terminal = report.counterexample.is_some();
-            (report, terminal)
-        });
+        let results = pool::par_map_prefix_caught(
+            threads,
+            &cubes,
+            |_| {},
+            |_, cube| {
+                let _span = pv_obs::span("flow.flush.cube");
+                let report = euf::check_cube(&terms, negated, cube);
+                let terminal = report.counterexample.is_some();
+                (report, terminal)
+            },
+        );
 
         // Consume the sequential prefix: everything up to (and including) the
-        // first failing cube, exactly as a sequential search would.
+        // first failing cube, exactly as a sequential search would. A cube
+        // that panicked is re-raised only inside that prefix — one past the
+        // first failing cube was computed by a racing worker, and a
+        // sequential search would never have reached it.
         let mut report = FlushReport {
             desc: self.desc.clone(),
             counterexample: None,
@@ -307,10 +316,12 @@ impl FlushVerifier {
             cube_walls: Vec::new(),
         };
         for (index, slot) in results.into_iter().enumerate() {
-            let Some(cube_report) = slot else {
+            let cube_report = match slot {
+                Some(Ok(cube_report)) => cube_report,
+                Some(Err(panic)) => resume_unwind(panic.into_payload()),
                 // Past the lowest terminal index: a sequential search would
                 // never have reached this cube.
-                break;
+                None => break,
             };
             report.splits += cube_report.splits;
             report.closure_checks += cube_report.closure_checks;
