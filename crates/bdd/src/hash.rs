@@ -1,15 +1,18 @@
 //! Fast deterministic hashing for the engine's internal tables.
 //!
-//! Every hot map in the manager — the per-variable unique subtables, the
-//! ITE computed table, the recursion memos — is keyed by one to three
-//! 32-bit node handles. `std`'s default SipHash-1-3 is designed to resist
-//! collision flooding from untrusted keys, a property these tables do not
-//! need (the keys are the engine's own handles) and pay for on every
-//! lookup: on keys this short the siphash rounds cost several times the
-//! arithmetic of a multiplicative mix, and the computed-table lookup is the
-//! single most executed operation in the engine. [`FxMap`] swaps in the
-//! rustc-style Fibonacci-multiply hasher: one rotate, one xor, one
-//! multiply per word.
+//! The manager's hash maps — the per-variable unique subtables, the
+//! recursion memos, the root set — are keyed by one to three 32-bit node
+//! handles. `std`'s default SipHash-1-3 is designed to resist collision
+//! flooding from untrusted keys, a property these tables do not need (the
+//! keys are the engine's own handles) and pay for on every lookup: on keys
+//! this short the siphash rounds cost several times the arithmetic of a
+//! multiplicative mix, and the unique-table lookup runs on every node
+//! construction. [`FxMap`] swaps in the rustc-style Fibonacci-multiply
+//! hasher: one rotate, one xor, one multiply per word.
+//!
+//! The computed table, the most executed lookup in the engine, is not a map:
+//! it is the fixed-size, direct-mapped array of `crate::cache`, which hashes
+//! its key itself.
 //!
 //! The hasher is also *deterministic by construction* (no per-process
 //! random state), which keeps everything downstream of table iteration —

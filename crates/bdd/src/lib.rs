@@ -56,6 +56,7 @@
 #![warn(missing_docs)]
 
 pub mod budget;
+mod cache;
 mod hash;
 mod manager;
 mod node;

@@ -5,6 +5,7 @@ use std::collections::{BTreeSet, HashMap};
 use pv_obs::{Counter, Gauge};
 
 use crate::budget::Budget;
+use crate::cache::ComputedTable;
 use crate::hash::FxMap;
 use crate::node::{Bdd, Node, Var, FREE_VAR, TERMINAL_VAR};
 
@@ -62,8 +63,10 @@ pub struct BddStats {
     pub gc_runs: usize,
     /// Number of allocated variables.
     pub vars: usize,
-    /// Number of entries in the computed table: the if-then-else memo plus
-    /// the op-tagged [`constrain`](BddManager::constrain) entries it holds.
+    /// Number of occupied slots in the computed table, which holds the
+    /// if-then-else results and the op-tagged
+    /// [`constrain`](BddManager::constrain) results. The table is bounded
+    /// and lossy, so this is at most its slot count.
     pub ite_cache_entries: usize,
     /// [`ite`](BddManager::ite) calls answered from the memo table.
     pub ite_hits: usize,
@@ -134,11 +137,12 @@ pub struct BddManager {
     /// handle of the live node `(v, lo, hi)`. Keyed by children only — the
     /// variable is the subtable index.
     pub(crate) subtables: Vec<FxMap<(Bdd, Bdd), Bdd>>,
-    /// The computed table: ITE standard triples, plus the `constrain`
-    /// entries keyed `(CONSTRAIN_TAG, regular f, care)`. Sharing one table
-    /// gives both operations one invalidation path: the collection's
-    /// `retain`.
-    pub(crate) ite_cache: FxMap<(Bdd, Bdd, Bdd), Bdd>,
+    /// The computed table: a fixed-size, direct-mapped cache of ITE standard
+    /// triples and of the `constrain` entries keyed
+    /// `(CONSTRAIN_TAG, regular f, care)`. Its slot count follows the node
+    /// store's length (see [`ComputedTable::fit`]). Sharing one table gives
+    /// both operations one invalidation path: the collection's pass over it.
+    pub(crate) ite_cache: ComputedTable,
     pub(crate) num_vars: u32,
     /// Head of the free-list chained through reclaimed slots (`FREE_NIL` when
     /// empty).
@@ -216,7 +220,7 @@ impl BddManager {
         BddManager {
             nodes: vec![terminal, reserved],
             subtables: Vec::new(),
-            ite_cache: FxMap::default(),
+            ite_cache: ComputedTable::new(),
             num_vars: 0,
             free_head: FREE_NIL,
             free_count: 0,
@@ -411,11 +415,13 @@ impl BddManager {
             self.nodes[idx as usize] = node;
             idx
         } else {
-            if self.nodes.len() == self.nodes.capacity() {
-                self.unique_grows += 1;
-            }
+            let grows = self.nodes.len() == self.nodes.capacity();
             let idx = self.nodes.len() as u32;
             self.nodes.push(node);
+            if grows {
+                self.unique_grows += 1;
+                self.ite_cache.fit(self.nodes.len());
+            }
             idx
         };
         self.allocated += 1;
@@ -582,8 +588,7 @@ impl BddManager {
             g = g.negate();
             h = h.negate();
         }
-        let key = (f, g, h);
-        if let Some(&r) = self.ite_cache.get(&key) {
+        if let Some(r) = self.ite_cache.get(f, g, h) {
             self.ite_hits += 1;
             return if compl { r.negate() } else { r };
         }
@@ -609,7 +614,7 @@ impl BddManager {
         let lo = self.ite(f0, g0, h0);
         let hi = self.ite(f1, g1, h1);
         let result = self.mk(top, lo, hi);
-        self.ite_cache.insert(key, result);
+        self.ite_cache.insert(f, g, h, result);
         if compl {
             result.negate()
         } else {
@@ -787,7 +792,7 @@ impl BddManager {
         // value for a cycle, a sampled output that is a register — hit at once.
         if !care.is_true() && !result.is_const() {
             let r = result.regular();
-            self.ite_cache.insert((CONSTRAIN_TAG, r, care), r);
+            self.ite_cache.insert(CONSTRAIN_TAG, r, care, r);
         }
         result
     }
@@ -810,8 +815,7 @@ impl BddManager {
         }
         let compl = f.is_compl();
         let f = f.regular();
-        let key = (CONSTRAIN_TAG, f, care);
-        if let Some(&r) = self.ite_cache.get(&key) {
+        if let Some(r) = self.ite_cache.get(CONSTRAIN_TAG, f, care) {
             self.constrain_hits += 1;
             return if compl { r.negate() } else { r };
         }
@@ -831,7 +835,7 @@ impl BddManager {
             let hi = self.constrain_rec(f1, c1);
             self.mk(top, lo, hi)
         };
-        self.ite_cache.insert(key, result);
+        self.ite_cache.insert(CONSTRAIN_TAG, f, care, result);
         if compl {
             result.negate()
         } else {
@@ -1074,8 +1078,9 @@ impl BddManager {
     /// into a free list for reuse, drops the reclaimed nodes from the unique
     /// table, drops the computed-table entries — ITE triples and `constrain`
     /// entries alike — that name reclaimed nodes (entries over surviving
-    /// nodes stay hot across the collection), and
-    /// shrinks both tables when they are mostly empty afterwards.
+    /// nodes stay hot across the collection), and shrinks the unique
+    /// subtables that are mostly empty afterwards. The computed table keeps
+    /// its size, which follows the node store's length.
     ///
     /// Handles not covered by the roots are invalidated — see the type-level
     /// documentation.
@@ -1134,19 +1139,16 @@ impl BddManager {
         // verbatim-valid, and keeping them
         // spares the next cycle from re-expanding (and re-allocating) the
         // shared subproblems it has in common with this one.
-        let dead = |b: Bdd| !b.is_const() && !marked[b.index()];
+        // The node store never shrinks, so the table keeps its size.
         self.ite_cache
-            .retain(|&(f, g, h), r| !dead(f) && !dead(g) && !dead(h) && !dead(*r));
-        // Resize: release table capacity when the live set is a small
-        // fraction of it, and keep the operation cache proportionate.
+            .drop_dead(|b| !b.is_const() && !marked[b.index()]);
+        // Release unique-table capacity when the live set is a small
+        // fraction of it.
         let live = self.live_nodes();
         for table in &mut self.subtables {
             if table.capacity() > table.len().saturating_mul(4) {
                 table.shrink_to(table.len() * 2);
             }
-        }
-        if self.ite_cache.capacity() > live.saturating_mul(4) {
-            self.ite_cache.shrink_to(live * 2);
         }
         // Re-derive the auto-collection trigger from the surviving live set:
         // a mostly-live table waits until it doubles (no thrashing), and the

@@ -1,6 +1,7 @@
 //! Property-based tests of the ROBDD manager: Boolean-algebra laws, agreement
-//! with truth-table semantics, quantifier laws, variable renaming, and
-//! bit-vector arithmetic against native `u64` arithmetic.
+//! with truth-table semantics, quantifier laws, variable renaming,
+//! bit-vector arithmetic against native `u64` arithmetic, and canonicity
+//! under the bounded, lossy computed table.
 
 use std::collections::HashMap;
 
@@ -62,6 +63,73 @@ fn eval_expr(e: &Expr, assignment: u32) -> bool {
 }
 
 const NVARS: usize = 5;
+
+/// A truth table over `n ≥ 6` variables: bit `a % 64` of word `a / 64` is
+/// the function's value under the assignment whose bit `i` is variable `i`.
+type Table = Vec<u64>;
+
+fn var_table(n: usize, i: usize) -> Table {
+    (0..1usize << n)
+        .step_by(64)
+        .map(|base| (0..64).fold(0, |w, b| w | u64::from((base + b) >> i & 1 == 1) << b))
+        .collect()
+}
+
+/// The truth table of `f` read off its diagram: at each node, the high
+/// child's table where the node's variable is 1 and the low child's where
+/// it is 0.
+fn diagram_table(m: &BddManager, f: Bdd, vars: &[Table], memo: &mut HashMap<Bdd, Table>) -> Table {
+    if f.is_const() {
+        return vec![if f.is_true() { !0 } else { 0 }; vars[0].len()];
+    }
+    if let Some(t) = memo.get(&f) {
+        return t.clone();
+    }
+    let v = &vars[m.top_var(f).expect("non-constant").index()];
+    let lo = diagram_table(m, m.low(f), vars, memo);
+    let hi = diagram_table(m, m.high(f), vars, memo);
+    let t: Table = (0..v.len()).map(|w| hi[w] & v[w] | lo[w] & !v[w]).collect();
+    memo.insert(f, t.clone());
+    t
+}
+
+/// SplitMix64, for drawing random circuits from one seed.
+struct Rng(u64);
+
+impl Rng {
+    fn below(&mut self, bound: u64) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        (z ^ (z >> 31)) % bound
+    }
+}
+
+/// An operand for the next gate: a literal, or one of the functions built
+/// so far, possibly negated.
+fn operand(
+    m: &mut BddManager,
+    rng: &mut Rng,
+    vars: &[Var],
+    tables: &[Table],
+    built: &[(Bdd, Table)],
+) -> (Bdd, Table) {
+    let (f, t) = if built.is_empty() || rng.below(4) == 0 {
+        let i = rng.below(vars.len() as u64) as usize;
+        (m.var(vars[i]), tables[i].clone())
+    } else {
+        built[rng.below(built.len() as u64) as usize].clone()
+    };
+    if rng.below(2) == 0 {
+        (m.not(f), t.iter().map(|w| !w).collect())
+    } else {
+        (f, t)
+    }
+}
+
+/// The smallest computed table has 2^12 slots.
+const MIN_TABLE_SLOTS: usize = 1 << 12;
 
 proptest! {
     /// The BDD of an expression agrees with its truth table on every
@@ -193,6 +261,49 @@ proptest! {
         if !f.is_false() {
             let self_constrained = m.constrain(f, f);
             prop_assert!(self_constrained.is_true());
+        }
+    }
+
+    /// The computed table is bounded and lossy. Build random circuits over
+    /// 10–12 variables until the engine has allocated several times the
+    /// smallest table's slot count, collecting over a random subset of the
+    /// functions built so far after every batch. Two live handles stay
+    /// equal exactly when their truth tables are, and every surviving root
+    /// still denotes its function.
+    #[test]
+    fn lossy_computed_table_stays_canonical_across_gc(nvars in 10usize..13, seed in any::<u64>()) {
+        let mut m = BddManager::new();
+        let vars = m.new_vars(nvars);
+        let tables: Vec<Table> = (0..nvars).map(|i| var_table(nvars, i)).collect();
+        let mut rng = Rng(seed);
+        let mut built: Vec<(Bdd, Table)> = Vec::new();
+        while m.total_nodes() < 6 * MIN_TABLE_SLOTS {
+            for _ in 0..16 {
+                let (f, tf) = operand(&mut m, &mut rng, &vars, &tables, &built);
+                let (g, tg) = operand(&mut m, &mut rng, &vars, &tables, &built);
+                let (h, th) = operand(&mut m, &mut rng, &vars, &tables, &built);
+                let words = 0..tf.len();
+                let gate = match rng.below(4) {
+                    0 => (m.and(f, g), words.map(|w| tf[w] & tg[w]).collect()),
+                    1 => (m.or(f, g), words.map(|w| tf[w] | tg[w]).collect()),
+                    2 => (m.xor(f, g), words.map(|w| tf[w] ^ tg[w]).collect()),
+                    _ => (m.ite(f, g, h), words.map(|w| tf[w] & tg[w] | !tf[w] & th[w]).collect()),
+                };
+                built.push(gate);
+            }
+            let mut by_table: HashMap<&Table, Bdd> = HashMap::new();
+            let mut by_handle: HashMap<Bdd, &Table> = HashMap::new();
+            for (f, t) in &built {
+                prop_assert_eq!(*by_table.entry(t).or_insert(*f), *f);
+                prop_assert_eq!(*by_handle.entry(*f).or_insert(t), t);
+            }
+            built.retain(|_| rng.below(2) == 0);
+            let roots: Vec<Bdd> = built.iter().map(|&(f, _)| f).collect();
+            m.gc_with_roots(&roots);
+            let mut memo = HashMap::new();
+            for (f, t) in &built {
+                prop_assert_eq!(&diagram_table(&m, *f, &tables, &mut memo), t);
+            }
         }
     }
 }

@@ -85,7 +85,11 @@ static M_CACHE_CORRUPT: Counter = Counter::new("cache.corrupt");
 /// Epoch 5: the BDD engine lost dynamic variable ordering, and plan reports
 /// dropped its three pass/swap/time keys, so an epoch-4 report no longer
 /// decodes.
-pub const ENGINE_EPOCH: u32 = 5;
+///
+/// Epoch 6: the computed table became a fixed-size, overwrite-on-collision
+/// cache, so the `bdd.ite.cache_*` and `bdd.constrain.cache_*` counts in
+/// plan reports' `metrics` changed for identical inputs.
+pub const ENGINE_EPOCH: u32 = 6;
 
 /// Environment variable overriding the default cache directory.
 pub const PV_CACHE_DIR: &str = "PV_CACHE_DIR";
