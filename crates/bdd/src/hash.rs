@@ -1,18 +1,18 @@
 //! Fast deterministic hashing for the engine's internal tables.
 //!
-//! The manager's hash maps — the per-variable unique subtables, the
-//! recursion memos, the root set — are keyed by one to three 32-bit node
-//! handles. `std`'s default SipHash-1-3 is designed to resist collision
-//! flooding from untrusted keys, a property these tables do not need (the
-//! keys are the engine's own handles) and pay for on every lookup: on keys
-//! this short the siphash rounds cost several times the arithmetic of a
-//! multiplicative mix, and the unique-table lookup runs on every node
-//! construction. [`FxMap`] swaps in the rustc-style Fibonacci-multiply
-//! hasher: one rotate, one xor, one multiply per word.
+//! The manager's hash maps — the recursion memos, the root set — are keyed
+//! by one or two 32-bit node handles. `std`'s default SipHash-1-3 is
+//! designed to resist collision flooding from untrusted keys, a property
+//! these tables do not need (the keys are the engine's own handles) and pay
+//! for on every lookup: on keys this short the siphash rounds cost several
+//! times the arithmetic of a multiplicative mix. [`FxMap`] swaps in the
+//! rustc-style Fibonacci-multiply hasher: one rotate, one xor, one multiply
+//! per word.
 //!
-//! The computed table, the most executed lookup in the engine, is not a map:
-//! it is the fixed-size, direct-mapped array of `crate::cache`, which hashes
-//! its key itself.
+//! The two hottest lookups in the engine are not maps: the computed table is
+//! the fixed-size, direct-mapped array of `crate::cache`, and the unique
+//! table the chained buckets of `crate::unique`. Both hash their keys with
+//! [`FxHasher`] themselves.
 //!
 //! The hasher is also *deterministic by construction* (no per-process
 //! random state), which keeps everything downstream of table iteration —

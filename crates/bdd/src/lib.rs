@@ -62,6 +62,7 @@ mod manager;
 mod node;
 mod relation;
 pub mod store;
+mod unique;
 mod vec;
 
 pub use budget::{Budget, BudgetExceeded};

@@ -8,9 +8,7 @@ use crate::budget::Budget;
 use crate::cache::ComputedTable;
 use crate::hash::FxMap;
 use crate::node::{Bdd, Node, Var, FREE_VAR, TERMINAL_VAR};
-
-/// Sentinel terminating the free-list chain threaded through reclaimed slots.
-pub(crate) const FREE_NIL: u32 = u32::MAX;
+use crate::unique::{UniqueTable, NIL};
 
 // Process-global engine metrics (see DESIGN.md § "Observability"). The hot
 // counters (computed-table traffic, store growth) are accumulated in plain
@@ -122,10 +120,11 @@ pub struct GcStats {
 ///
 /// # Threading
 ///
-/// A manager is a plain owned value — node store, unique tables and caches
-/// are ordinary `Vec`s and `HashMap`s with no interior mutability or shared
-/// pointers (the crate forbids `unsafe`), so `BddManager` is `Send + Sync`
-/// and a manager can be **moved to** (or built on) a worker thread. Handles
+/// A manager is a plain owned value — the node store, the unique table's
+/// buckets and the computed table are ordinary `Vec`s and the root set a
+/// `HashMap`, with no interior mutability or shared pointers (the crate
+/// forbids `unsafe`), so `BddManager` is `Send + Sync` and a manager can be
+/// **moved to** (or built on) a worker thread. Handles
 /// are only meaningful against the manager that created them, so concurrent
 /// use still means one manager per worker (the parallel plan verifier's
 /// model); the assertion below makes the `Send + Sync` guarantee a
@@ -133,10 +132,11 @@ pub struct GcStats {
 #[derive(Debug)]
 pub struct BddManager {
     pub(crate) nodes: Vec<Node>,
-    /// Per-variable unique tables: `subtables[v]` maps `(lo, hi)` to the
-    /// handle of the live node `(v, lo, hi)`. Keyed by children only — the
-    /// variable is the subtable index.
-    pub(crate) subtables: Vec<FxMap<(Bdd, Bdd), Bdd>>,
+    /// The unique table: bucket heads of chains threaded through the nodes'
+    /// `next` links, linking every live slot by its `(var, lo, hi)` key. Its
+    /// bucket count follows the node store's capacity (see
+    /// [`UniqueTable::fit`]).
+    pub(crate) unique: UniqueTable,
     /// The computed table: a fixed-size, direct-mapped cache of ITE standard
     /// triples and of the `constrain` entries keyed
     /// `(CONSTRAIN_TAG, regular f, care)`. Its slot count follows the node
@@ -144,8 +144,8 @@ pub struct BddManager {
     /// both operations one invalidation path: the collection's pass over it.
     pub(crate) ite_cache: ComputedTable,
     pub(crate) num_vars: u32,
-    /// Head of the free-list chained through reclaimed slots (`FREE_NIL` when
-    /// empty).
+    /// Head of the free list chained through reclaimed slots' `next` links
+    /// (`NIL` when empty).
     pub(crate) free_head: u32,
     pub(crate) free_count: usize,
     /// Registered GC roots with reference counts.
@@ -211,18 +211,14 @@ impl BddManager {
             var: TERMINAL_VAR,
             lo: Bdd::TRUE,
             hi: Bdd::TRUE,
-        };
-        let reserved = Node {
-            var: TERMINAL_VAR,
-            lo: Bdd::TRUE,
-            hi: Bdd::TRUE,
+            next: NIL,
         };
         BddManager {
-            nodes: vec![terminal, reserved],
-            subtables: Vec::new(),
+            nodes: vec![terminal, terminal],
+            unique: UniqueTable::new(),
             ite_cache: ComputedTable::new(),
             num_vars: 0,
-            free_head: FREE_NIL,
+            free_head: NIL,
             free_count: 0,
             roots: FxMap::default(),
             gc_floor: DEFAULT_GC_THRESHOLD,
@@ -302,7 +298,6 @@ impl BddManager {
     /// Allocates a fresh variable at the bottom of the order.
     pub fn new_var(&mut self) -> Var {
         let v = Var(self.num_vars);
-        self.subtables.push(FxMap::default());
         self.num_vars += 1;
         v
     }
@@ -391,10 +386,9 @@ impl BddManager {
         } else {
             (lo, hi)
         };
-        let handle = if let Some(&b) = self.subtables[var as usize].get(&(lo, hi)) {
-            b
-        } else {
-            self.alloc_node(Node { var, lo, hi })
+        let handle = match self.unique.find(&self.nodes, var, lo, hi) {
+            Ok(idx) => Bdd(idx << 1),
+            Err(bucket) => self.alloc_node(var, lo, hi, bucket),
         };
         if compl {
             handle.negate()
@@ -404,34 +398,44 @@ impl BddManager {
     }
 
     /// Allocates a table slot for a (not yet hash-consed, canonical-form)
-    /// node, reusing the free list, and enters it into its variable's
-    /// subtable. Returns the regular handle.
-    fn alloc_node(&mut self, node: Node) -> Bdd {
-        debug_assert!(!node.hi.is_compl(), "canonical form: then edge regular");
-        let idx = if self.free_head != FREE_NIL {
+    /// node, reusing the free list, and links it into `bucket`, the one
+    /// [`UniqueTable::find`] returned for its key. Returns the regular
+    /// handle.
+    fn alloc_node(&mut self, var: u32, lo: Bdd, hi: Bdd, bucket: usize) -> Bdd {
+        debug_assert!(!hi.is_compl(), "canonical form: then edge regular");
+        let node = Node {
+            var,
+            lo,
+            hi,
+            next: NIL,
+        };
+        let mut grows = false;
+        let idx = if self.free_head != NIL {
             let idx = self.free_head;
-            self.free_head = self.nodes[idx as usize].lo.0;
+            self.free_head = self.nodes[idx as usize].next;
             self.free_count -= 1;
             self.nodes[idx as usize] = node;
             idx
         } else {
-            let grows = self.nodes.len() == self.nodes.capacity();
-            let idx = self.nodes.len() as u32;
+            grows = self.nodes.len() == self.nodes.capacity();
             self.nodes.push(node);
-            if grows {
-                self.unique_grows += 1;
-                self.ite_cache.fit(self.nodes.len());
-            }
-            idx
+            self.nodes.len() as u32 - 1
         };
+        // Link before any resize: a resize relinks every live slot, this one
+        // included, and linking it again afterwards would close a cycle.
+        self.unique.insert(&mut self.nodes, bucket, idx);
+        if grows {
+            self.unique_grows += 1;
+            let capacity = self.nodes.capacity();
+            self.unique.fit(&mut self.nodes, capacity);
+            self.ite_cache.fit(self.nodes.len());
+        }
         self.allocated += 1;
         let live = self.nodes.len() - self.free_count;
         if live > self.peak_live {
             self.peak_live = live;
         }
-        let handle = Bdd(idx << 1);
-        self.subtables[node.var as usize].insert((node.lo, node.hi), handle);
-        handle
+        Bdd(idx << 1)
     }
 
     /// The stored node of `b`'s slot. The caller is responsible for applying
@@ -1075,12 +1079,12 @@ impl BddManager {
 
     /// Mark-and-sweep collection: marks everything reachable from the
     /// registered roots and from `extra_roots`, reclaims every other node
-    /// into a free list for reuse, drops the reclaimed nodes from the unique
-    /// table, drops the computed-table entries — ITE triples and `constrain`
-    /// entries alike — that name reclaimed nodes (entries over surviving
-    /// nodes stay hot across the collection), and shrinks the unique
-    /// subtables that are mostly empty afterwards. The computed table keeps
-    /// its size, which follows the node store's length.
+    /// into a free list for reuse, relinks the surviving nodes into the
+    /// emptied unique table in one pass over the node store, and drops the
+    /// computed-table entries — ITE triples and `constrain` entries alike —
+    /// that name reclaimed nodes (entries over surviving nodes stay hot
+    /// across the collection). Both tables keep their size, which follows
+    /// the node store; the store never shrinks.
     ///
     /// Handles not covered by the roots are invalidated — see the type-level
     /// documentation.
@@ -1123,33 +1127,29 @@ impl BddManager {
             if marked[idx] || n.is_free() {
                 continue;
             }
-            self.subtables[n.var as usize].remove(&(n.lo, n.hi));
             self.nodes[idx] = Node {
                 var: FREE_VAR,
-                lo: Bdd(self.free_head),
+                lo: Bdd::TRUE,
                 hi: Bdd::TRUE,
+                next: self.free_head,
             };
             self.free_head = idx as u32;
             self.free_count += 1;
             collected += 1;
         }
+        // Unlink the dead: rebuilding the chains from the survivors is one
+        // linear pass, where removing each dead node by key would walk its
+        // chain.
+        self.unique.relink(&mut self.nodes);
         // Drop computed-table entries that name reclaimed nodes (a constrain
         // entry's constant tag is never dead, so one test covers both
         // operations); entries whose key and result all survived are still
         // verbatim-valid, and keeping them
         // spares the next cycle from re-expanding (and re-allocating) the
         // shared subproblems it has in common with this one.
-        // The node store never shrinks, so the table keeps its size.
         self.ite_cache
             .drop_dead(|b| !b.is_const() && !marked[b.index()]);
-        // Release unique-table capacity when the live set is a small
-        // fraction of it.
         let live = self.live_nodes();
-        for table in &mut self.subtables {
-            if table.capacity() > table.len().saturating_mul(4) {
-                table.shrink_to(table.len() * 2);
-            }
-        }
         // Re-derive the auto-collection trigger from the surviving live set:
         // a mostly-live table waits until it doubles (no thrashing), and the
         // trigger decays back towards the configured floor once the garbage

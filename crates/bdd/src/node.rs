@@ -152,11 +152,17 @@ impl fmt::Display for Bdd {
 /// carry the complement attribute, and `mk` pushes a complemented then-edge
 /// down into both children while complementing the returned handle, so each
 /// function/negation pair is stored exactly once.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+///
+/// `next` is the slot index of the following node on the same unique-table
+/// chain (`crate::unique`), or of the next free slot on the free list.
+/// Either way it is bookkeeping, not part of the node's key, which is why
+/// `Node` has no `PartialEq`.
+#[derive(Clone, Copy, Debug)]
 pub(crate) struct Node {
     pub(crate) var: u32,
     pub(crate) lo: Bdd,
     pub(crate) hi: Bdd,
+    pub(crate) next: u32,
 }
 
 /// Variable index used by the terminal pseudo-node (and the reserved slot
@@ -165,9 +171,9 @@ pub(crate) struct Node {
 pub(crate) const TERMINAL_VAR: u32 = u32::MAX;
 
 /// Variable index marking a reclaimed slot in the node table. Free slots are
-/// chained through their `lo` field into the manager's free list; they are
-/// never hash-consed (the sweep removes them from the unique table) and are
-/// reused by the next `mk`. Orders after every real variable, like
+/// chained through their `next` link into the manager's free list; they are
+/// on no unique-table chain (the collection relinks only the live slots) and
+/// are reused by the next `mk`. Orders after every real variable, like
 /// [`TERMINAL_VAR`], so a dangling handle fails ordering-based invariants
 /// loudly in debug builds rather than silently.
 pub(crate) const FREE_VAR: u32 = u32::MAX - 1;

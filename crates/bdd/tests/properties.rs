@@ -1,7 +1,7 @@
 //! Property-based tests of the ROBDD manager: Boolean-algebra laws, agreement
 //! with truth-table semantics, quantifier laws, variable renaming,
 //! bit-vector arithmetic against native `u64` arithmetic, and canonicity
-//! under the bounded, lossy computed table.
+//! under the bounded, lossy computed table and the resizing unique table.
 
 use std::collections::HashMap;
 
@@ -130,6 +130,11 @@ fn operand(
 
 /// The smallest computed table has 2^12 slots.
 const MIN_TABLE_SLOTS: usize = 1 << 12;
+
+/// Node-store doublings from its initial two slots to 2^12. The unique
+/// table has two buckets per slot above a 2^10-bucket floor, so the store
+/// capacities 2^10, 2^11 and 2^12 each resize it.
+const STORE_DOUBLINGS: usize = 11;
 
 proptest! {
     /// The BDD of an expression agrees with its truth table on every
@@ -264,12 +269,14 @@ proptest! {
         }
     }
 
-    /// The computed table is bounded and lossy. Build random circuits over
-    /// 10–12 variables until the engine has allocated several times the
-    /// smallest table's slot count, collecting over a random subset of the
-    /// functions built so far after every batch. Two live handles stay
-    /// equal exactly when their truth tables are, and every surviving root
-    /// still denotes its function.
+    /// The computed table is bounded and lossy, and the unique table is
+    /// rebuilt at every node-store doubling and every collection. Build
+    /// random circuits over 10–12 variables until the engine has allocated
+    /// several times the smallest computed table's slot count *and* the
+    /// node store has doubled past several unique-table resizes, collecting
+    /// over a random subset of the functions built so far after every
+    /// batch. Two live handles stay equal exactly when their truth tables
+    /// are, and every surviving root still denotes its function.
     #[test]
     fn lossy_computed_table_stays_canonical_across_gc(nvars in 10usize..13, seed in any::<u64>()) {
         let mut m = BddManager::new();
@@ -277,7 +284,10 @@ proptest! {
         let tables: Vec<Table> = (0..nvars).map(|i| var_table(nvars, i)).collect();
         let mut rng = Rng(seed);
         let mut built: Vec<(Bdd, Table)> = Vec::new();
-        while m.total_nodes() < 6 * MIN_TABLE_SLOTS {
+        let mut rounds = 0;
+        while m.total_nodes() < 6 * MIN_TABLE_SLOTS || m.stats().unique_grows < STORE_DOUBLINGS {
+            rounds += 1;
+            prop_assert!(rounds <= 1000, "the node store stopped growing");
             for _ in 0..16 {
                 let (f, tf) = operand(&mut m, &mut rng, &vars, &tables, &built);
                 let (g, tg) = operand(&mut m, &mut rng, &vars, &tables, &built);

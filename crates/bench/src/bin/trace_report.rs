@@ -1,8 +1,9 @@
 //! **Profile explainer**: folds a `pv trace` / `PV_TRACE=1` JSONL trace into
-//! a per-span self-time table and checks instrumentation coverage.
+//! a per-span self-time table and checks instrumentation coverage; given two
+//! traces, prints how each span's self time moved between them.
 //!
 //! ```text
-//! trace_report <trace.jsonl> [--root NAME] [--min-coverage FRACTION]
+//! trace_report <trace.jsonl> [<after.jsonl>] [--root NAME] [--min-coverage FRACTION]
 //! ```
 //!
 //! The fold is the classic flame-graph reduction (see `pv_obs::fold`): each
@@ -10,7 +11,15 @@
 //! so summing self time over every span except the root yields the wall time
 //! the instrumentation actually explains. The report prints one row per span
 //! name sorted by descending self time, then the coverage ratio
-//! `attributed / root`, and exits nonzero when:
+//! `attributed / root`.
+//!
+//! With a second trace the report is a **diff** instead: one row per span
+//! name found in either trace, with its self time in the first, in the
+//! second, and the delta, sorted by descending absolute delta, so an engine
+//! change shows its effect layer by layer in one table. The root span's
+//! wall time and coverage follow for each trace.
+//!
+//! The tool exits nonzero when, for any trace given:
 //!
 //! * the trace violates span-nesting discipline (an exit without a matching
 //!   innermost enter, or a span left open),
@@ -24,10 +33,11 @@
 //! regression that moves significant wall time outside the instrumented
 //! spans fails the build rather than silently degrading the traces.
 
+use std::collections::BTreeMap;
 use std::process::ExitCode;
 
 use pipeverify_core::trace_io;
-use pv_obs::fold;
+use pv_obs::fold::{self, FoldReport};
 
 /// Default root span name: the bracket `pv trace` emits around the sweep.
 const DEFAULT_ROOT: &str = "trace.run";
@@ -35,8 +45,11 @@ const DEFAULT_ROOT: &str = "trace.run";
 /// Default coverage gate, matching the `trace-smoke` CI contract.
 const DEFAULT_MIN_COVERAGE: f64 = 0.9;
 
+const USAGE: &str =
+    "usage: trace_report <trace.jsonl> [<after.jsonl>] [--root NAME] [--min-coverage FRACTION]";
+
 fn run(args: &[String]) -> Result<ExitCode, String> {
-    let mut path = None;
+    let mut paths = Vec::new();
     let mut root = DEFAULT_ROOT.to_owned();
     let mut min_coverage = DEFAULT_MIN_COVERAGE;
     let mut it = args.iter();
@@ -52,29 +65,67 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                     .map_err(|_| format!("--min-coverage: `{raw}` is not a number"))?;
             }
             "--help" | "-h" => {
-                println!(
-                    "usage: trace_report <trace.jsonl> [--root NAME] [--min-coverage FRACTION]"
-                );
+                println!("{USAGE}");
                 return Ok(ExitCode::SUCCESS);
             }
-            other if path.is_none() && !other.starts_with('-') => {
-                path = Some(other.to_owned());
+            other if paths.len() < 2 && !other.starts_with('-') => {
+                paths.push(other.to_owned());
             }
             other => return Err(format!("unexpected argument `{other}`")),
         }
     }
-    let path =
-        path.ok_or("usage: trace_report <trace.jsonl> [--root NAME] [--min-coverage FRACTION]")?;
+    let reports = paths
+        .iter()
+        .map(|path| load(path, &root))
+        .collect::<Result<Vec<_>, _>>()?;
+    match reports.as_slice() {
+        [] => return Err(USAGE.to_owned()),
+        [report] => print_profile(report),
+        [before, after] => print_diff(before, after),
+        _ => unreachable!("at most two paths are accepted"),
+    }
+    for (path, report) in paths.iter().zip(&reports) {
+        println!(
+            "{path}: root `{}` {:.3} ms; attributed {:.3} ms; coverage {:.1}%",
+            report.root_name,
+            report.root_total_us as f64 / 1e3,
+            report.attributed_us as f64 / 1e3,
+            100.0 * report.coverage(),
+        );
+    }
+    for (path, report) in paths.iter().zip(&reports) {
+        if report.root_total_us == 0 {
+            return Err(format!(
+                "`{path}`: root span `{root}` not found in the trace"
+            ));
+        }
+        if report.coverage() < min_coverage {
+            return Err(format!(
+                "`{path}`: coverage {:.1}% is below the {:.1}% floor — a hot path is running uninstrumented",
+                100.0 * report.coverage(),
+                100.0 * min_coverage,
+            ));
+        }
+    }
+    Ok(ExitCode::SUCCESS)
+}
 
-    let text = std::fs::read_to_string(&path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
+/// Reads, parses and folds one trace file against the root span `root`.
+fn load(path: &str, root: &str) -> Result<FoldReport, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
     let events = trace_io::parse_jsonl(&text).map_err(|e| format!("`{path}`: {e}"))?;
-    println!("trace: {path} — {} events", events.len());
-
     // A malformed bracket sequence makes every self-time figure suspect, so
     // nesting failures are hard errors, not table footnotes.
-    let spans = fold::check_nesting(&events).map_err(|e| format!("span nesting violated: {e}"))?;
-    let report = fold::fold(&events, &root);
+    let spans = fold::check_nesting(&events)
+        .map_err(|e| format!("`{path}`: span nesting violated: {e}"))?;
+    println!(
+        "trace: {path} — {} events, {spans} completed spans",
+        events.len()
+    );
+    Ok(fold::fold(&events, root))
+}
 
+fn print_profile(report: &FoldReport) {
     println!();
     println!(
         "{:<28} {:>8} {:>12} {:>12} {:>6}",
@@ -92,25 +143,67 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         );
     }
     println!();
-    println!(
-        "{spans} completed spans; root `{}` {:.3} ms; attributed {:.3} ms; coverage {:.1}%",
-        report.root_name,
-        report.root_total_us as f64 / 1e3,
-        report.attributed_us as f64 / 1e3,
-        100.0 * report.coverage(),
-    );
+}
 
-    if report.root_total_us == 0 {
-        return Err(format!("root span `{root}` not found in the trace"));
+/// One span name's self time in two traces.
+#[derive(Debug, PartialEq)]
+struct SpanDelta<'a> {
+    name: &'a str,
+    before_us: u64,
+    after_us: u64,
+}
+
+impl SpanDelta<'_> {
+    fn delta_us(&self) -> i64 {
+        self.after_us as i64 - self.before_us as i64
     }
-    if report.coverage() < min_coverage {
-        return Err(format!(
-            "coverage {:.1}% is below the {:.1}% floor — a hot path is running uninstrumented",
-            100.0 * report.coverage(),
-            100.0 * min_coverage,
-        ));
+}
+
+/// Per-span self-time deltas from `before` to `after`: one row per span
+/// name found in either report (0 µs where it is absent), sorted by
+/// descending absolute delta, ties by name.
+fn diff<'a>(before: &'a FoldReport, after: &'a FoldReport) -> Vec<SpanDelta<'a>> {
+    let mut rows: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
+    for row in &before.rows {
+        rows.entry(&row.name).or_default().0 = row.self_us;
     }
-    Ok(ExitCode::SUCCESS)
+    for row in &after.rows {
+        rows.entry(&row.name).or_default().1 = row.self_us;
+    }
+    let mut out: Vec<SpanDelta> = rows
+        .into_iter()
+        .map(|(name, (before_us, after_us))| SpanDelta {
+            name,
+            before_us,
+            after_us,
+        })
+        .collect();
+    out.sort_by_key(|d| std::cmp::Reverse(d.delta_us().unsigned_abs()));
+    out
+}
+
+fn print_diff(before: &FoldReport, after: &FoldReport) {
+    println!();
+    println!(
+        "{:<28} {:>12} {:>12} {:>13} {:>7}",
+        "span", "self before", "self after", "delta", "delta%"
+    );
+    for d in diff(before, after) {
+        let percent = if d.before_us == 0 {
+            "new".to_owned()
+        } else {
+            format!("{:+.1}%", 100.0 * d.delta_us() as f64 / d.before_us as f64)
+        };
+        println!(
+            "{:<28} {:>9.3} ms {:>9.3} ms {:>+10.3} ms {:>7}",
+            d.name,
+            d.before_us as f64 / 1e3,
+            d.after_us as f64 / 1e3,
+            d.delta_us() as f64 / 1e3,
+            percent,
+        );
+    }
+    println!();
 }
 
 fn main() -> ExitCode {
@@ -121,5 +214,56 @@ fn main() -> ExitCode {
             eprintln!("trace_report: {message}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Folds a hand-written JSONL trace against the root span `root`.
+    fn folded(jsonl: &str) -> FoldReport {
+        let events = trace_io::parse_jsonl(jsonl).expect("well-formed trace");
+        fold::fold(&events, "root")
+    }
+
+    #[test]
+    fn diff_pairs_self_times_by_span_name() {
+        // root [0, 100] > work [10, 90] > gc [20, 30]: self times root 20,
+        // work 70, gc 10.
+        let before = folded(
+            r#"{"tid":0,"seq":0,"kind":"enter","name":"root","t_us":0}
+{"tid":0,"seq":1,"kind":"enter","name":"work","t_us":10}
+{"tid":0,"seq":2,"kind":"enter","name":"gc","t_us":20}
+{"tid":0,"seq":3,"kind":"exit","name":"gc","t_us":30}
+{"tid":0,"seq":4,"kind":"exit","name":"work","t_us":90}
+{"tid":0,"seq":5,"kind":"exit","name":"root","t_us":100}"#,
+        );
+        // gc grows to 25 µs and a new 5 µs `sample` span appears inside a
+        // shorter work span: self times root 30, work 40, gc 25, sample 5.
+        let after = folded(
+            r#"{"tid":0,"seq":0,"kind":"enter","name":"root","t_us":0}
+{"tid":0,"seq":1,"kind":"enter","name":"work","t_us":10}
+{"tid":0,"seq":2,"kind":"enter","name":"gc","t_us":20}
+{"tid":0,"seq":3,"kind":"exit","name":"gc","t_us":45}
+{"tid":0,"seq":4,"kind":"enter","name":"sample","t_us":50}
+{"tid":0,"seq":5,"kind":"exit","name":"sample","t_us":55}
+{"tid":0,"seq":6,"kind":"exit","name":"work","t_us":80}
+{"tid":0,"seq":7,"kind":"exit","name":"root","t_us":100}"#,
+        );
+        let rows: Vec<(&str, u64, u64, i64)> = diff(&before, &after)
+            .iter()
+            .map(|d| (d.name, d.before_us, d.after_us, d.delta_us()))
+            .collect();
+        assert_eq!(
+            rows,
+            [
+                ("work", 70, 40, -30),
+                ("gc", 10, 25, 15),
+                ("root", 20, 30, 10),
+                ("sample", 0, 5, 5),
+            ]
+        );
+        assert!(diff(&after, &after).iter().all(|d| d.delta_us() == 0));
     }
 }
