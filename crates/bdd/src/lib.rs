@@ -23,13 +23,11 @@
 //! * [`TransitionSystem`], the transition-relation representation of a
 //!   synchronous machine together with image computation and breadth-first
 //!   reachability (Coudert–Berthet–Madre 1989, Section 3.3 of the thesis),
+//!   and
 //! * cooperative **resource budgets** ([`Budget`], [`BudgetExceeded`],
 //!   [`BddManager::set_budget`]): wall-clock deadlines, allocated-node
 //!   limits and cancellation, checked at the manager's safe points and
-//!   aborting with a typed unwind that leaves the manager reusable, and
-//! * a DDDMP-style persistent [`store`]: deterministic text export of named
-//!   roots and an importer that rebuilds them in a fresh manager, used by the
-//!   verification service's artifact cache.
+//!   aborting with a typed unwind that leaves the manager reusable.
 //!
 //! # Example
 //!
@@ -61,7 +59,6 @@ mod hash;
 mod manager;
 mod node;
 mod relation;
-pub mod store;
 mod unique;
 mod vec;
 

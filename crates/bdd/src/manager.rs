@@ -24,10 +24,9 @@ static M_GC_RUNS: Counter = Counter::new("bdd.gc.runs");
 static M_GC_COLLECTED: Counter = Counter::new("bdd.gc.collected");
 static M_PEAK_LIVE: Gauge = Gauge::new("bdd.unique.peak_live");
 
-/// Default live-node count above which [`BddManager::maybe_gc`] collects.
-/// This is the *floor*: after each collection the effective trigger is
-/// re-derived as `max(floor, 2 × live)`, so mostly-live workloads wait for
-/// the table to double rather than thrash.
+/// The floor of the live-node count above which [`BddManager::maybe_gc`]
+/// collects: the trigger starts here and after each collection becomes
+/// `max(floor, 2 × live)`.
 const DEFAULT_GC_THRESHOLD: usize = 1 << 20;
 
 /// The budget is consulted on the ITE and constrain cache-miss paths only
@@ -121,10 +120,10 @@ pub struct GcStats {
 /// # Threading
 ///
 /// A manager is a plain owned value — the node store, the unique table's
-/// buckets and the computed table are ordinary `Vec`s and the root set a
-/// `HashMap`, with no interior mutability or shared pointers (the crate
-/// forbids `unsafe`), so `BddManager` is `Send + Sync` and a manager can be
-/// **moved to** (or built on) a worker thread. Handles
+/// buckets, the computed table and the root list are ordinary `Vec`s, with
+/// no interior mutability or shared pointers (the crate forbids `unsafe`),
+/// so `BddManager` is `Send + Sync` and a manager can be **moved to** (or
+/// built on) a worker thread. Handles
 /// are only meaningful against the manager that created them, so concurrent
 /// use still means one manager per worker (the parallel plan verifier's
 /// model); the assertion below makes the `Send + Sync` guarantee a
@@ -148,11 +147,8 @@ pub struct BddManager {
     /// (`NIL` when empty).
     pub(crate) free_head: u32,
     pub(crate) free_count: usize,
-    /// Registered GC roots with reference counts.
-    pub(crate) roots: FxMap<Bdd, usize>,
-    /// Configured floor for the collection trigger (see
-    /// [`set_gc_threshold`](Self::set_gc_threshold)).
-    gc_floor: usize,
+    /// Registered GC roots, kept for the life of the manager.
+    roots: Vec<Bdd>,
     /// Current live-node count above which [`maybe_gc`](Self::maybe_gc)
     /// collects; re-derived from the live set after every collection.
     gc_threshold: usize,
@@ -220,8 +216,7 @@ impl BddManager {
             num_vars: 0,
             free_head: NIL,
             free_count: 0,
-            roots: FxMap::default(),
-            gc_floor: DEFAULT_GC_THRESHOLD,
+            roots: Vec::new(),
             gc_threshold: DEFAULT_GC_THRESHOLD,
             allocated: 2,
             peak_live: 2,
@@ -260,11 +255,6 @@ impl BddManager {
     /// Detaches the budget; subsequent operations run unbounded.
     pub fn clear_budget(&mut self) {
         self.budget = None;
-    }
-
-    /// The attached budget, if any.
-    pub fn budget(&self) -> Option<&Budget> {
-        self.budget.as_ref()
     }
 
     /// Checks the attached budget (if any) against the allocated-node
@@ -758,15 +748,6 @@ impl BddManager {
         }
     }
 
-    /// Restriction by a whole cube of literals.
-    pub fn restrict_cube(&mut self, f: Bdd, assignment: &[(Var, bool)]) -> Bdd {
-        let mut acc = f;
-        for &(v, val) in assignment {
-            acc = self.restrict(acc, v, val);
-        }
-        acc
-    }
-
     /// Generalized cofactor (the *constrain* operator of Coudert, Berthet and
     /// Madre): a function that agrees with `f` everywhere `care` is true and
     /// is chosen to have a small BDD elsewhere.
@@ -1013,40 +994,13 @@ impl BddManager {
 
     // -------------------------------------------------- garbage collection --
 
-    /// Registers `f` as a GC root: `f` and everything reachable from it
-    /// survive collections until a matching [`remove_root`](Self::remove_root).
-    /// Registration is counted, so registering the same handle twice requires
-    /// two removals.
+    /// Registers `f` as a GC root for the life of the manager: `f` and
+    /// everything reachable from it survive every collection. Registering a
+    /// handle twice is harmless.
     pub fn add_root(&mut self, f: Bdd) {
         if !f.is_const() {
-            *self.roots.entry(f).or_insert(0) += 1;
+            self.roots.push(f);
         }
-    }
-
-    /// Drops one registration of `f` added by [`add_root`](Self::add_root).
-    /// The handle becomes weak again once its count reaches zero.
-    pub fn remove_root(&mut self, f: Bdd) {
-        if f.is_const() {
-            return;
-        }
-        match self.roots.get_mut(&f) {
-            Some(count) if *count > 1 => *count -= 1,
-            Some(_) => {
-                self.roots.remove(&f);
-            }
-            None => {}
-        }
-    }
-
-    /// Sets the floor for the live-node count above which
-    /// [`maybe_gc`](Self::maybe_gc) collects. After every collection the
-    /// effective trigger is re-derived as `max(floor, 2 × live)`, so a
-    /// mostly-live table does not thrash (the next collection waits for the
-    /// table to double) and the trigger falls back towards the floor as soon
-    /// as a collection reclaims the garbage.
-    pub fn set_gc_threshold(&mut self, nodes: usize) {
-        self.gc_floor = nodes.max(2);
-        self.gc_threshold = self.gc_floor;
     }
 
     /// Collects garbage, keeping only nodes reachable from the registered
@@ -1055,10 +1009,13 @@ impl BddManager {
         self.gc_with_roots(&[])
     }
 
-    /// Collects garbage if the live-node count has passed the current
-    /// trigger (see [`set_gc_threshold`](Self::set_gc_threshold)), keeping
-    /// nodes reachable from the registered roots or from `extra_roots`.
-    /// Returns `None` when below the trigger.
+    /// Collects garbage if the live-node count has reached the current
+    /// trigger, keeping nodes reachable from the registered roots or from
+    /// `extra_roots`. Returns `None` when below the trigger. The trigger
+    /// starts at 2^20 live nodes and after every collection becomes
+    /// `max(2^20, 2 × live)`, so a mostly-live table does not thrash (the
+    /// next collection waits for the table to double) and the trigger falls
+    /// back to 2^20 as soon as a collection reclaims the garbage.
     pub fn maybe_gc(&mut self, extra_roots: &[Bdd]) -> Option<GcStats> {
         // The per-cycle safe point doubles as the budget check point: the
         // caller holds no unrooted handles here, so unwinding is clean.
@@ -1098,9 +1055,8 @@ impl BddManager {
         marked[1] = true;
         let mut stack: Vec<usize> = self
             .roots
-            .keys()
-            .copied()
-            .chain(extra_roots.iter().copied())
+            .iter()
+            .chain(extra_roots)
             .filter(|b| !b.is_const())
             .map(|b| b.index())
             .collect();
@@ -1152,9 +1108,8 @@ impl BddManager {
         let live = self.live_nodes();
         // Re-derive the auto-collection trigger from the surviving live set:
         // a mostly-live table waits until it doubles (no thrashing), and the
-        // trigger decays back towards the configured floor once the garbage
-        // is gone.
-        self.gc_threshold = self.gc_floor.max(live.saturating_mul(2));
+        // trigger decays back to the default once the garbage is gone.
+        self.gc_threshold = DEFAULT_GC_THRESHOLD.max(live.saturating_mul(2));
         self.gc_runs += 1;
         M_GC_RUNS.incr();
         M_GC_COLLECTED.add(collected as u64);
@@ -1209,11 +1164,6 @@ impl BddManager {
     /// `true` iff `f` is satisfiable (constant-time for ROBDDs).
     pub fn is_satisfiable(&self, f: Bdd) -> bool {
         !f.is_false()
-    }
-
-    /// `true` iff `f` is a tautology.
-    pub fn is_tautology(&self, f: Bdd) -> bool {
-        f.is_true()
     }
 
     /// One satisfying partial assignment of `f`, or `None` if unsatisfiable.
@@ -1475,7 +1425,7 @@ mod tests {
         assert_eq!(xn, nx);
         // excluded middle
         let taut = m.or(a, na);
-        assert!(m.is_tautology(taut));
+        assert!(taut.is_true());
     }
 
     #[test]
@@ -1618,23 +1568,33 @@ mod tests {
     }
 
     #[test]
-    fn root_counting_and_extra_roots() {
-        let (mut m, v) = setup(2);
-        let a = m.var(v[0]);
-        let b = m.var(v[1]);
-        let f = m.and(a, b);
+    fn permanent_duplicate_and_extra_roots() {
+        let (mut m, v) = setup(4);
+        let lits: Vec<Bdd> = v.iter().map(|&x| m.var(x)).collect();
+        let f = m.and(lits[0], lits[1]);
+        let nf = m.not(f);
+        // A handle, its complement and a constant: one slot set is rooted,
+        // constants are ignored.
         m.add_root(f);
         m.add_root(f);
-        m.remove_root(f);
-        m.gc();
-        assert!(m.eval(f, |_| true), "still rooted once");
-        m.remove_root(f);
-        let a = m.var(v[0]);
-        let b = m.var(v[1]);
-        let g = m.or(a, b);
+        m.add_root(nf);
+        m.add_root(Bdd::TRUE);
+        let g = m.xor(lits[2], lits[3]);
         let stats = m.gc_with_roots(&[g]);
-        assert_eq!(stats.live, 2 + m.node_count(g) - 2);
-        assert!(m.eval(g, |x| x == v[0]));
+        // `f` and `g` share no slots, so the survivors are exactly both
+        // graphs plus the two terminal slots.
+        assert_eq!(
+            stats.live,
+            2 + (m.node_count(f) - 2) + (m.node_count(g) - 2)
+        );
+        assert!(m.eval(f, |x| x == v[0] || x == v[1]));
+        assert!(m.eval(g, |x| x == v[2]));
+        // Roots are permanent: later collections keep `f` with no extra
+        // roots, while `g`, passed only once, is reclaimed.
+        let stats = m.gc();
+        assert_eq!(stats.live, 2 + m.node_count(f) - 2);
+        assert!(m.eval(nf, |x| x == v[0]));
+        assert_eq!(m.gc().collected, 0, "a second collection finds no garbage");
     }
 
     #[test]
@@ -1642,11 +1602,13 @@ mod tests {
         let (mut m, v) = setup(8);
         let lits: Vec<Bdd> = v.iter().map(|&x| m.var(x)).collect();
         let _ = m.and_many(&lits);
-        m.set_gc_threshold(usize::MAX);
+        m.gc_threshold = usize::MAX;
         assert!(m.maybe_gc(&[]).is_none());
-        m.set_gc_threshold(2);
+        m.gc_threshold = 2;
         let stats = m.maybe_gc(&[]).expect("above threshold");
         assert_eq!(stats.live, 2);
+        assert_eq!(m.gc_threshold, DEFAULT_GC_THRESHOLD, "the trigger resets");
+        assert!(m.maybe_gc(&[]).is_none());
     }
 
     #[test]

@@ -27,15 +27,6 @@ impl Var {
     pub fn index(self) -> usize {
         self.0 as usize
     }
-
-    /// Builds a variable from a raw order index.
-    ///
-    /// The variable must already have been allocated in the manager it will be
-    /// used with (see [`crate::BddManager::new_var`]); otherwise operations
-    /// that consult the variable count (such as model counting) will panic.
-    pub fn from_index(index: usize) -> Self {
-        Var(index as u32)
-    }
 }
 
 impl fmt::Display for Var {
@@ -101,9 +92,9 @@ impl Bdd {
     }
 
     /// Whether the complement attribute is set: the handle denotes the
-    /// negation of the function stored at its slot. Exposed for diagnostics
-    /// and the persistent store; all Boolean structure is available through
-    /// [`crate::BddManager`] without consulting the bit.
+    /// negation of the function stored at its slot. Exposed for diagnostics;
+    /// all Boolean structure is available through [`crate::BddManager`]
+    /// without consulting the bit.
     pub fn is_compl(self) -> bool {
         self.0 & 1 == 1
     }

@@ -74,10 +74,9 @@ static M_CACHE_CORRUPT: Counter = Counter::new("cache.corrupt");
 /// ([`crate::FlowReport::metrics`]), changing report bytes for identical
 /// inputs.
 ///
-/// Epoch 3: the BDD engine switched to complemented edges and the `.pvdd`
-/// store format moved to version 2 (`pv_bdd::store::FORMAT_VERSION`).
-/// Pre-complement artifacts are unreadable by the new importer, so the epoch
-/// bump retires them as clean cache misses rather than decode errors.
+/// Epoch 3: the BDD engine switched to complemented edges, and the BDD
+/// store format of the time moved to version 2; the bump retired
+/// pre-complement artifacts as clean cache misses rather than decode errors.
 ///
 /// Epoch 4: β reports' `metrics` gained `bdd.constrain.cache_hit` and
 /// `bdd.constrain.cache_miss`, changing report bytes for identical inputs.
@@ -131,9 +130,6 @@ pub enum ArtifactKind {
     Report,
     /// A netlist in the text format of [`pv_netlist::export`].
     Netlist,
-    /// A BDD store (reached-state sets and friends) in the text format of
-    /// `pv_bdd::store`.
-    BddStore,
 }
 
 impl ArtifactKind {
@@ -141,7 +137,6 @@ impl ArtifactKind {
         match self {
             ArtifactKind::Report => "report.json",
             ArtifactKind::Netlist => "netlist",
-            ArtifactKind::BddStore => "bdd",
         }
     }
 }
@@ -200,6 +195,13 @@ impl ArtifactCache {
                 None
             }
         }
+    }
+
+    /// Whether an artifact is stored under `key`: one metadata lookup, no
+    /// read and no `cache.*` counter, for callers that only need to know
+    /// whether to [`store`](Self::store).
+    pub fn contains(&self, kind: ArtifactKind, key: CacheKey) -> bool {
+        self.path(kind, key).is_file()
     }
 
     /// Records that an entry loaded fine but failed to *decode* (truncated
@@ -267,17 +269,15 @@ mod tests {
         let dir = scratch("kinds");
         let cache = ArtifactCache::at(&dir);
         let key = content_key(["k"]);
-        for kind in [
-            ArtifactKind::Report,
-            ArtifactKind::Netlist,
-            ArtifactKind::BddStore,
-        ] {
+        for kind in [ArtifactKind::Report, ArtifactKind::Netlist] {
             assert_eq!(cache.load(kind, key), None, "{kind:?} starts cold");
+            assert!(!cache.contains(kind, key));
             cache.store(kind, key, "payload").expect("store");
+            assert!(cache.contains(kind, key));
             assert_eq!(cache.load(kind, key).as_deref(), Some("payload"));
         }
-        // The three kinds do not collide even under one key.
-        assert_eq!(fs::read_dir(&dir).unwrap().count(), 3);
+        // The two kinds do not collide even under one key.
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), 2);
         fs::remove_dir_all(&dir).ok();
     }
 

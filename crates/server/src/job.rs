@@ -234,7 +234,7 @@ impl JobRunner {
 
     fn store_netlist_export(&self, cache: &ArtifactCache, netlist: &Netlist, text: &str) {
         let key = CacheKey(netlist.content_hash());
-        if cache.load(ArtifactKind::Netlist, key).is_none() {
+        if !cache.contains(ArtifactKind::Netlist, key) {
             cache.store(ArtifactKind::Netlist, key, text).ok();
         }
     }
