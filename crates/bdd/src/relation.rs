@@ -7,6 +7,11 @@
 //! smoothing; and the set of reachable states is the breadth-first fixpoint
 //! `C_{i+1} = C_i ∪ f(C_i × I)`.
 //!
+//! There is one traversal loop, [`TransitionSystem::check_invariant`]: it
+//! stops at the first frontier holding a state that violates the property,
+//! as the FSM-equivalence check of Section 3.4 does, and plain reachability
+//! ([`TransitionSystem::reachable`]) is the check of the property `true`.
+//!
 //! The relation is held **partitioned** (Burch–Clarke–Long 1991): one
 //! conjunct per next-state bit, greedily merged into clusters bounded by a
 //! node-count limit, with an *early-quantification* schedule — each
@@ -40,13 +45,13 @@ struct Cluster {
 /// image computation to stay a linear rewrite, the `present` and `next`
 /// variables should be allocated interleaved (each `next[i]` immediately
 /// after `present[i]`, as [`crate::BddManager::new_vars_interleaved`]
-/// produces and the netlist symbolic simulator does), or blocked (all
+/// produces and the product-machine baseline allocates them), or blocked (all
 /// `present` variables, then all `next`, in matching order); see
 /// [`crate::BddManager::replace`].
 ///
 /// Constructing a system registers its relation clusters and initial-state
-/// set as garbage-collection roots in the manager, so a
-/// [`reachable`](Self::reachable) fixpoint can collect its per-iteration
+/// set as garbage-collection roots in the manager, so a traversal
+/// ([`check_invariant`](Self::check_invariant)) can collect its per-iteration
 /// garbage without invalidating the machine itself.
 #[derive(Clone, Debug)]
 pub struct TransitionSystem {
@@ -61,13 +66,16 @@ pub struct TransitionSystem {
     clusters: Vec<Cluster>,
 }
 
-/// Result of a reachability fixpoint computation.
+/// Result of a breadth-first traversal
+/// ([`TransitionSystem::check_invariant`]).
 #[derive(Clone, Debug)]
 pub struct ReachableSet {
-    /// Characteristic function of every reachable state, over the present-state
-    /// variables.
+    /// Characteristic function, over the present-state variables, of every
+    /// reachable state when the traversal reached its fixpoint, or of the
+    /// frontier `C_i` where an invariant check stopped at a violation.
     pub states: Bdd,
-    /// Number of breadth-first iterations until the fixpoint (`C_{n+1} = C_n`).
+    /// Number of image steps taken: to the fixpoint (`C_{n+1} = C_n`), or to
+    /// the frontier holding the violation.
     pub iterations: usize,
 }
 
@@ -86,7 +94,7 @@ impl TransitionSystem {
         relation: Bdd,
         init: Bdd,
     ) -> Self {
-        Self::from_partitions_with_limit(m, inputs, present, next, vec![relation], init, usize::MAX)
+        Self::build(m, inputs, present, next, vec![relation], init, usize::MAX)
     }
 
     /// Builds a transition system from a **partitioned** relation: `partitions`
@@ -106,7 +114,7 @@ impl TransitionSystem {
         partitions: Vec<Bdd>,
         init: Bdd,
     ) -> Self {
-        Self::from_partitions_with_limit(
+        Self::build(
             m,
             inputs,
             present,
@@ -117,15 +125,10 @@ impl TransitionSystem {
         )
     }
 
-    /// [`from_partitions`](Self::from_partitions) with an explicit cluster
-    /// node-count limit: `0` never merges (one cluster per conjunct), larger
-    /// limits merge neighbouring conjuncts while the product stays within the
-    /// limit, and `usize::MAX` conjoins everything back into a single
-    /// monolithic cluster.
-    ///
-    /// # Panics
-    /// Panics if `present` and `next` have different lengths.
-    pub fn from_partitions_with_limit(
+    /// Clusters `partitions` under the node-count `cluster_limit`: `0` never
+    /// merges (one cluster per conjunct), `usize::MAX` conjoins everything
+    /// into a single monolithic cluster.
+    fn build(
         m: &mut BddManager,
         inputs: Vec<Var>,
         present: Vec<Var>,
@@ -229,45 +232,16 @@ impl TransitionSystem {
             .collect()
     }
 
-    /// Number of clusters the relation is partitioned into (1 for a
-    /// monolithic system).
-    pub fn partition_count(&self) -> usize {
-        self.clusters.len()
-    }
-
-    /// The monolithic relation `A(pi, ps, ns)`, conjoining every cluster.
-    ///
-    /// Provided for cross-checks and diagnostics; on large systems this can
-    /// be exactly the blow-up the partitioned representation avoids.
-    pub fn relation(&self, m: &mut BddManager) -> Bdd {
-        let rels: Vec<Bdd> = self.clusters.iter().map(|c| c.rel).collect();
-        m.and_many(&rels)
-    }
-
     /// Computes the image of `states` (a characteristic function over the
     /// present-state variables): the set of states reachable in exactly one
     /// step under *some* input, expressed again over the present-state
     /// variables.
+    ///
+    /// This is the relational product: conjoin the state set with each
+    /// cluster in turn, smoothing out each variable at the last cluster that
+    /// mentions it, then rename `ns → ps`.
     pub fn image(&self, m: &mut BddManager, states: Bdd) -> Bdd {
-        self.image_constrained(m, states, None)
-    }
-
-    /// Computes the image of `states` under inputs restricted to the
-    /// characteristic function `input_constraint` (over the input variables).
-    /// This is the cofactoring step used in Section 5.2 to simulate only a
-    /// selected instruction class in a given cycle.
-    pub fn image_under(&self, m: &mut BddManager, states: Bdd, input_constraint: Bdd) -> Bdd {
-        self.image_constrained(m, states, Some(input_constraint))
-    }
-
-    /// The relational product: conjoin the state set (and optional input
-    /// constraint) with each cluster in turn, smoothing out each variable at
-    /// the last cluster that mentions it, then rename `ns → ps`.
-    fn image_constrained(&self, m: &mut BddManager, states: Bdd, constraint: Option<Bdd>) -> Bdd {
-        let mut acc = match constraint {
-            Some(c) => m.and(states, c),
-            None => states,
-        };
+        let mut acc = states;
         for cluster in &self.clusters {
             if acc.is_false() {
                 break;
@@ -286,61 +260,51 @@ impl TransitionSystem {
     /// Breadth-first reachability from the initial states:
     /// `C_0 = init`, `C_{i+1} = C_i ∪ image(C_i)`, until a fixpoint.
     ///
-    /// Between iterations the manager is offered a chance to collect garbage
-    /// ([`BddManager::maybe_gc`]); the relation clusters and `init` are
-    /// already rooted, and the current frontier is passed as an extra root.
-    /// Callers holding further unrooted handles across this call should use
-    /// [`reachable_with_roots`](Self::reachable_with_roots).
+    /// This is [`check_invariant`](Self::check_invariant) with the property
+    /// `true`, which no state violates.
     pub fn reachable(&self, m: &mut BddManager) -> ReachableSet {
-        self.reachable_with_roots(m, &[])
-    }
-
-    /// [`reachable`](Self::reachable), additionally protecting `extra_roots`
-    /// from the between-iteration garbage collections.
-    pub fn reachable_with_roots(&self, m: &mut BddManager, extra_roots: &[Bdd]) -> ReachableSet {
-        let mut current = self.init;
-        let mut iterations = 0usize;
-        loop {
-            let img = self.image(m, current);
-            let next = m.or(current, img);
-            iterations += 1;
-            if next == current {
-                return ReachableSet {
-                    states: current,
-                    iterations,
-                };
-            }
-            current = next;
-            let mut roots = Vec::with_capacity(extra_roots.len() + 1);
-            roots.push(current);
-            roots.extend_from_slice(extra_roots);
-            // A safe point: nothing unrooted is in flight, so the image
-            // garbage can be reclaimed before the next image.
-            m.maybe_gc(&roots);
-        }
+        self.check_invariant(m, Bdd::TRUE).0
     }
 
     /// Checks that `property` (over present-state and input variables) holds on
     /// every reachable state under every input: the FSM-equivalence check of
     /// Section 3.4 instantiates `property` with "the product machine outputs 1".
     ///
-    /// Returns `Ok(reachable)` if the property holds, or `Err((reachable,
-    /// witness))` with one violating assignment otherwise.
-    #[allow(clippy::type_complexity)]
-    pub fn check_invariant(
-        &self,
-        m: &mut BddManager,
-        property: Bdd,
-    ) -> Result<ReachableSet, (ReachableSet, Vec<(Var, bool)>)> {
-        let reach = self.reachable_with_roots(m, &[property]);
-        let not_prop = m.not(property);
-        let violation = m.and(reach.states, not_prop);
-        if violation.is_false() {
-            Ok(reach)
-        } else {
-            let witness = m.sat_one(violation).unwrap_or_default();
-            Err((reach, witness))
-        }
+    /// The traversal is breadth-first from `init` and stops at the first
+    /// frontier holding a state that violates `property` under some input.
+    /// Returns the frontier it stopped at and whether the property holds:
+    /// `(reachable set at the fixpoint, true)` or `(frontier holding the
+    /// violation, false)`.
+    ///
+    /// Between iterations the manager is offered a chance to collect garbage
+    /// ([`BddManager::maybe_gc`]); the relation clusters and `init` are
+    /// rooted at construction and the frontier and `property` are protected
+    /// here. Callers holding further handles across this call must register
+    /// them with [`BddManager::add_root`].
+    pub fn check_invariant(&self, m: &mut BddManager, property: Bdd) -> (ReachableSet, bool) {
+        let not_property = m.not(property);
+        let mut current = self.init;
+        let mut iterations = 0usize;
+        let holds = loop {
+            if !m.and(current, not_property).is_false() {
+                break false;
+            }
+            let img = self.image(m, current);
+            let next = m.or(current, img);
+            iterations += 1;
+            if next == current {
+                break true;
+            }
+            current = next;
+            // A safe point: nothing unrooted is in flight, so the image
+            // garbage can be reclaimed before the next image.
+            m.maybe_gc(&[current, not_property]);
+        };
+        let reach = ReachableSet {
+            states: current,
+            iterations,
+        };
+        (reach, holds)
     }
 }
 
@@ -409,28 +373,22 @@ mod tests {
         let p1 = m.var(ts.present[1]);
         let both = m.and(p0, p1);
         let property = m.not(both);
-        let result = ts.check_invariant(&mut m, property);
-        assert!(result.is_err());
+        let (frontier, holds) = ts.check_invariant(&mut m, property);
+        assert!(!holds);
+        // The check stops at the first frontier reaching 11: three steps from
+        // 00, before the fixpoint.
+        assert_eq!(frontier.iterations, 3);
+        assert!(!m.and(frontier.states, both).is_false());
         // Property "true" trivially holds.
-        let ok = ts.check_invariant(&mut m, Bdd::TRUE);
-        assert!(ok.is_ok());
-    }
-
-    #[test]
-    fn image_under_constraint_restricts_inputs() {
-        let mut m = BddManager::new();
-        let ts = counter(&mut m);
-        // Only allow input = 0: the counter must stay at 00.
-        let constraint = m.nvar(ts.inputs[0]);
-        let img = ts.image_under(&mut m, ts.init, constraint);
-        assert_eq!(img, ts.init);
+        let (_, holds) = ts.check_invariant(&mut m, Bdd::TRUE);
+        assert!(holds);
     }
 
     #[test]
     fn partitioned_agrees_with_monolithic() {
         // `limit: 0` never merges, `usize::MAX` merges everything back into
-        // one cluster; every variant must produce the same (canonical) images,
-        // constrained images and reachable sets as the monolithic system.
+        // one cluster; every variant must produce the same (canonical) images
+        // and reachable sets as the monolithic system.
         // Building both systems over the same variables in the same manager
         // makes these handle comparisons.
         for limit in [0usize, 1, usize::MAX] {
@@ -446,7 +404,7 @@ mod tests {
                 relation,
                 init,
             );
-            let part = TransitionSystem::from_partitions_with_limit(
+            let part = TransitionSystem::build(
                 &mut m,
                 vec![input],
                 vec![p0, p1],
@@ -455,22 +413,18 @@ mod tests {
                 init,
                 limit,
             );
-            assert!(limit > 0 || part.partition_count() == 2);
-            assert_eq!(mono.partition_count(), 1);
+            assert!(limit > 0 || part.clusters.len() == 2);
+            assert_eq!(mono.clusters.len(), 1);
             let img_m = mono.image(&mut m, mono.init);
             let img_p = part.image(&mut m, part.init);
             assert_eq!(img_m, img_p);
-            let constraint = m.nvar(input);
-            let ium = mono.image_under(&mut m, mono.init, constraint);
-            let iup = part.image_under(&mut m, part.init, constraint);
-            assert_eq!(ium, iup);
             let mono_reach = mono.reachable(&mut m);
             let part_reach = part.reachable(&mut m);
             assert_eq!(mono_reach.states, part_reach.states);
             assert_eq!(mono_reach.iterations, part_reach.iterations);
-            // The partitioned clusters still conjoin to the full relation.
-            let part_rel = part.relation(&mut m);
-            assert_eq!(part_rel, relation);
+            // The clusters still conjoin to the full relation.
+            let rels: Vec<Bdd> = part.clusters.iter().map(|c| c.rel).collect();
+            assert_eq!(m.and_many(&rels), relation);
         }
     }
 }

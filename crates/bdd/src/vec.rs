@@ -201,12 +201,6 @@ impl BddVec {
         acc
     }
 
-    /// Disequality as a single BDD.
-    pub fn ne(&self, m: &mut BddManager, other: &Self) -> Bdd {
-        let e = self.eq(m, other);
-        m.not(e)
-    }
-
     /// Unsigned less-than as a single BDD.
     pub fn ult(&self, m: &mut BddManager, other: &Self) -> Bdd {
         assert_eq!(self.width(), other.width(), "width mismatch");
@@ -220,12 +214,6 @@ impl BddVec {
             lt = m.or(nab, keep);
         }
         lt
-    }
-
-    /// Unsigned less-or-equal as a single BDD.
-    pub fn ule(&self, m: &mut BddManager, other: &Self) -> Bdd {
-        let gt = other.ult(m, self);
-        m.not(gt)
     }
 
     /// Signed (two's-complement) less-than as a single BDD.
@@ -249,12 +237,6 @@ impl BddVec {
     pub fn nonzero(&self, m: &mut BddManager) -> Bdd {
         let bits = self.bits.clone();
         m.or_many(&bits)
-    }
-
-    /// The reduction-NOR of all bits (word equals zero).
-    pub fn is_zero(&self, m: &mut BddManager) -> Bdd {
-        let nz = self.nonzero(m);
-        m.not(nz)
     }
 
     /// Word-level multiplexer: `sel ? then_word : else_word`.
@@ -323,16 +305,6 @@ impl BddVec {
         acc
     }
 
-    /// Zero-extends (or truncates) to `width` bits.
-    pub fn zext(&self, m: &BddManager, width: usize) -> Self {
-        let mut bits = self.bits.clone();
-        bits.truncate(width);
-        while bits.len() < width {
-            bits.push(m.constant(false));
-        }
-        BddVec { bits }
-    }
-
     /// Sign-extends (or truncates) to `width` bits.
     ///
     /// # Panics
@@ -390,7 +362,6 @@ mod tests {
             assert_eq!(va.xor(&mut m, &vb).as_const(&m), Some(a ^ b));
             assert_eq!(va.eq(&mut m, &vb).is_true(), a == b);
             assert_eq!(va.ult(&mut m, &vb).is_true(), a < b);
-            assert_eq!(va.ule(&mut m, &vb).is_true(), a <= b);
         }
     }
 
@@ -441,7 +412,7 @@ mod tests {
     }
 
     #[test]
-    fn mux_zext_sext_slice_concat() {
+    fn mux_sext_slice_concat() {
         let mut m = BddManager::new();
         let s = m.new_var();
         let sel = m.var(s);
@@ -449,8 +420,6 @@ mod tests {
         let x = BddVec::mux(&mut m, sel, &a, &b);
         assert_eq!(x.eval(&m, |v| v == s), 0b1010);
         assert_eq!(x.eval(&m, |_| false), 0b0101);
-        let z = a.zext(&m, 6);
-        assert_eq!(z.as_const(&m), Some(0b001010));
         let sx = a.sext(&m, 6);
         assert_eq!(sx.as_const(&m), Some(0b111010));
         let sl = a.slice(1, 2);
@@ -502,7 +471,7 @@ mod tests {
         let mut m = BddManager::new();
         let z = BddVec::constant(&m, 0, 4);
         let nz = BddVec::constant(&m, 2, 4);
-        assert!(z.is_zero(&mut m).is_true());
+        assert!(z.nonzero(&mut m).is_false());
         assert!(nz.nonzero(&mut m).is_true());
     }
 }

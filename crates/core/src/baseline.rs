@@ -16,7 +16,7 @@
 use std::collections::{BTreeMap, HashMap};
 
 use pv_bdd::{Bdd, BddManager, BddVec, TransitionSystem, Var};
-use pv_netlist::{ConcreteSim, Netlist, SymState, SymbolicSim};
+use pv_netlist::{ConcreteSim, Netlist, SymbolicSim};
 
 use crate::plan::{CycleInput, SimulationPlan, SimulationSchedule, Slot};
 use crate::spec::MachineSpec;
@@ -28,9 +28,13 @@ pub struct ProductReport {
     /// `true` iff the two machines produce identical outputs in every
     /// reachable product state under every input.
     pub equivalent: bool,
-    /// Breadth-first iterations to the reachability fixpoint.
+    /// Breadth-first image steps taken: to the reachability fixpoint when
+    /// `equivalent`, otherwise to the first frontier holding a product state
+    /// whose outputs disagree, where the check stopped.
     pub iterations: usize,
-    /// Number of reachable product states (counted over the state variables).
+    /// Number of product states (counted over the state variables) in the
+    /// final set: every reachable state when `equivalent`, otherwise the
+    /// frontier where the check stopped.
     pub reachable_states: f64,
     /// Total ROBDD nodes created.
     pub bdd_nodes: usize,
@@ -105,42 +109,12 @@ pub fn product_equivalence(left: &Netlist, right: &Netlist) -> Result<ProductRep
     // One relation conjunct per register bit of either machine; the
     // partitioned image computation clusters them by support instead of ever
     // conjoining the full product relation.
-    let eval_half = |m: &mut BddManager,
-                     netlist: &Netlist,
-                     present: &[Var],
-                     next: &[Var],
-                     inputs: &BTreeMap<String, BddVec>| {
-        let sym = SymbolicSim::new(netlist);
-        let state = SymState {
-            regs: present.iter().map(|&v| m.var(v)).collect(),
-        };
-        let (next_state, outputs) = sym.step(m, &state, inputs);
-        let partitions: Vec<Bdd> = next_state
-            .regs
-            .iter()
-            .enumerate()
-            .map(|(i, f)| {
-                let nv = m.var(next[i]);
-                m.xnor(nv, *f)
-            })
-            .collect();
-        (partitions, outputs, sym.initial_state(m))
-    };
-    let (mut partitions, out_l, init_l) = eval_half(&mut m, left, &pres_l, &next_l, &inputs);
-    let (parts_r, out_r, init_r) = eval_half(&mut m, right, &pres_r, &next_r, &inputs);
+    let (mut partitions, out_l, mut init_cube) =
+        SymbolicSim::new(left).relation(&mut m, &inputs, &pres_l, &next_l);
+    let (parts_r, out_r, init_r) =
+        SymbolicSim::new(right).relation(&mut m, &inputs, &pres_r, &next_r);
     partitions.extend(parts_r);
-
-    let init_cube: Vec<(Var, bool)> = pres_l
-        .iter()
-        .copied()
-        .zip(init_l.regs.iter().map(|b| b.is_true()))
-        .chain(
-            pres_r
-                .iter()
-                .copied()
-                .zip(init_r.regs.iter().map(|b| b.is_true())),
-        )
-        .collect();
+    init_cube.extend(init_r);
     let init = m.cube(&init_cube);
 
     // Property: every shared output agrees (the XNOR/AND product-machine
@@ -157,34 +131,15 @@ pub fn product_equivalence(left: &Netlist, right: &Netlist) -> Result<ProductRep
     let system =
         TransitionSystem::from_partitions(&mut m, input_vars, present, next, partitions, init);
 
-    // Breadth-first traversal with the property checked after every image
-    // step (the procedure of Section 3.4 stops as soon as a reachable state
-    // disagrees; a fixpoint is only needed for equivalent machines). The
-    // relation clusters and `init` are rooted by the construction above, so
-    // between iterations the manager may reclaim the image-computation
-    // garbage; only the frontier and the property must be protected here.
-    let not_property = m.not(property);
-    let mut current = system.init;
-    let mut iterations = 0usize;
-    let equivalent = loop {
-        let violation = m.and(current, not_property);
-        if !violation.is_false() {
-            break false;
-        }
-        let image = system.image(&mut m, current);
-        let next_set = m.or(current, image);
-        iterations += 1;
-        if next_set == current {
-            break true;
-        }
-        current = next_set;
-        m.maybe_gc(&[current, not_property]);
-    };
+    // Breadth-first traversal that stops as soon as a reachable state
+    // disagrees (Section 3.4); a fixpoint is only reached for equivalent
+    // machines.
+    let (reach, equivalent) = system.check_invariant(&mut m, property);
     let free_vars = m.var_count() - state_bits;
-    let reachable_states = m.sat_count(current) / 2f64.powi(free_vars as i32);
+    let reachable_states = m.sat_count(reach.states) / 2f64.powi(free_vars as i32);
     Ok(ProductReport {
         equivalent,
-        iterations,
+        iterations: reach.iterations,
         reachable_states,
         bdd_nodes: m.stats().allocated,
         state_bits,

@@ -1,12 +1,13 @@
-//! JSON serialization of the verification reports — [`FlowReport`],
-//! [`PlanReport`] and everything nested in them — over the dependency-free
-//! [`crate::json`] value model.
+//! JSON serialization of the verification report — [`FlowReport`] and
+//! everything nested in it (counterexample, replay recipe, metrics, unit
+//! failures) — over the dependency-free [`crate::json`] value model.
 //!
 //! This is what lets a report outlive the process that computed it: the
 //! verification service (`pv-server`) sends reports over its wire protocol
 //! and stores them in the artifact cache in exactly this shape, and a warm
 //! run answers with a parsed report that is **field-identical** to the one
-//! the cold run produced (see `docs/PROTOCOL.md` § "Report JSON").
+//! the cold run produced (see `docs/PROTOCOL.md` § "Report JSON"). Both
+//! carry `FlowReport` only; the per-plan `PlanReport` has no encoding.
 //!
 //! Two encoding details worth knowing:
 //!
@@ -49,8 +50,6 @@ use std::time::Duration;
 
 use crate::flow::{FlowCounterexample, FlowErrorKind, FlowReport, ReplayRecipe, UnitFailure};
 use crate::json::Json;
-use crate::plan::SimulationPlan;
-use crate::verify::{Counterexample, PlanReport};
 
 /// An error while decoding a report from JSON: which field, and why.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -392,149 +391,5 @@ pub fn flow_report_from_json(v: &Json) -> Result<FlowReport, ReportIoError> {
         unit_walls: walls,
         metrics: metrics_from_json(v, "metrics")?,
         unit_failures: unit_failures_from_json(v, "unit_failures")?,
-    })
-}
-
-/// Encodes a β-relation [`Counterexample`] (the flow-specific structured
-/// form, plan included via its stable text rendering).
-pub fn counterexample_to_json(c: &Counterexample) -> Json {
-    Json::Obj(vec![
-        ("plan".to_owned(), Json::Str(c.plan.to_string())),
-        (
-            "slot_instructions".to_owned(),
-            Json::Arr(
-                c.slot_instructions
-                    .iter()
-                    .map(|i| Json::from_u64(*i))
-                    .collect(),
-            ),
-        ),
-        ("slot".to_owned(), Json::from_u64(c.slot as u64)),
-        ("variable".to_owned(), Json::Str(c.variable.clone())),
-        (
-            "pipelined_value".to_owned(),
-            Json::from_u64(c.pipelined_value),
-        ),
-        (
-            "unpipelined_value".to_owned(),
-            Json::from_u64(c.unpipelined_value),
-        ),
-        ("replay".to_owned(), replay_recipe_to_json(&c.replay)),
-    ])
-}
-
-fn plan_from_json(v: &Json, field: &str) -> Result<SimulationPlan, ReportIoError> {
-    get(v, field)?
-        .as_str()
-        .ok_or_else(|| fail(field, "expected a plan string"))?
-        .parse()
-        .map_err(|e| fail(field, &format!("bad plan: {e}")))
-}
-
-/// Decodes a [`Counterexample`] written by [`counterexample_to_json`].
-///
-/// # Errors
-/// Returns [`ReportIoError`] naming the first missing or mistyped field.
-pub fn counterexample_from_json(v: &Json) -> Result<Counterexample, ReportIoError> {
-    let instructions = get(v, "slot_instructions")?
-        .as_arr()
-        .ok_or_else(|| fail("slot_instructions", "expected an array"))?
-        .iter()
-        .map(|i| {
-            i.as_u64()
-                .ok_or_else(|| fail("slot_instructions", "expected integers"))
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(Counterexample {
-        plan: plan_from_json(v, "plan")?,
-        slot_instructions: instructions,
-        slot: get_usize(v, "slot")?,
-        variable: get_str(v, "variable")?,
-        pipelined_value: get_u64(v, "pipelined_value")?,
-        unpipelined_value: get_u64(v, "unpipelined_value")?,
-        replay: replay_recipe_from_json(get(v, "replay")?)?,
-    })
-}
-
-/// Encodes a per-plan [`PlanReport`].
-pub fn plan_report_to_json(r: &PlanReport) -> Json {
-    let mut obj = Json::Obj(vec![
-        ("plan".to_owned(), Json::Str(r.plan.to_string())),
-        ("plan_index".to_owned(), Json::from_u64(r.plan_index as u64)),
-        (
-            "samples_compared".to_owned(),
-            Json::from_u64(r.samples_compared as u64),
-        ),
-        (
-            "pipelined_cycles".to_owned(),
-            Json::from_u64(r.pipelined_cycles as u64),
-        ),
-        (
-            "unpipelined_cycles".to_owned(),
-            Json::from_u64(r.unpipelined_cycles as u64),
-        ),
-        ("bdd_nodes".to_owned(), Json::from_u64(r.bdd_nodes as u64)),
-        (
-            "bdd_peak_live".to_owned(),
-            Json::from_u64(r.bdd_peak_live as u64),
-        ),
-        ("bdd_vars".to_owned(), Json::from_u64(r.bdd_vars as u64)),
-        (
-            "filters".to_owned(),
-            Json::Arr(vec![
-                Json::Str(r.filters.0.clone()),
-                Json::Str(r.filters.1.clone()),
-            ]),
-        ),
-        (
-            "counterexample".to_owned(),
-            r.counterexample
-                .as_ref()
-                .map_or(Json::Null, counterexample_to_json),
-        ),
-        ("wall_time_ns".to_owned(), duration_to_json(r.wall_time)),
-    ]);
-    if let Json::Obj(fields) = &mut obj {
-        if !r.metrics.is_empty() {
-            fields.push(("metrics".to_owned(), metrics_to_json(&r.metrics)));
-        }
-    }
-    obj
-}
-
-/// Decodes a [`PlanReport`] written by [`plan_report_to_json`].
-///
-/// # Errors
-/// Returns [`ReportIoError`] naming the first missing or mistyped field.
-pub fn plan_report_from_json(v: &Json) -> Result<PlanReport, ReportIoError> {
-    let filters = get(v, "filters")?
-        .as_arr()
-        .filter(|f| f.len() == 2)
-        .ok_or_else(|| fail("filters", "expected a [pipelined, unpipelined] pair"))?;
-    Ok(PlanReport {
-        plan: plan_from_json(v, "plan")?,
-        plan_index: get_usize(v, "plan_index")?,
-        samples_compared: get_usize(v, "samples_compared")?,
-        pipelined_cycles: get_usize(v, "pipelined_cycles")?,
-        unpipelined_cycles: get_usize(v, "unpipelined_cycles")?,
-        bdd_nodes: get_usize(v, "bdd_nodes")?,
-        bdd_peak_live: get_usize(v, "bdd_peak_live")?,
-        bdd_vars: get_usize(v, "bdd_vars")?,
-        filters: (
-            filters[0]
-                .as_str()
-                .ok_or_else(|| fail("filters", "expected strings"))?
-                .to_owned(),
-            filters[1]
-                .as_str()
-                .ok_or_else(|| fail("filters", "expected strings"))?
-                .to_owned(),
-        ),
-        counterexample: match get(v, "counterexample")? {
-            Json::Null => None,
-            c => Some(counterexample_from_json(c)?),
-        },
-        wall_time: get_duration(v, "wall_time_ns")?,
-        metrics: metrics_from_json(v, "metrics")?,
     })
 }

@@ -155,21 +155,6 @@ pub fn export_to_path(path: &std::path::Path) -> std::io::Result<usize> {
     Ok(events.len())
 }
 
-/// [`export_to_path`] to the file named by `PV_TRACE_OUT`
-/// ([`pv_obs::TRACE_OUT_ENV`]), the hook traced binaries call on exit.
-/// Returns `None` (and drains nothing) when the variable is unset or empty.
-///
-/// # Errors
-/// Propagates the I/O error when the file cannot be written.
-pub fn export_to_env_path() -> std::io::Result<Option<(std::path::PathBuf, usize)>> {
-    let Some(path) = std::env::var_os(pv_obs::TRACE_OUT_ENV).filter(|p| !p.is_empty()) else {
-        return Ok(None);
-    };
-    let path = std::path::PathBuf::from(path);
-    let count = export_to_path(&path)?;
-    Ok(Some((path, count)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -2,8 +2,8 @@
 //! encode → render → parse → decode must be **field-identical** for arbitrary
 //! reports, including full-range `u64` payloads and nested counterexamples.
 //!
-//! `FlowReport`/`PlanReport` deliberately do not implement `PartialEq` (they
-//! carry wall-clock durations), so field identity is checked the way the
+//! `FlowReport` deliberately does not implement `PartialEq` (it carries
+//! wall-clock durations), so field identity is checked the way the
 //! cache does: the deterministic JSON encoding of the decoded report must
 //! equal the original encoding byte-for-byte — plus spot checks on the fields
 //! where a codec bug could hide behind re-encoding symmetry.
@@ -12,13 +12,8 @@ use std::collections::BTreeMap;
 use std::time::Duration;
 
 use pipeverify_core::json::Json;
-use pipeverify_core::report_io::{
-    flow_report_from_json, flow_report_to_json, plan_report_from_json, plan_report_to_json,
-};
-use pipeverify_core::{
-    Counterexample, FlowCounterexample, FlowErrorKind, FlowReport, PlanReport, ReplayRecipe,
-    SimulationPlan, UnitFailure,
-};
+use pipeverify_core::report_io::{flow_report_from_json, flow_report_to_json};
+use pipeverify_core::{FlowCounterexample, FlowErrorKind, FlowReport, ReplayRecipe, UnitFailure};
 use proptest::prelude::*;
 
 const PORTS: &[&str] = &["instr", "reset", "irq", "stall"];
@@ -85,13 +80,6 @@ fn arb_unit_failures() -> impl Strategy<Value = Vec<UnitFailure>> {
     })
 }
 
-fn arb_plan() -> impl Strategy<Value = SimulationPlan> {
-    proptest::collection::vec(0..4usize, 1..6).prop_map(|tokens| {
-        let text: Vec<&str> = tokens.iter().map(|&t| ["r", "0", "1", "i"][t]).collect();
-        text.join("\n").parse().expect("valid plan tokens")
-    })
-}
-
 fn arb_flow_report() -> impl Strategy<Value = FlowReport> {
     (
         (
@@ -139,49 +127,6 @@ fn arb_flow_report() -> impl Strategy<Value = FlowReport> {
         )
 }
 
-fn arb_plan_report() -> impl Strategy<Value = PlanReport> {
-    (
-        (
-            arb_plan(),
-            (0usize..32),
-            proptest::collection::vec(any::<usize>(), 6),
-        ),
-        proptest::option::of((
-            arb_plan(),
-            proptest::collection::vec(any::<u64>(), 1..5),
-            arb_recipe(),
-        )),
-        (any::<u64>(), arb_metrics()),
-    )
-        .prop_map(
-            |((plan, index, stats), cex, (wall_ns, metrics))| PlanReport {
-                plan,
-                plan_index: index,
-                samples_compared: stats[0] % 1000,
-                pipelined_cycles: stats[1] % 1000,
-                unpipelined_cycles: stats[2] % 1000,
-                bdd_nodes: stats[3] % 1_000_000,
-                bdd_peak_live: stats[4] % 1_000_000,
-                bdd_vars: stats[5] % 10_000,
-                filters: ("beta".to_owned(), "dynamic-beta".to_owned()),
-                counterexample: cex.map(|(plan, instrs, replay)| {
-                    let slot = instrs.len() - 1;
-                    Counterexample {
-                        plan,
-                        slot_instructions: instrs,
-                        slot,
-                        variable: "regfile".to_owned(),
-                        pipelined_value: replay.pipelined_value,
-                        unpipelined_value: replay.unpipelined_value,
-                        replay,
-                    }
-                }),
-                wall_time: Duration::from_nanos(wall_ns),
-                metrics,
-            },
-        )
-}
-
 proptest! {
     /// FlowReport: encode → text → parse → decode → re-encode is the
     /// identity on the encoding, and the decoded fields match the originals.
@@ -207,24 +152,6 @@ proptest! {
         prop_assert_eq!(decoded.unit_walls, report.unit_walls);
         prop_assert_eq!(decoded.metrics, report.metrics);
         prop_assert_eq!(decoded.unit_failures, report.unit_failures);
-    }
-
-    /// PlanReport: same round trip, including the β-relation's structured
-    /// counterexample and the plan's text rendering.
-    #[test]
-    fn plan_report_round_trips(report in arb_plan_report()) {
-        let json = plan_report_to_json(&report);
-        let text = json.render();
-        let parsed = Json::parse(&text).expect("rendered JSON parses");
-        let decoded = plan_report_from_json(&parsed).expect("well-formed report");
-
-        prop_assert_eq!(plan_report_to_json(&decoded), json);
-        prop_assert_eq!(decoded.plan, report.plan);
-        prop_assert_eq!(decoded.plan_index, report.plan_index);
-        prop_assert_eq!(decoded.counterexample, report.counterexample);
-        prop_assert_eq!(decoded.wall_time, report.wall_time);
-        prop_assert_eq!(decoded.filters, report.filters);
-        prop_assert_eq!(decoded.metrics, report.metrics);
     }
 }
 

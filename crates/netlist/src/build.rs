@@ -252,12 +252,6 @@ impl NetlistBuilder {
         self.not(x)
     }
 
-    /// 2-input NAND.
-    pub fn nand(&mut self, a: NetId, b: NetId) -> NetId {
-        let x = self.and(a, b);
-        self.not(x)
-    }
-
     /// 2-input NOR.
     pub fn nor(&mut self, a: NetId, b: NetId) -> NetId {
         let x = self.or(a, b);
@@ -485,21 +479,6 @@ impl NetlistBuilder {
         }
     }
 
-    /// Convenience: a register whose next state is `enable ? data : hold`.
-    pub fn register_en(
-        &mut self,
-        name: &str,
-        width: usize,
-        init: u64,
-        enable: NetId,
-        data: &Word,
-    ) -> RegWord {
-        let reg = self.register(name, width, init);
-        let next = self.wmux(enable, data, &reg.value());
-        self.set_next(&reg, &next);
-        reg
-    }
-
     /// Declares an addressable array of `count` registers of `width` bits,
     /// each reset to `init`.
     pub fn reg_array(&mut self, name: &str, count: usize, width: usize, init: u64) -> RegArray {
@@ -659,12 +638,6 @@ impl NetlistBuilder {
         self.and_many(&eqs)
     }
 
-    /// Word disequality as a single bit.
-    pub fn wne(&mut self, a: &Word, b: &Word) -> NetId {
-        let e = self.weq(a, b);
-        self.not(e)
-    }
-
     /// Unsigned less-than as a single bit.
     pub fn wult(&mut self, a: &Word, b: &Word) -> NetId {
         assert_eq!(a.width(), b.width(), "word width mismatch");
@@ -705,11 +678,6 @@ impl NetlistBuilder {
     pub fn wis_zero(&mut self, a: &Word) -> NetId {
         let nz = self.or_many(a.bits());
         self.not(nz)
-    }
-
-    /// `true` bit iff the word is non-zero.
-    pub fn wnonzero(&mut self, a: &Word) -> NetId {
-        self.or_many(a.bits())
     }
 
     /// Word multiplexer: `sel ? t : e`.

@@ -54,4 +54,4 @@ mod sym;
 pub use build::{NetlistBuilder, RegArray, RegWord, Word};
 pub use eval::ConcreteSim;
 pub use net::{BuildError, NetId, Netlist, PipelineHints, PortInfo};
-pub use sym::{SymState, SymbolicMachine, SymbolicSim};
+pub use sym::{SymState, SymbolicSim};

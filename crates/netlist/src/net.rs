@@ -224,18 +224,6 @@ impl Netlist {
         self.nodes.len()
     }
 
-    /// Names of the word-level registers, in declaration order, without
-    /// duplicates.
-    pub fn register_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = Vec::new();
-        for r in &self.regs {
-            if names.last().map(String::as_str) != Some(r.name.as_str()) {
-                names.push(r.name.clone());
-            }
-        }
-        names
-    }
-
     pub(crate) fn input_port_index(&self, name: &str) -> Option<usize> {
         self.inputs.iter().position(|p| p.name == name)
     }

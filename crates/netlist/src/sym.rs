@@ -7,13 +7,15 @@
 //!   introduced so far; each step composes the next-state functions, exactly
 //!   like simulating the machine cycle by cycle with symbolic inputs. This is
 //!   what the Figure 8 verification algorithm consumes.
-//! * **transition-relation export** ([`SymbolicSim::transition_system`]): the
-//!   relation `A(pi, ps, ns)` of Section 3.3, for reachability-style
-//!   procedures such as the product-machine equivalence check of Section 3.4.
+//! * **transition-relation export** ([`SymbolicSim::relation`]): the
+//!   relation `A(pi, ps, ns)` of Section 3.3 as one conjunct per register bit
+//!   over variables the caller allocates, for reachability-style procedures
+//!   such as the product-machine equivalence check of Section 3.4, which
+//!   exports both machines over shared input variables.
 
 use std::collections::BTreeMap;
 
-use pv_bdd::{Bdd, BddManager, BddVec, TransitionSystem, Var};
+use pv_bdd::{Bdd, BddManager, BddVec, Var};
 
 use crate::net::{NetNode, Netlist};
 
@@ -49,34 +51,6 @@ impl SymState {
 #[derive(Clone, Copy, Debug)]
 pub struct SymbolicSim<'a> {
     netlist: &'a Netlist,
-}
-
-/// A netlist exported as a transition system, together with the variable
-/// bookkeeping needed to constrain inputs and interpret outputs.
-#[derive(Clone, Debug)]
-pub struct SymbolicMachine {
-    /// The transition system (relation, init, variable families).
-    pub system: TransitionSystem,
-    /// For each primary input port, its name and BDD variables (LSB first).
-    pub input_vars: Vec<(String, Vec<Var>)>,
-    /// For each observed output port, its name and its function over the
-    /// input and present-state variables.
-    pub outputs: Vec<(String, BddVec)>,
-}
-
-impl SymbolicMachine {
-    /// The variables of the named input port, if present.
-    pub fn input(&self, name: &str) -> Option<&[Var]> {
-        self.input_vars
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v.as_slice())
-    }
-
-    /// The function of the named output port, if present.
-    pub fn output(&self, name: &str) -> Option<&BddVec> {
-        self.outputs.iter().find(|(n, _)| n == name).map(|(_, v)| v)
-    }
 }
 
 impl<'a> SymbolicSim<'a> {
@@ -212,85 +186,49 @@ impl<'a> SymbolicSim<'a> {
     }
 
     /// Exports the netlist as a **partitioned** transition relation
-    /// `A(pi, ps, ns)` — one conjunct `ns_i ↔ f_i(pi, ps)` per register bit,
-    /// clustered by [`TransitionSystem::from_partitions`] — with an
-    /// interleaved present/next variable order, plus the output functions over
-    /// `(pi, ps)`.
+    /// `A(pi, ps, ns)` over caller-allocated variables: `inputs` are the
+    /// primary-input words, `present[i]` and `next[i]` the present- and
+    /// next-state variables of register bit `i` (declaration order).
     ///
-    /// Fresh variables are allocated in `manager`: first one variable per
-    /// primary-input bit (in port order), then, per register bit, its present
-    /// and next variables adjacent to each other — an order-preserving
-    /// present→next layout, as [`TransitionSystem`]'s image renaming needs.
+    /// Returns the conjuncts `ns_i ↔ f_i(pi, ps)`, one per register bit, for
+    /// [`pv_bdd::TransitionSystem::from_partitions`]; the output words over
+    /// `(pi, ps)`; and the reset state as a cube over `present`.
     ///
-    /// The relation clusters, the initial-state set and the output functions
-    /// are registered as garbage-collection roots in `manager`, so the
-    /// returned machine survives the collections that
-    /// [`TransitionSystem::reachable`] performs between fixpoint iterations.
-    pub fn transition_system(&self, manager: &mut BddManager) -> SymbolicMachine {
-        let netlist = self.netlist;
-        let mut input_vars = Vec::new();
-        let mut inputs = BTreeMap::new();
-        let mut all_input_vars = Vec::new();
-        for p in &netlist.inputs {
-            let vars = manager.new_vars(p.width);
-            all_input_vars.extend_from_slice(&vars);
-            inputs.insert(p.name.clone(), BddVec::from_vars(manager, &vars));
-            input_vars.push((p.name.clone(), vars));
-        }
-        let mut present = Vec::with_capacity(netlist.regs.len());
-        let mut next = Vec::with_capacity(netlist.regs.len());
-        for _ in &netlist.regs {
-            let p = manager.new_var();
-            let n = manager.new_var();
-            present.push(p);
-            next.push(n);
-        }
+    /// # Panics
+    /// Panics if `present` or `next` does not hold one variable per register
+    /// bit, or if a declared input port is missing from `inputs`.
+    #[allow(clippy::type_complexity)]
+    pub fn relation(
+        &self,
+        manager: &mut BddManager,
+        inputs: &BTreeMap<String, BddVec>,
+        present: &[Var],
+        next: &[Var],
+    ) -> (Vec<Bdd>, BTreeMap<String, BddVec>, Vec<(Var, bool)>) {
+        let regs = &self.netlist.regs;
+        assert!(
+            present.len() == regs.len() && next.len() == regs.len(),
+            "one present and one next variable per register bit"
+        );
         let state = SymState {
             regs: present.iter().map(|&v| manager.var(v)).collect(),
         };
-        let values = self.eval_nets(manager, &state, &inputs);
-        // One relation conjunct per register bit: ns_i <-> f_i(pi, ps).
-        let partitions: Vec<Bdd> = netlist
+        let (next_state, outputs) = self.step(manager, &state, inputs);
+        let conjuncts = next_state
             .regs
             .iter()
-            .enumerate()
-            .map(|(i, r)| {
-                let f = values[r.next.expect("assigned").0 as usize];
-                let nv = manager.var(next[i]);
+            .zip(next)
+            .map(|(&f, &n)| {
+                let nv = manager.var(n);
                 manager.xnor(nv, f)
             })
             .collect();
-        let init_cube: Vec<(Var, bool)> = present
+        let init = present
             .iter()
             .copied()
-            .zip(netlist.regs.iter().map(|r| r.init))
+            .zip(regs.iter().map(|r| r.init))
             .collect();
-        let init = manager.cube(&init_cube);
-        let outputs: Vec<(String, BddVec)> = netlist
-            .outputs
-            .iter()
-            .map(|(name, nets)| {
-                let bits = nets.iter().map(|n| values[n.0 as usize]).collect();
-                (name.clone(), BddVec::from_bits(bits))
-            })
-            .collect();
-        for (_, word) in &outputs {
-            for &bit in word.bits() {
-                manager.add_root(bit);
-            }
-        }
-        SymbolicMachine {
-            system: TransitionSystem::from_partitions(
-                manager,
-                all_input_vars,
-                present,
-                next,
-                partitions,
-                init,
-            ),
-            input_vars,
-            outputs,
-        }
+        (conjuncts, outputs, init)
     }
 
     /// The netlist being simulated.
@@ -356,21 +294,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn transition_system_reaches_all_counter_states() {
-        let n = accumulator();
-        let sym = SymbolicSim::new(&n);
-        let mut m = BddManager::new();
-        let machine = sym.transition_system(&mut m);
-        let reach = machine.system.reachable(&mut m);
-        // The accumulator can reach every 3-bit value.
-        let count = m.sat_count(reach.states);
-        let free_vars = m.var_count() - machine.system.present.len();
-        assert_eq!(count / 2f64.powi(free_vars as i32), 8.0);
-        assert!(machine.input("in").is_some());
-        assert!(machine.output("sum").is_some());
     }
 
     #[test]

@@ -43,8 +43,8 @@ use crate::metrics;
 /// non-empty and non-`0`/`false`).
 pub const TRACE_ENV: &str = "PV_TRACE";
 
-/// The environment variable naming the JSONL file traced binaries write on
-/// exit (consumed by `pipeverify_core::trace_io::export_to_env_path`).
+/// The environment variable naming the JSONL file `pv trace` writes when no
+/// `--out` is given (read by the `pv` binary in `pv-server`).
 pub const TRACE_OUT_ENV: &str = "PV_TRACE_OUT";
 
 /// Whether instrumentation is compiled in at all.

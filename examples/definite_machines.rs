@@ -37,14 +37,10 @@ fn main() {
         vec![vec![0, 0], vec![1, 1]],
         0,
     );
-    println!(
-        "order of definiteness of the shift machine : {:?}",
-        shift.definiteness_order(8)
-    );
-    println!(
-        "order of definiteness of the toggle machine: {:?}",
-        toggle.definiteness_order(8)
-    );
+    let (shift_order, toggle_order) = (shift.definiteness_order(8), toggle.definiteness_order(8));
+    println!("order of definiteness of the shift machine : {shift_order:?}");
+    println!("order of definiteness of the toggle machine: {toggle_order:?}");
+    assert_eq!((shift_order, toggle_order), (Some(1), None));
 
     // --- Theorem 4.3.1.1 ----------------------------------------------------
     // Two 2-definite machines are equivalent iff they agree on all 2² = 4
@@ -55,40 +51,26 @@ fn main() {
         vec![vec![0, 1], vec![1, 0]],
         0,
     );
-    println!(
-        "xor-of-last-two vs. Mealy realisation: {:?}",
-        verify_definite_equivalence(&xor_window, &xor_mealy, 2, 2)
-    );
-    let broken = DefiniteMachine::new(2, 0, |w| if w == [1, 1] { 0 } else { w[0] ^ w[1] });
-    println!(
-        "xor-of-last-two vs. broken copy      : {:?}",
-        verify_definite_equivalence(&xor_window, &broken, 2, 2)
-    );
+    let agree = verify_definite_equivalence(&xor_window, &xor_mealy, 2, 2);
+    println!("xor-of-last-two vs. Mealy realisation: {agree:?}");
+    assert_eq!(agree, None);
+    let broken = DefiniteMachine::new(2, 0, |w| if w == [1, 1] { 1 } else { w[0] ^ w[1] });
+    let differ = verify_definite_equivalence(&xor_window, &broken, 2, 2);
+    println!("xor-of-last-two vs. broken copy      : {differ:?}");
+    assert_eq!(differ, Some(vec![1, 1]));
 
     // --- The β-relation (Figures 1 and 2) ----------------------------------
     let spec = CharFn::new(|u| u);
     let imp = examples::delayed_identity();
     let h = examples::modulo2_filter();
     let x: Vec<u64> = (1..=10).collect();
-    println!(
-        "Figure 1 (one-cycle delay vs identity, n = 1): {}",
-        if beta_holds(&imp, &spec, &h, 1, &x).is_none() {
-            "β-relation holds"
-        } else {
-            "β-relation fails"
-        }
-    );
+    assert!(beta_holds(&imp, &spec, &h, 1, &x).is_none());
+    println!("Figure 1 (one-cycle delay vs identity, n = 1): β-relation holds");
 
     let mac_spec = examples::mac_specification();
     let serial = examples::serial_mac_implementation();
     let h6 = examples::serial_input_filter();
     let x2: Vec<u64> = (0..18).map(|t| 0x2_0300 + t).collect();
-    println!(
-        "Figure 2 (serial 6-state implementation, n = 5): {}",
-        if beta_holds(&serial, &mac_spec, &h6, 5, &x2).is_none() {
-            "β-relation holds"
-        } else {
-            "β-relation fails"
-        }
-    );
+    assert!(beta_holds(&serial, &mac_spec, &h6, 5, &x2).is_none());
+    println!("Figure 2 (serial 6-state implementation, n = 5): β-relation holds");
 }

@@ -132,7 +132,13 @@ fn strict_io_equivalence_fails_where_outputs_are_retimed() {
     let delayed = accumulator(3, true);
     let product = product_equivalence(&delayed, &spec).expect("product");
     assert!(!product.equivalent);
-    assert!(product.iterations > 0);
+    // The traversal stops at the first frontier holding a disagreeing state:
+    // one image step from reset, eight product states, well short of the
+    // fixpoint.
+    assert_eq!(product.iterations, 1);
+    assert_eq!(product.reachable_states, 8.0);
+    assert_eq!(product.bdd_nodes, 1054);
+    assert_eq!(product.state_bits, 9);
     // The β-relation on the processor pair holds (reduced model, one plan).
     let pipelined = vsm::pipelined(VsmConfig::reduced(2)).expect("build");
     let unpipelined = vsm::unpipelined(VsmConfig::reduced(2)).expect("build");
@@ -154,5 +160,6 @@ fn product_machine_confirms_self_equivalence() {
     // Fed the same inputs, the two copies stay in lock-step, so only the
     // "equal states" diagonal (2^4 of the 2^8 product states) is reachable.
     assert_eq!(report.reachable_states, 16.0);
-    assert!(report.iterations >= 2);
+    assert_eq!(report.iterations, 2);
+    assert_eq!(report.bdd_nodes, 1250);
 }
