@@ -16,8 +16,7 @@ pub mod matrix;
 /// — the per-machine figures of Sections 6.2/6.3. A single-plan check runs
 /// on the calling thread, so its events are this thread's. Tracing is
 /// process-global: the helper drains any buffered events before the run and
-/// switches tracing off after it. With the `obs` feature off the spans are
-/// compiled out and both walls are 0.
+/// switches tracing off after it.
 ///
 /// # Errors
 /// See [`Verifier::verify`].

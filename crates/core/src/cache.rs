@@ -1,7 +1,7 @@
 //! The **content-addressed artifact cache** of the verification service:
-//! verification results (and the artifacts behind them) stored on disk under
-//! a key derived from everything that determines them, so a warm re-run of an
-//! unchanged job is a file read instead of a symbolic-simulation campaign.
+//! verification reports stored on disk under a key derived from everything
+//! that determines them, so a warm re-run of an unchanged job is a file read
+//! instead of a symbolic-simulation campaign.
 //!
 //! # Key derivation
 //!
@@ -26,7 +26,7 @@
 //!
 //! # On-disk layout
 //!
-//! One artifact per file, named `<16-hex-key>.<kind extension>` inside the
+//! One report per file, named `<16-hex-key>.report.json` inside the
 //! cache directory (`--cache-dir`, else `PV_CACHE_DIR`, else `.pv-cache`).
 //! Writes go through a temporary file and an atomic rename, so a crashed or
 //! concurrent writer never leaves a torn artifact behind.
@@ -128,15 +128,12 @@ where
 pub enum ArtifactKind {
     /// A [`crate::FlowReport`] in the JSON shape of [`crate::report_io`].
     Report,
-    /// A netlist in the text format of [`pv_netlist::export`].
-    Netlist,
 }
 
 impl ArtifactKind {
     fn extension(self) -> &'static str {
         match self {
             ArtifactKind::Report => "report.json",
-            ArtifactKind::Netlist => "netlist",
         }
     }
 }
@@ -195,13 +192,6 @@ impl ArtifactCache {
                 None
             }
         }
-    }
-
-    /// Whether an artifact is stored under `key`: one metadata lookup, no
-    /// read and no `cache.*` counter, for callers that only need to know
-    /// whether to [`store`](Self::store).
-    pub fn contains(&self, kind: ArtifactKind, key: CacheKey) -> bool {
-        self.path(kind, key).is_file()
     }
 
     /// Records that an entry loaded fine but failed to *decode* (truncated
@@ -265,19 +255,19 @@ mod tests {
     }
 
     #[test]
-    fn store_then_load_round_trips_per_kind() {
-        let dir = scratch("kinds");
+    fn store_then_load_round_trips() {
+        let dir = scratch("round-trip");
         let cache = ArtifactCache::at(&dir);
         let key = content_key(["k"]);
-        for kind in [ArtifactKind::Report, ArtifactKind::Netlist] {
-            assert_eq!(cache.load(kind, key), None, "{kind:?} starts cold");
-            assert!(!cache.contains(kind, key));
-            cache.store(kind, key, "payload").expect("store");
-            assert!(cache.contains(kind, key));
-            assert_eq!(cache.load(kind, key).as_deref(), Some("payload"));
-        }
-        // The two kinds do not collide even under one key.
-        assert_eq!(fs::read_dir(&dir).unwrap().count(), 2);
+        assert_eq!(cache.load(ArtifactKind::Report, key), None, "starts cold");
+        let path = cache
+            .store(ArtifactKind::Report, key, "payload")
+            .expect("store");
+        assert_eq!(path, dir.join(format!("{key}.report.json")));
+        assert_eq!(
+            cache.load(ArtifactKind::Report, key).as_deref(),
+            Some("payload")
+        );
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -524,7 +524,15 @@ impl Verifier {
         self.validate(pipelined)?;
         self.validate(unpipelined)?;
         let budget = self.budget.as_ref().map(Budget::child);
-        self.check_plan_indexed(pipelined, unpipelined, plan, 0, budget)
+        let instr_order = self.instr_order(pipelined);
+        self.check_plan_indexed(
+            pipelined,
+            unpipelined,
+            plan,
+            0,
+            budget,
+            instr_order.as_deref(),
+        )
     }
 
     /// Verifies a sequence of plans, stopping at the first counterexample.
@@ -548,6 +556,7 @@ impl Verifier {
         self.validate(pipelined)?;
         self.validate(unpipelined)?;
         let threads = self.threads().min(plans.len().max(1));
+        let instr_order = self.instr_order(pipelined);
         // One budget child per plan, created up front: every plan shares the
         // batch's deadline and node limit but carries its own cancel flag, so
         // a terminal cutoff can stop exactly the in-flight plans the
@@ -567,7 +576,14 @@ impl Verifier {
             },
             |index, plan| {
                 let budget = children[index].clone();
-                let result = self.check_plan_indexed(pipelined, unpipelined, plan, index, budget);
+                let result = self.check_plan_indexed(
+                    pipelined,
+                    unpipelined,
+                    plan,
+                    index,
+                    budget,
+                    instr_order.as_deref(),
+                );
                 let terminal = match &result {
                     Err(_) => true,
                     Ok(report) => report.counterexample.is_some(),
@@ -653,9 +669,25 @@ impl Verifier {
         Ok(())
     }
 
+    /// The FORCE-derived static order of the instruction bits
+    /// (`pv_netlist::order`), computed from the pipelined netlist's
+    /// connectivity: `order[k]` is the instruction bit that receives a slot
+    /// block's k-th (topmost-first) variable, so decode-selector bits branch
+    /// before operand fields. On ISAs that put the opcode in the high bits,
+    /// declaration (LSB-first) order would allocate those selector bits last.
+    /// The order only changes variable levels, never what is verified. `None`
+    /// when FORCE does not order the whole instruction port. Plan-independent,
+    /// so computed once per batch.
+    fn instr_order(&self, pipelined: &Netlist) -> Option<Vec<usize>> {
+        pv_netlist::order::force_order(pipelined)
+            .port_orders
+            .remove(&self.spec.instr_port)
+            .filter(|order| order.len() == self.spec.instr_width)
+    }
+
     /// The unit of work behind [`check_plan`](Self::check_plan): assumes the
-    /// netlists have already been validated (validation is plan-independent
-    /// and done once per batch).
+    /// netlists have already been validated and `instr_order` computed
+    /// (both are plan-independent and done once per batch).
     fn check_plan_indexed(
         &self,
         pipelined: &Netlist,
@@ -663,6 +695,7 @@ impl Verifier {
         plan: &SimulationPlan,
         plan_index: usize,
         budget: Option<Budget>,
+        instr_order: Option<&[usize]>,
     ) -> Result<PlanReport, VerifyError> {
         let _span = pv_obs::span("plan.check");
         let started = Instant::now();
@@ -696,26 +729,13 @@ impl Verifier {
         // smaller; the residual (non-cube) part of the constraint is carried
         // as an assumption and applied when the sampled formulae are compared.
         // Slot words are allocated in program order, one contiguous block
-        // each.
-        //
-        // Inside a block, the bits follow the FORCE-derived static order
-        // (`pv_netlist::order`), computed from the pipelined netlist's
-        // connectivity: `instr_order[k]` is the instruction bit that receives
-        // the block's k-th (topmost-first) variable, so decode-selector bits
-        // branch before operand fields. On ISAs that put the opcode in the
-        // high bits, declaration (LSB-first) order would allocate those
-        // selector bits last. The order only changes variable levels, never
-        // what is verified.
-        let instr_order: Option<Vec<usize>> = pv_netlist::order::force_order(pipelined)
-            .port_orders
-            .remove(&spec.instr_port)
-            .filter(|order| order.len() == spec.instr_width);
+        // each; inside a block, the bits follow `instr_order`.
         let slot_vars: Vec<Vec<Var>> = schedule
             .slot_classes
             .iter()
             .map(|_| {
                 let alloc = manager.new_vars(spec.instr_width);
-                match &instr_order {
+                match instr_order {
                     Some(order) => {
                         let mut vars = alloc.clone();
                         for (k, &bit) in order.iter().enumerate() {

@@ -1,12 +1,8 @@
-//! Deterministic text **export/import** of a finished [`Netlist`], and the
-//! FNV-1a content hash derived from it.
+//! Deterministic text **export/import** of a finished [`Netlist`].
 //!
 //! The export is a pure function of the netlist: same design, same bytes.
-//! That makes the text do double duty — it is both the on-disk artifact
-//! format of the verification service's cache (a cached report can always be
-//! traced back to the exact gate graph it was computed from) and the raw
-//! material of [`Netlist::content_hash`], the design component of a cache
-//! key.
+//! That makes the text the design component of the verification service's
+//! cache keys: any gate, port or pipeline-hint change changes the bytes.
 //!
 //! ```text
 //! .pvnet 1                      header: format name + version
@@ -33,7 +29,7 @@
 //! Gate operands always reference earlier node lines (the builder only ever
 //! wires existing nets), register next-state nets may reference any node, and
 //! the pipeline hints are exported in full — a seeded bug that changes only a
-//! hint (say, an inverted stall gate) therefore changes the hash too.
+//! hint (say, an inverted stall gate) therefore changes the export too.
 //!
 //! Round trip:
 //!
@@ -52,7 +48,7 @@
 //!
 //! let text = export::export(&netlist);
 //! let rebuilt = export::import(&text).expect("well-formed export");
-//! assert_eq!(netlist.content_hash(), rebuilt.content_hash());
+//! assert_eq!(export::export(&rebuilt), text);
 //!
 //! // The rebuilt netlist behaves identically.
 //! let mut sim = ConcreteSim::new(&rebuilt);
@@ -71,8 +67,8 @@ pub const FORMAT_VERSION: u32 = 1;
 
 /// 64-bit FNV-1a hash — the workspace's content-hash primitive.
 ///
-/// Small, dependency-free and stable across platforms and releases; used for
-/// [`Netlist::content_hash`] and (in `pipeverify-core`) for cache keys.
+/// Small, dependency-free and stable across platforms and releases; used
+/// (in `pipeverify-core`) for cache keys.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
@@ -191,7 +187,7 @@ pub fn export(netlist: &Netlist) -> String {
 ///
 /// The rebuilt [`Netlist`] is structurally identical to the exported one:
 /// same node graph, registers, ports and pipeline hints, and therefore the
-/// same [`Netlist::content_hash`] and the same behaviour under
+/// same export text and the same behaviour under
 /// [`crate::ConcreteSim`]/[`crate::SymbolicSim`].
 ///
 /// # Errors
@@ -479,17 +475,6 @@ pub fn import(text: &str) -> Result<Netlist, ImportError> {
     })
 }
 
-impl Netlist {
-    /// FNV-1a 64-bit hash of the deterministic [`export`] text: a stable
-    /// fingerprint of the full design — gate graph, registers, ports and
-    /// pipeline hints. Two netlists hash equal iff their exports are
-    /// byte-identical, which the builders guarantee for identical build
-    /// sequences.
-    pub fn content_hash(&self) -> u64 {
-        fnv1a64(export(self).as_bytes())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -515,7 +500,6 @@ mod tests {
         assert_eq!(a, b);
         let back = import(&a).expect("round trip");
         assert_eq!(export(&back), a);
-        assert_eq!(back.content_hash(), nl.content_hash());
         assert_eq!(back.name(), nl.name());
         assert_eq!(back.inputs(), nl.inputs());
         assert_eq!(back.outputs(), nl.outputs());
@@ -548,10 +532,10 @@ mod tests {
     }
 
     #[test]
-    fn hash_is_sensitive_to_hints() {
+    fn export_is_sensitive_to_hints() {
         let mut a = counter();
-        let h = a.content_hash();
+        let text = export(&a);
         a.hints.stall_inverted = true;
-        assert_ne!(a.content_hash(), h, "hint changes must change the hash");
+        assert_ne!(export(&a), text, "hint changes must change the export");
     }
 }

@@ -10,8 +10,7 @@
 //!   atomics, named hierarchically with dots (`bdd.ite.cache_hit`,
 //!   `pool.claim`, `cache.miss`). Call-sites hold `static` handles
 //!   ([`Counter::new`] is `const`), so the steady-state cost of an increment
-//!   is one relaxed atomic op; building with `--no-default-features`
-//!   compiles every operation out entirely.
+//!   is one relaxed atomic op.
 //! * [`trace`]: scoped spans ([`span`] returns a guard that emits matching
 //!   enter/exit events) buffered per thread and merged deterministically on
 //!   export ([`take_events`] sorts by `(tid, seq)`). Tracing is **off** by

@@ -17,15 +17,11 @@
 //!
 //! [`snapshot`] renders every touched metric in name order (deterministic
 //! given the same operations), flattening each histogram to its `.count`,
-//! `.sum` and `.max` components. With the crate's `enabled` feature off,
-//! every operation compiles to nothing and [`snapshot`] is empty.
+//! `.sum` and `.max` components.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
-
-/// Whether instrumentation is compiled in at all.
-const COMPILED: bool = cfg!(feature = "enabled");
 
 /// Power-of-two histogram buckets: bucket `i` counts values in
 /// `[2^i, 2^(i+1))` (bucket 0 also takes 0). 40 buckets cover a u64 of
@@ -113,7 +109,7 @@ impl Counter {
     /// Adds `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        if !COMPILED || n == 0 {
+        if n == 0 {
             return;
         }
         self.cell().fetch_add(n, Ordering::Relaxed);
@@ -125,11 +121,8 @@ impl Counter {
         self.add(1);
     }
 
-    /// The current count (0 when instrumentation is compiled out).
+    /// The current count.
     pub fn value(&self) -> u64 {
-        if !COMPILED {
-            return 0;
-        }
         self.cell().load(Ordering::Relaxed)
     }
 }
@@ -161,26 +154,17 @@ impl Gauge {
     /// Sets the gauge to `v`.
     #[inline]
     pub fn set(&self, v: u64) {
-        if !COMPILED {
-            return;
-        }
         self.cell().store(v, Ordering::Relaxed);
     }
 
     /// Raises the gauge to `v` if `v` is larger (a high-water mark).
     #[inline]
     pub fn set_max(&self, v: u64) {
-        if !COMPILED {
-            return;
-        }
         self.cell().fetch_max(v, Ordering::Relaxed);
     }
 
-    /// The current value (0 when instrumentation is compiled out).
+    /// The current value.
     pub fn value(&self) -> u64 {
-        if !COMPILED {
-            return 0;
-        }
         self.cell().load(Ordering::Relaxed)
     }
 }
@@ -213,9 +197,6 @@ impl Histogram {
     /// Records one sample.
     #[inline]
     pub fn record(&self, v: u64) {
-        if !COMPILED {
-            return;
-        }
         let h = self.cell();
         h.count.fetch_add(1, Ordering::Relaxed);
         h.sum.fetch_add(v, Ordering::Relaxed);
@@ -224,11 +205,8 @@ impl Histogram {
         h.buckets[bucket].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// `(count, sum, max)` so far (zeros when compiled out).
+    /// `(count, sum, max)` so far.
     pub fn stats(&self) -> (u64, u64, u64) {
-        if !COMPILED {
-            return (0, 0, 0);
-        }
         let h = self.cell();
         (
             h.count.load(Ordering::Relaxed),
@@ -243,9 +221,6 @@ impl Histogram {
 /// where a `static` handle cannot be declared. Costs a registry lock per
 /// call; keep it off hot paths.
 pub fn counter_add(name: &str, n: u64) {
-    if !COMPILED {
-        return;
-    }
     match slot_for(name, || Slot::Counter(AtomicU64::new(0))) {
         Slot::Counter(c) => {
             c.fetch_add(n, Ordering::Relaxed);
@@ -255,11 +230,8 @@ pub fn counter_add(name: &str, n: u64) {
 }
 
 /// The current value of the counter or gauge named `name` (`None` when it
-/// was never touched, is a histogram, or instrumentation is compiled out).
+/// was never touched or is a histogram).
 pub fn value(name: &str) -> Option<u64> {
-    if !COMPILED {
-        return None;
-    }
     let reg = registry().lock().expect("metrics registry poisoned");
     match reg.get(name)? {
         Slot::Counter(c) => Some(c.load(Ordering::Relaxed)),
@@ -272,9 +244,6 @@ pub fn value(name: &str) -> Option<u64> {
 /// counters and gauges as their value, each histogram as `<name>.count`,
 /// `<name>.sum` and `<name>.max`. Deterministic given the same operations.
 pub fn snapshot() -> Vec<(String, u64)> {
-    if !COMPILED {
-        return Vec::new();
-    }
     let reg = registry().lock().expect("metrics registry poisoned");
     let mut out = Vec::with_capacity(reg.len());
     for (name, slot) in reg.iter() {

@@ -47,9 +47,6 @@ pub const TRACE_ENV: &str = "PV_TRACE";
 /// `--out` is given (read by the `pv` binary in `pv-server`).
 pub const TRACE_OUT_ENV: &str = "PV_TRACE_OUT";
 
-/// Whether instrumentation is compiled in at all.
-const COMPILED: bool = cfg!(feature = "enabled");
-
 /// A thread buffer drains to the sink at this many events.
 const FLUSH_AT: usize = 8192;
 
@@ -104,9 +101,6 @@ fn sink() -> &'static Mutex<Vec<TraceEvent>> {
 /// call resolves `PV_TRACE`.
 #[inline]
 pub fn trace_enabled() -> bool {
-    if !COMPILED {
-        return false;
-    }
     match TRACE_STATE.load(Ordering::Relaxed) {
         0 => resolve_from_env(),
         s => s == 2,
@@ -128,9 +122,6 @@ fn resolve_from_env() -> bool {
 /// `pv trace` and the perf-smoke overhead gate). Spans already open keep
 /// their pairing: a guard created while tracing was off never emits an exit.
 pub fn set_trace_enabled(on: bool) {
-    if !COMPILED {
-        return;
-    }
     epoch();
     TRACE_STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
 }
@@ -228,9 +219,6 @@ pub fn span(name: &'static str) -> SpanGuard {
 /// pool calls this as each worker retires; call it before [`take_events`]
 /// on any other thread that traced.
 pub fn flush_thread() {
-    if !COMPILED {
-        return;
-    }
     let _ = BUF.try_with(|b| b.borrow_mut().flush());
 }
 
@@ -241,9 +229,6 @@ pub fn flush_thread() {
 /// destructor delivers its buffer. A traced worker must therefore call
 /// [`flush_thread`] after its last span closes, as the worker pool does.
 pub fn take_events() -> Vec<TraceEvent> {
-    if !COMPILED {
-        return Vec::new();
-    }
     flush_thread();
     let mut events = std::mem::take(&mut *sink().lock().expect("trace sink poisoned"));
     events.sort_by_key(|a| (a.tid, a.seq));
@@ -258,8 +243,6 @@ fn warned() -> &'static Mutex<BTreeSet<&'static str>> {
 /// Emits the warning `message` **once per process** for a given `key`: a
 /// stderr line, a `warn.<key>` counter increment, and (when tracing is on) a
 /// `Warn` trace event. Returns whether this call was the emitting one.
-/// Deduplication is active even with instrumentation compiled out — the
-/// once-only stderr contract is user-facing, not diagnostic.
 pub fn warn_once(key: &'static str, message: &str) -> bool {
     if !warned().lock().expect("warn set poisoned").insert(key) {
         return false;

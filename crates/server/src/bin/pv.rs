@@ -13,8 +13,6 @@
 //! quickstart.
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{Shutdown as TcpShutdown, TcpStream};
-use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -22,9 +20,7 @@ use std::time::Instant;
 
 use pipeverify_core::cache::ArtifactCache;
 use pipeverify_core::json::Json;
-use pipeverify_core::{
-    pool, trace_io, BudgetExceeded, FlowErrorKind, MachineSpec, SimulationPlan, Verifier,
-};
+use pipeverify_core::{pool, trace_io, BudgetExceeded, MachineSpec, SimulationPlan, Verifier};
 use pv_isa::alpha0::Alpha0Config;
 use pv_proc::alpha0::{self, PipelineConfig};
 use pv_proc::family::{FamilyBug, FamilyConfig};
@@ -220,19 +216,6 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// One input line of a batch: a job (by index into the job list) or a
-/// pre-rendered error response.
-enum BatchLine {
-    Job(usize),
-    Bad(String),
-}
-
-/// Upper bound on one batch input line (1 MiB). Real job requests are a few
-/// hundred bytes; a line past this is answered with an error instead of
-/// being fed to the JSON parser, so a runaway producer cannot balloon the
-/// batch's memory.
-const MAX_LINE_BYTES: usize = 1 << 20;
-
 fn cmd_batch(args: &[String]) -> Result<ExitCode, String> {
     let mut opts = parse_common(args)?;
     let file = match opts.rest.len() {
@@ -250,41 +233,15 @@ fn cmd_batch(args: &[String]) -> Result<ExitCode, String> {
         std::fs::read_to_string(&file).map_err(|e| format!("reading {file}: {e}"))?
     };
 
+    // Each answered line: the index of its job, or the error line that
+    // answers it.
     let mut jobs: Vec<JobRequest> = Vec::new();
-    let mut lines: Vec<BatchLine> = Vec::new();
-    for line in input.lines() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        if line.len() > MAX_LINE_BYTES {
-            let message = format!(
-                "line of {} bytes exceeds the {MAX_LINE_BYTES}-byte limit",
-                line.len()
-            );
-            lines.push(BatchLine::Bad(
-                protocol::error_to_json(None, FlowErrorKind::Invalid, &message).render(),
-            ));
-            continue;
-        }
-        match Json::parse(line) {
-            Err(e) => lines.push(BatchLine::Bad(
-                protocol::error_to_json(None, FlowErrorKind::Invalid, &e.to_string()).render(),
-            )),
-            Ok(value) => match protocol::request_from_json(&value) {
-                Ok(job) => {
-                    jobs.push(job);
-                    lines.push(BatchLine::Job(jobs.len() - 1));
-                }
-                Err(e) => {
-                    let id = value.get("id").and_then(Json::as_u64);
-                    lines.push(BatchLine::Bad(
-                        protocol::error_to_json(id, FlowErrorKind::Invalid, &e.to_string())
-                            .render(),
-                    ));
-                }
-            },
-        }
+    let mut lines: Vec<Result<usize, Json>> = Vec::new();
+    for decoded in input.lines().filter_map(protocol::decode_line) {
+        lines.push(decoded.map(|job| {
+            jobs.push(job);
+            jobs.len() - 1
+        }));
     }
 
     let runner = JobRunner::new(opts.cache.clone());
@@ -308,24 +265,14 @@ fn cmd_batch(args: &[String]) -> Result<ExitCode, String> {
 
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
-    let mut failures = 0usize;
     for line in &lines {
         let rendered = match line {
-            BatchLine::Job(index) => match &outcomes[*index] {
-                Ok(response) => protocol::response_to_json(response).render(),
-                Err(error) => {
-                    failures += 1;
-                    protocol::error_to_json(Some(jobs[*index].id), error.kind, &error.message)
-                        .render()
-                }
-            },
-            BatchLine::Bad(rendered) => {
-                failures += 1;
-                rendered.clone()
-            }
+            Ok(index) => protocol::outcome_to_json(jobs[*index].id, &outcomes[*index]).render(),
+            Err(error) => error.render(),
         };
         writeln!(out, "{rendered}").map_err(|e| format!("writing stdout: {e}"))?;
     }
+    let failures = lines.len() - outcomes.iter().filter(|o| o.is_ok()).count();
     out.flush().map_err(|e| e.to_string())?;
     eprintln!(
         "pv: batch finished in {:.3}s — {} responses, {} errors, {} cache hits, {} misses",
@@ -340,44 +287,6 @@ fn cmd_batch(args: &[String]) -> Result<ExitCode, String> {
     } else {
         ExitCode::FAILURE
     })
-}
-
-/// A soak client connection with a closeable write half (half-closing the
-/// stream is how the client signals end-of-jobs and triggers the server's
-/// graceful drain).
-enum SoakClient {
-    Unix(UnixStream),
-    Tcp(TcpStream),
-}
-
-impl SoakClient {
-    fn connect(addr: &BindAddr) -> std::io::Result<Self> {
-        match addr {
-            BindAddr::Unix(path) => UnixStream::connect(path).map(SoakClient::Unix),
-            BindAddr::Tcp(tcp) => TcpStream::connect(tcp.as_str()).map(SoakClient::Tcp),
-        }
-    }
-
-    fn reader(&self) -> std::io::Result<Box<dyn Read + Send>> {
-        Ok(match self {
-            SoakClient::Unix(s) => Box::new(s.try_clone()?),
-            SoakClient::Tcp(s) => Box::new(s.try_clone()?),
-        })
-    }
-
-    fn write_all(&mut self, bytes: &[u8]) -> std::io::Result<()> {
-        match self {
-            SoakClient::Unix(s) => s.write_all(bytes),
-            SoakClient::Tcp(s) => s.write_all(bytes),
-        }
-    }
-
-    fn shutdown_write(&self) -> std::io::Result<()> {
-        match self {
-            SoakClient::Unix(s) => s.shutdown(TcpShutdown::Write),
-            SoakClient::Tcp(s) => s.shutdown(TcpShutdown::Write),
-        }
-    }
 }
 
 /// The soak's rotating design menu: tiny family members (correct and
@@ -448,7 +357,7 @@ fn cmd_soak(args: &[String]) -> Result<ExitCode, String> {
 
             // Wait for the listener to come up.
             let mut client = loop {
-                match SoakClient::connect(&addr) {
+                match addr.connect() {
                     Ok(client) => break client,
                     Err(_) if started.elapsed().as_secs() < 10 && !server.is_finished() => {
                         std::thread::sleep(std::time::Duration::from_millis(20));

@@ -5,10 +5,9 @@
 //!
 //! A cold job elaborates the design pair, runs every requested flow (each
 //! with its inner worker pool pinned to one thread — parallelism lives at the
-//! job level, see [`crate::sched`]) and stores three artifacts per flow run:
-//! the [`FlowReport`] JSON, and the deterministic netlist exports of both
-//! designs (under their own content hashes). A warm job loads and decodes the
-//! stored report — a file read — and marks the result `cached: true`.
+//! job level, see [`crate::sched`]) and stores each complete [`FlowReport`]
+//! as JSON. A warm job loads and decodes the stored report — a file read —
+//! and marks the result `cached: true`.
 //!
 //! # Cache-key derivation
 //!
@@ -179,10 +178,7 @@ impl JobRunner {
             // the design pair's — caching it would poison warm runs that
             // carry a bigger budget, so only complete reports are stored.
             if report.unit_failures.is_empty() {
-                self.store_artifacts(key, &report, &pipelined, &pipelined_export);
-                if flow == FlowKind::Beta {
-                    self.store_netlist(&unpipelined, &unpipelined_export);
-                }
+                self.store_report(key, &report);
             }
             results.push(FlowResult {
                 flow: report.flow,
@@ -211,31 +207,11 @@ impl JobRunner {
         report
     }
 
-    fn store_artifacts(
-        &self,
-        key: CacheKey,
-        report: &FlowReport,
-        pipelined: &Netlist,
-        pipelined_export: &str,
-    ) {
+    fn store_report(&self, key: CacheKey, report: &FlowReport) {
         let Some(cache) = &self.cache else { return };
         let text = report_io::flow_report_to_json(report).render();
         if let Err(e) = cache.store(ArtifactKind::Report, key, &text) {
             eprintln!("pv: cache store failed for {key}: {e} (continuing uncached)");
-        }
-        self.store_netlist_export(cache, pipelined, pipelined_export);
-    }
-
-    fn store_netlist(&self, netlist: &Netlist, text: &str) {
-        if let Some(cache) = &self.cache {
-            self.store_netlist_export(cache, netlist, text);
-        }
-    }
-
-    fn store_netlist_export(&self, cache: &ArtifactCache, netlist: &Netlist, text: &str) {
-        let key = CacheKey(netlist.content_hash());
-        if !cache.contains(ArtifactKind::Netlist, key) {
-            cache.store(ArtifactKind::Netlist, key, text).ok();
         }
     }
 }

@@ -420,20 +420,48 @@ pub fn error_to_json(id: Option<u64>, kind: FlowErrorKind, message: &str) -> Jso
     ])
 }
 
-/// Decodes an `ok: false` line into the structured [`JobError`] (a missing
-/// `kind` — older writers — reads as [`FlowErrorKind::Invalid`]).
-pub fn job_error_from_json(v: &Json) -> JobError {
-    let kind = v
-        .get("kind")
-        .and_then(Json::as_str)
-        .and_then(FlowErrorKind::parse)
-        .unwrap_or(FlowErrorKind::Invalid);
-    let message = v
-        .get("error")
-        .and_then(Json::as_str)
-        .unwrap_or("malformed response")
-        .to_owned();
-    JobError { kind, message }
+/// Upper bound on one job line (1 MiB). Real job requests are a few hundred
+/// bytes; a longer line is answered with an `invalid` error instead of being
+/// handed to the JSON parser. This bounds parsing, not reading: both drivers
+/// hold the whole line in memory before [`decode_line`] sees it.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// Decodes one input line by the line rule `pv serve` and `pv batch` share.
+/// Blank and `#` comment lines yield `None` and get no answer. Any other line
+/// yields its job, or the `invalid` error line that answers it; the error
+/// carries the request's `id` when one can be read.
+pub fn decode_line(line: &str) -> Option<Result<JobRequest, Json>> {
+    let line = line.trim();
+    if line.is_empty() || line.starts_with('#') {
+        return None;
+    }
+    let invalid = |id, message: String| error_to_json(id, FlowErrorKind::Invalid, &message);
+    if line.len() > MAX_LINE_BYTES {
+        return Some(Err(invalid(
+            None,
+            format!(
+                "line of {} bytes exceeds the {MAX_LINE_BYTES}-byte limit",
+                line.len()
+            ),
+        )));
+    }
+    let value = match Json::parse(line) {
+        Ok(value) => value,
+        Err(e) => return Some(Err(invalid(None, e.to_string()))),
+    };
+    Some(
+        request_from_json(&value)
+            .map_err(|e| invalid(value.get("id").and_then(Json::as_u64), e.to_string())),
+    )
+}
+
+/// Encodes the response line that answers job `id`: the report line on
+/// success, an error line carrying the failure's kind otherwise.
+pub fn outcome_to_json(id: u64, outcome: &Result<JobResponse, JobError>) -> Json {
+    match outcome {
+        Ok(response) => response_to_json(response),
+        Err(error) => error_to_json(Some(id), error.kind, &error.message),
+    }
 }
 
 /// Decodes a response line (what test clients and `pv batch` readers use).
@@ -510,21 +538,14 @@ mod tests {
 
     #[test]
     fn error_lines_carry_a_structured_kind() {
-        let line = error_to_json(
-            Some(9),
-            FlowErrorKind::DeadlineExceeded,
-            "deadline exceeded after 30000 ms",
-        )
-        .render();
-        let v = Json::parse(&line).unwrap();
-        assert_eq!(v.get("ok").and_then(Json::as_bool), Some(false));
-        let err = job_error_from_json(&v);
-        assert_eq!(err.kind, FlowErrorKind::DeadlineExceeded);
-        assert_eq!(err.message, "deadline exceeded after 30000 ms");
-
-        // Older writers (no `kind`) read as Invalid.
-        let legacy = Json::parse(r#"{"id":1,"ok":false,"error":"boom"}"#).unwrap();
-        assert_eq!(job_error_from_json(&legacy).kind, FlowErrorKind::Invalid);
+        let error = JobError {
+            kind: FlowErrorKind::DeadlineExceeded,
+            message: "deadline exceeded after 30000 ms".to_owned(),
+        };
+        assert_eq!(
+            outcome_to_json(9, &Err(error)).render(),
+            r#"{"id":9,"ok":false,"kind":"deadline_exceeded","error":"deadline exceeded after 30000 ms"}"#
+        );
     }
 
     #[test]

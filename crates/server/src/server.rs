@@ -19,7 +19,7 @@
 //! dropped — the soak harness (`pv soak`) asserts exactly this.
 
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::str::FromStr;
@@ -28,7 +28,6 @@ use std::sync::mpsc;
 use std::time::Duration;
 
 use pipeverify_core::json::Json;
-use pipeverify_core::FlowErrorKind;
 
 use crate::job::JobRunner;
 use crate::protocol::{self, JobRequest};
@@ -76,22 +75,66 @@ impl std::fmt::Display for BindAddr {
 }
 
 impl BindAddr {
-    /// Connects a client and returns the stream's read and write halves.
+    /// Connects a client.
     ///
     /// # Errors
     /// Propagates the connect error.
-    pub fn connect(&self) -> io::Result<(Box<dyn io::Read + Send>, Box<dyn io::Write + Send>)> {
+    pub fn connect(&self) -> io::Result<Stream> {
         match self {
-            BindAddr::Unix(path) => {
-                let stream = UnixStream::connect(path)?;
-                let reader = stream.try_clone()?;
-                Ok((Box::new(reader), Box::new(stream)))
-            }
-            BindAddr::Tcp(addr) => {
-                let stream = TcpStream::connect(addr.as_str())?;
-                let reader = stream.try_clone()?;
-                Ok((Box::new(reader), Box::new(stream)))
-            }
+            BindAddr::Unix(path) => UnixStream::connect(path).map(Stream::Unix),
+            BindAddr::Tcp(addr) => TcpStream::connect(addr.as_str()).map(Stream::Tcp),
+        }
+    }
+}
+
+/// One connected socket of either transport: what a client gets from
+/// [`BindAddr::connect`] and what the server accepts.
+#[derive(Debug)]
+pub enum Stream {
+    /// A Unix-domain stream.
+    Unix(UnixStream),
+    /// A TCP stream.
+    Tcp(TcpStream),
+}
+
+impl Stream {
+    /// A read handle on the same socket, for reading on another thread
+    /// while this one writes.
+    ///
+    /// # Errors
+    /// Propagates the handle-cloning error.
+    pub fn reader(&self) -> io::Result<Box<dyn io::Read + Send>> {
+        Ok(match self {
+            Stream::Unix(s) => Box::new(s.try_clone()?),
+            Stream::Tcp(s) => Box::new(s.try_clone()?),
+        })
+    }
+
+    /// Closes the write half: the peer reads end-of-stream, which is how a
+    /// client signals end-of-jobs and starts the server's graceful drain.
+    ///
+    /// # Errors
+    /// Propagates the shutdown error.
+    pub fn shutdown_write(&self) -> io::Result<()> {
+        match self {
+            Stream::Unix(s) => s.shutdown(Shutdown::Write),
+            Stream::Tcp(s) => s.shutdown(Shutdown::Write),
+        }
+    }
+}
+
+impl io::Write for Stream {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        match self {
+            Stream::Unix(s) => s.write(buf),
+            Stream::Tcp(s) => s.write(buf),
+        }
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        match self {
+            Stream::Unix(s) => s.flush(),
+            Stream::Tcp(s) => s.flush(),
         }
     }
 }
@@ -105,36 +148,11 @@ pub struct ConnectionStats {
     pub errors: usize,
 }
 
-/// One decoded line from the peer.
-enum Incoming {
-    Job(JobRequest),
-    Bad { id: Option<u64>, error: String },
-}
-
-fn decode_line(line: &str) -> Incoming {
-    let value = match Json::parse(line) {
-        Ok(v) => v,
-        Err(e) => {
-            return Incoming::Bad {
-                id: None,
-                error: e.to_string(),
-            }
-        }
-    };
-    let id = value.get("id").and_then(Json::as_u64);
-    match protocol::request_from_json(&value) {
-        Ok(job) => Incoming::Job(job),
-        Err(e) => Incoming::Bad {
-            id,
-            error: e.to_string(),
-        },
-    }
-}
-
 /// Serves one connection: reads job lines until end-of-stream, runs them in
 /// arrival waves on `threads` workers, and writes one response line per job
-/// (in wave order; responses carry the request id). Returns once every
-/// accepted job has been answered — the graceful-shutdown contract.
+/// line (in wave order; responses carry the request id). Lines follow
+/// [`protocol::decode_line`]: blank and `#` lines get no answer. Returns once
+/// every accepted job has been answered — the graceful-shutdown contract.
 ///
 /// # Errors
 /// Propagates write errors (a peer that vanished mid-response); read errors
@@ -151,17 +169,16 @@ where
 {
     let mut out = BufWriter::new(writer);
     let mut stats = ConnectionStats { jobs: 0, errors: 0 };
-    let (tx, rx) = mpsc::channel::<Incoming>();
+    let (tx, rx) = mpsc::channel::<Result<JobRequest, Json>>();
 
     std::thread::scope(|scope| {
         scope.spawn(move || {
             for line in BufReader::new(reader).lines() {
                 let Ok(line) = line else { break };
-                let line = line.trim();
-                if line.is_empty() {
+                let Some(decoded) = protocol::decode_line(&line) else {
                     continue;
-                }
-                if tx.send(decode_line(line)).is_err() {
+                };
+                if tx.send(decoded).is_err() {
                     break; // the wave loop died on a write error
                 }
             }
@@ -179,30 +196,25 @@ where
             // Malformed lines answer immediately; well-formed jobs run as
             // one LPT wave.
             let mut jobs = Vec::new();
-            for incoming in wave {
-                match incoming {
-                    Incoming::Job(job) => jobs.push(job),
-                    Incoming::Bad { id, error } => {
+            for decoded in wave {
+                match decoded {
+                    Ok(job) => jobs.push(job),
+                    Err(error) => {
                         stats.errors += 1;
-                        let line =
-                            protocol::error_to_json(id, FlowErrorKind::Invalid, &error).render();
-                        writeln!(out, "{line}")?;
+                        writeln!(out, "{}", error.render())?;
                     }
                 }
             }
             let outcomes = sched::run_jobs(runner, &jobs, threads, |_, _| {});
-            for (job, outcome) in jobs.iter().zip(outcomes) {
-                let line = match outcome {
-                    Ok(response) => {
-                        stats.jobs += 1;
-                        protocol::response_to_json(&response).render()
-                    }
-                    Err(error) => {
-                        stats.errors += 1;
-                        protocol::error_to_json(Some(job.id), error.kind, &error.message).render()
-                    }
-                };
-                writeln!(out, "{line}")?;
+            let answered = outcomes.iter().filter(|o| o.is_ok()).count();
+            stats.jobs += answered;
+            stats.errors += jobs.len() - answered;
+            for (job, outcome) in jobs.iter().zip(&outcomes) {
+                writeln!(
+                    out,
+                    "{}",
+                    protocol::outcome_to_json(job.id, outcome).render()
+                )?;
             }
             out.flush()?;
         }
@@ -235,17 +247,10 @@ pub fn serve(
             }
             let listener = UnixListener::bind(path)?;
             listener.set_nonblocking(true)?;
-            let result = accept_loop(runner, threads, shutdown, || match listener.accept() {
-                Ok((stream, _)) => {
-                    stream.set_nonblocking(false)?;
-                    let reader = stream.try_clone()?;
-                    Ok(Some((
-                        Box::new(reader) as Box<dyn io::Read + Send>,
-                        Box::new(stream) as Box<dyn io::Write + Send>,
-                    )))
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(None),
-                Err(e) => Err(e),
+            let result = accept_loop(runner, threads, shutdown, || {
+                let (stream, _) = listener.accept()?;
+                stream.set_nonblocking(false)?;
+                Ok(Stream::Unix(stream))
             });
             std::fs::remove_file(path).ok();
             result
@@ -253,24 +258,17 @@ pub fn serve(
         BindAddr::Tcp(tcp) => {
             let listener = TcpListener::bind(tcp.as_str())?;
             listener.set_nonblocking(true)?;
-            accept_loop(runner, threads, shutdown, || match listener.accept() {
-                Ok((stream, _)) => {
-                    stream.set_nonblocking(false)?;
-                    let reader = stream.try_clone()?;
-                    Ok(Some((
-                        Box::new(reader) as Box<dyn io::Read + Send>,
-                        Box::new(stream) as Box<dyn io::Write + Send>,
-                    )))
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(None),
-                Err(e) => Err(e),
+            accept_loop(runner, threads, shutdown, || {
+                let (stream, _) = listener.accept()?;
+                stream.set_nonblocking(false)?;
+                Ok(Stream::Tcp(stream))
             })
         }
     }
 }
 
-type BoxedHalves = (Box<dyn io::Read + Send>, Box<dyn io::Write + Send>);
-
+/// Polls the non-blocking `accept` until `shutdown` turns true, serving each
+/// accepted connection on its own thread.
 fn accept_loop<A>(
     runner: &JobRunner,
     threads: usize,
@@ -278,14 +276,15 @@ fn accept_loop<A>(
     accept: A,
 ) -> io::Result<()>
 where
-    A: Fn() -> io::Result<Option<BoxedHalves>>,
+    A: Fn() -> io::Result<Stream>,
 {
     std::thread::scope(|scope| {
         while !shutdown.load(Ordering::Relaxed) {
             match accept() {
-                Ok(Some((reader, writer))) => {
+                Ok(stream) => {
+                    let reader = stream.reader()?;
                     scope.spawn(
-                        move || match handle_connection(runner, threads, reader, writer) {
+                        move || match handle_connection(runner, threads, reader, stream) {
                             Ok(stats) => eprintln!(
                                 "pv: connection closed ({} jobs, {} errors, {} cache hits so far)",
                                 stats.jobs,
@@ -296,7 +295,7 @@ where
                         },
                     );
                 }
-                Ok(None) => std::thread::sleep(ACCEPT_POLL),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(ACCEPT_POLL),
                 Err(e) => return Err(e),
             }
         }
@@ -325,32 +324,42 @@ mod tests {
     #[test]
     fn a_connection_answers_jobs_and_bad_lines_then_drains_on_eof() {
         let runner = JobRunner::new(None);
-        let input = concat!(
+        // A valid job padded past the line limit: rejected unparsed, never run.
+        let oversized = format!(
+            r#"{{"id":3,"design":{{"vsm":{{"num_regs":1}}}},"plans":["r 0"],"pad":"{}"}}"#,
+            "x".repeat(protocol::MAX_LINE_BYTES)
+        );
+        let input = format!(
+            "{}\n# a comment line gets no answer\nthis is not json\n{}\n{oversized}\n",
             r#"{"id":1,"design":{"family":{"depth":2,"word_width":4,"num_regs":2,"delay_slots":0}},"plans":["r 0"]}"#,
-            "\n",
-            "this is not json\n",
             r#"{"id":2,"design":{"vsm":{"num_regs":9}}}"#,
-            "\n",
         );
         let mut output = Vec::new();
         let stats =
             handle_connection(&runner, 2, input.as_bytes(), &mut output).expect("no write errors");
-        assert_eq!(stats.jobs, 1);
-        assert_eq!(stats.errors, 2, "one unparsable line, one invalid design");
+        assert_eq!(
+            stats,
+            ConnectionStats { jobs: 1, errors: 3 },
+            "one job; an unparsable line, an invalid design, an oversized line"
+        );
 
         let lines: Vec<Json> = String::from_utf8(output)
             .unwrap()
             .lines()
             .map(|l| Json::parse(l).expect("every response line is JSON"))
             .collect();
-        assert_eq!(lines.len(), 3, "every input line is answered");
-        for line in &lines {
-            assert!(line.get("ok").and_then(Json::as_bool).is_some());
-        }
-        let ok_line = lines
+        assert_eq!(lines.len(), 4, "every line but the comment is answered");
+        let ok_ids: Vec<Option<u64>> = lines
             .iter()
-            .find(|l| l.get("ok").and_then(Json::as_bool) == Some(true))
-            .expect("the valid job succeeds");
-        assert_eq!(ok_line.get("id").and_then(Json::as_u64), Some(1));
+            .filter(|l| l.get("ok").and_then(Json::as_bool) == Some(true))
+            .map(|l| l.get("id").and_then(Json::as_u64))
+            .collect();
+        assert_eq!(ok_ids, [Some(1)], "only the valid job runs");
+        let limit = format!("exceeds the {}-byte limit", protocol::MAX_LINE_BYTES);
+        let too_long = lines.iter().filter(|l| {
+            let error = l.get("error").and_then(Json::as_str).unwrap_or("");
+            l.get("kind").and_then(Json::as_str) == Some("invalid") && error.contains(&limit)
+        });
+        assert_eq!(too_long.count(), 1, "the oversized line names the limit");
     }
 }

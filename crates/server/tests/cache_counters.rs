@@ -1,9 +1,7 @@
 //! The registry's `cache.hit`/`cache.miss` counters count flow-report
-//! lookups and nothing else: the runner's netlist-export bookkeeping must
-//! not read as cache traffic. Its own test binary with a single test,
+//! lookups and nothing else. Its own test binary with a single test,
 //! because the metrics registry is process-global and parallel tests would
 //! share its counters.
-#![cfg(feature = "obs")]
 
 use pipeverify_core::cache::ArtifactCache;
 use pv_proc::family::{FamilyBug, FamilyConfig};
@@ -29,10 +27,7 @@ fn cache_counters_count_report_lookups_only() {
     let dir = std::env::temp_dir().join(format!("pv-cache-counters-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
 
-    // Two cells of one configuration, both flows: they share the
-    // specification netlist, and each job's flushing run shares its
-    // pipelined netlist with its β run, so the wave stores some netlist
-    // exports that are already present.
+    // Two cells of one configuration, both flows: four report lookups.
     let config = FamilyConfig::new(2, 4, 2, 0).stallable();
     let jobs: Vec<JobRequest> = [config, config.with_bug(FamilyBug::BranchTargetOffByOne)]
         .into_iter()

@@ -5,7 +5,6 @@
 //! drain contract.
 
 use std::io::{BufRead, BufReader, Write};
-use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use pipeverify_core::cache::ArtifactCache;
@@ -34,11 +33,8 @@ fn a_job_burst_drains_completely_on_half_close() {
         let server = scope.spawn(|| server::serve(&addr, &runner, THREADS, &shutdown));
 
         // Wait for the socket to appear, then flood it.
-        let BindAddr::Unix(path) = &addr else {
-            unreachable!()
-        };
-        let stream = loop {
-            match UnixStream::connect(path) {
+        let mut stream = loop {
+            match addr.connect() {
                 Ok(stream) => break stream,
                 Err(_) if !server.is_finished() => {
                     std::thread::sleep(std::time::Duration::from_millis(10));
@@ -46,8 +42,7 @@ fn a_job_burst_drains_completely_on_half_close() {
                 Err(e) => panic!("server died before accepting: {e}"),
             }
         };
-        let reader = stream.try_clone().expect("clone stream");
-        let mut writer = stream;
+        let reader = stream.reader().expect("clone stream");
         for id in 0..JOBS {
             // Rotate a correct and a bug-seeded tiny design so both verdicts
             // flow through the protocol; the cache warms after one of each.
@@ -58,15 +53,13 @@ fn a_job_burst_drains_completely_on_half_close() {
                 r#","bug":"inv-stall""#
             };
             writeln!(
-                writer,
+                stream,
                 r#"{{"id":{id},"design":{{"family":{design}{bug}}}}},"flows":["beta"]}}"#
             )
             .expect("send job");
         }
-        writer
-            .shutdown(std::net::Shutdown::Write)
-            .expect("half-close");
-        drop(writer);
+        stream.shutdown_write().expect("half-close");
+        drop(stream);
 
         let mut ids = Vec::new();
         for line in BufReader::new(reader).lines() {
