@@ -18,10 +18,9 @@
 //! A satisfying, EUF-consistent assignment of the *negation* of the formula is
 //! a counterexample; if none exists the formula is valid.
 
-use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-use crate::term::{Term, TermManager, TermNode};
+use crate::term::{mix, Term, TermManager, TermNode};
 
 /// One decided atom in a counterexample.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -94,11 +93,7 @@ impl EufReport {
 /// ```
 pub fn check_valid(terms: &mut TermManager, formula: Term) -> EufReport {
     let negated = terms.not(formula);
-    let mut search = Search {
-        terms,
-        splits: 0,
-        closure_checks: 0,
-    };
+    let mut search = Search::new(terms);
     let counterexample = search.find_model(negated, &mut Vec::new());
     EufReport {
         counterexample,
@@ -110,12 +105,7 @@ pub fn check_valid(terms: &mut TermManager, formula: Term) -> EufReport {
 /// Decides satisfiability of the Boolean term `formula` (used by tests and by
 /// the benchmarks to size the search space). Returns a model if one exists.
 pub fn check_sat(terms: &mut TermManager, formula: Term) -> Option<EufCounterexample> {
-    let mut search = Search {
-        terms,
-        splits: 0,
-        closure_checks: 0,
-    };
-    search.find_model(formula, &mut Vec::new())
+    Search::new(terms).find_model(formula, &mut Vec::new())
 }
 
 // ------------------------------------------------------------------- cubes --
@@ -137,13 +127,7 @@ pub(crate) type Cube = Vec<(Term, bool)>;
 /// atoms, in depth-first (true-branch-first) order. With no pure atoms the
 /// result is the single empty cube.
 pub(crate) fn split_cubes(terms: &TermManager, formula: Term, max_atoms: usize) -> Vec<Cube> {
-    let atoms = terms.atoms(formula);
-    let pure: Vec<Term> = atoms
-        .iter()
-        .copied()
-        .filter(|&a| atoms.iter().all(|&b| b == a || !terms.contains(a, b)))
-        .take(max_atoms)
-        .collect();
+    let pure = terms.innermost_atoms(formula, max_atoms);
     let j = pure.len();
     (0..1usize << j)
         .map(|c| {
@@ -187,11 +171,7 @@ pub(crate) struct CubeReport {
 pub(crate) fn check_cube(base: &TermManager, formula: Term, cube: &[(Term, bool)]) -> CubeReport {
     let started = Instant::now();
     let mut terms = base.clone();
-    let mut search = Search {
-        terms: &mut terms,
-        splits: 0,
-        closure_checks: 0,
-    };
+    let mut search = Search::new(&mut terms);
     let mut trail: Vec<(Term, bool)> = Vec::with_capacity(cube.len());
     let mut simplified = formula;
     let mut consistent = true;
@@ -223,6 +203,18 @@ struct Search<'a> {
     terms: &'a mut TermManager,
     splits: usize,
     closure_checks: usize,
+    closure: Closure,
+}
+
+impl<'a> Search<'a> {
+    fn new(terms: &'a mut TermManager) -> Self {
+        Search {
+            terms,
+            splits: 0,
+            closure_checks: 0,
+            closure: Closure::default(),
+        }
+    }
 }
 
 impl Search<'_> {
@@ -236,19 +228,13 @@ impl Search<'_> {
         if self.terms.is_false(formula) {
             return None;
         }
-        let atoms = self.terms.atoms(formula);
         // Split on an *innermost* atom — one that contains no other atom of the
         // formula as a subterm. Deciding innermost atoms first guarantees that
         // by the time an equality literal is pushed on the trail, every
         // if-then-else inside it has a constant condition and has therefore
         // been simplified away, so the congruence-closure leaf check only ever
         // sees pure EUF literals.
-        let chosen = atoms
-            .iter()
-            .copied()
-            .find(|&a| atoms.iter().all(|&b| b == a || !self.terms.contains(a, b)))
-            .or_else(|| atoms.first().copied());
-        match chosen {
+        match self.terms.first_innermost_atom(formula) {
             None => {
                 // No atoms left: the formula is a Boolean constant.
                 if self.terms.is_true(formula) && self.consistent(trail) {
@@ -293,158 +279,173 @@ impl Search<'_> {
     /// Congruence-closure consistency of the decided equality literals.
     fn consistent(&mut self, trail: &[(Term, bool)]) -> bool {
         self.closure_checks += 1;
-        let mut cc = CongruenceClosure::new(self.terms);
+        self.closure.check(self.terms, trail)
+    }
+}
+
+/// Marks a term the current check has not registered, and an empty
+/// signature-table slot.
+const NIL: u32 = u32::MAX;
+
+/// Union-find with congruence propagation over the sub-DAG reachable from the
+/// asserted literals, in arrays indexed by term id. One closure serves every
+/// check of a search: a check registers the terms it touches and resets only
+/// those.
+#[derive(Default)]
+struct Closure {
+    /// Union-find parent by term id; `NIL` for an unregistered term.
+    parent: Vec<u32>,
+    /// The terms the current check registered.
+    registered: Vec<Term>,
+    /// The registered application-like nodes (uninterpreted applications,
+    /// selects, stores, undecided `ite`s and equalities), for congruence
+    /// propagation.
+    apps: Vec<Term>,
+    disequal: Vec<(Term, Term)>,
+    /// One propagation pass's open-addressed signature table of `apps`
+    /// entries (`NIL` marks an empty slot).
+    table: Vec<u32>,
+}
+
+impl Closure {
+    /// `true` if the equality literals of `trail` are consistent: no
+    /// asserted disequality has both sides in one congruence class.
+    fn check(&mut self, terms: &TermManager, trail: &[(Term, bool)]) -> bool {
+        if self.parent.len() < terms.len() {
+            self.parent.resize(terms.len(), NIL);
+        }
         for &(atom, value) in trail {
-            if let TermNode::Eq(a, b) = *self.terms.node(atom) {
+            if let TermNode::Eq(a, b) = *terms.node(atom) {
+                self.register(terms, a);
+                self.register(terms, b);
                 if value {
-                    cc.merge(a, b);
+                    self.union(a, b);
                 } else {
-                    cc.disequal.push((a, b));
+                    self.disequal.push((a, b));
                 }
             }
             // Boolean variables are free: any polarity is consistent.
         }
-        cc.propagate();
-        cc.check()
-    }
-}
-
-/// Union-find with congruence propagation over the sub-DAG reachable from the
-/// asserted literals.
-struct CongruenceClosure<'a> {
-    terms: &'a TermManager,
-    parent: HashMap<Term, Term>,
-    /// All application-like nodes (uninterpreted applications, selects and
-    /// stores) that participate, for congruence propagation.
-    apps: Vec<Term>,
-    disequal: Vec<(Term, Term)>,
-}
-
-impl<'a> CongruenceClosure<'a> {
-    fn new(terms: &'a TermManager) -> Self {
-        CongruenceClosure {
-            terms,
-            parent: HashMap::new(),
-            apps: Vec::new(),
-            disequal: Vec::new(),
+        self.propagate(terms);
+        let consistent = !(0..self.disequal.len()).any(|i| {
+            let (a, b) = self.disequal[i];
+            self.find(a) == self.find(b)
+        });
+        for &t in &self.registered {
+            self.parent[t.0 as usize] = NIL;
         }
+        self.registered.clear();
+        self.apps.clear();
+        self.disequal.clear();
+        consistent
     }
 
-    fn register(&mut self, t: Term) {
-        if self.parent.contains_key(&t) {
+    fn register(&mut self, terms: &TermManager, t: Term) {
+        if self.parent[t.0 as usize] != NIL {
             return;
         }
-        self.parent.insert(t, t);
-        match self.terms.node(t).clone() {
-            TermNode::App(_, args) => {
-                self.apps.push(t);
-                for a in args {
-                    self.register(a);
-                }
+        self.parent[t.0 as usize] = t.0;
+        self.registered.push(t);
+        let node = terms.node(t);
+        // Data-level ites whose condition was not (or not yet) decided, and
+        // equalities inside such conditions, are opaque applications too.
+        if let TermNode::App(..)
+        | TermNode::Select(..)
+        | TermNode::Store(..)
+        | TermNode::Ite(..)
+        | TermNode::Eq(..) = node
+        {
+            self.apps.push(t);
+            for &c in node.children().iter() {
+                self.register(terms, c);
             }
-            TermNode::Select(a, i) => {
-                self.apps.push(t);
-                self.register(a);
-                self.register(i);
-            }
-            TermNode::Store(a, i, v) => {
-                self.apps.push(t);
-                self.register(a);
-                self.register(i);
-                self.register(v);
-            }
-            TermNode::Ite(c, a, b) => {
-                // Data-level ite whose condition was not (or not yet) decided:
-                // treat it as an opaque application of "ite".
-                self.apps.push(t);
-                self.register(c);
-                self.register(a);
-                self.register(b);
-            }
-            TermNode::Eq(a, b) => {
-                self.apps.push(t);
-                self.register(a);
-                self.register(b);
-            }
-            _ => {}
         }
     }
 
-    fn find(&mut self, t: Term) -> Term {
-        let p = self.parent[&t];
-        if p == t {
-            return t;
+    fn find(&mut self, t: Term) -> u32 {
+        let mut root = t.0;
+        while self.parent[root as usize] != root {
+            root = self.parent[root as usize];
         }
-        let root = self.find(p);
-        self.parent.insert(t, root);
+        let mut x = t.0;
+        while x != root {
+            let up = self.parent[x as usize];
+            self.parent[x as usize] = root;
+            x = up;
+        }
         root
     }
 
-    fn merge(&mut self, a: Term, b: Term) {
-        self.register(a);
-        self.register(b);
-        let ra = self.find(a);
-        let rb = self.find(b);
-        if ra != rb {
-            self.parent.insert(ra, rb);
-        }
+    /// Merges the classes of `a` and `b`; `true` if they were distinct.
+    fn union(&mut self, a: Term, b: Term) -> bool {
+        let (ra, rb) = (self.find(a), self.find(b));
+        self.parent[ra as usize] = rb;
+        ra != rb
     }
 
-    /// Signature of an application node under the current partition.
-    fn signature(&mut self, t: Term) -> (String, Vec<Term>) {
-        match self.terms.node(t).clone() {
-            TermNode::App(name, args) => (name, args.into_iter().map(|a| self.find(a)).collect()),
-            TermNode::Select(a, i) => ("select".to_owned(), vec![self.find(a), self.find(i)]),
-            TermNode::Store(a, i, v) => (
-                "store".to_owned(),
-                vec![self.find(a), self.find(i), self.find(v)],
-            ),
-            TermNode::Ite(c, a, b) => (
-                "ite".to_owned(),
-                vec![self.find(c), self.find(a), self.find(b)],
-            ),
-            TermNode::Eq(a, b) => ("=".to_owned(), vec![self.find(a), self.find(b)]),
-            _ => unreachable!("only application-like nodes are registered in `apps`"),
+    /// Hash of an application's signature under the current partition: its
+    /// kind, its symbol if it is an uninterpreted application, and the roots
+    /// of its arguments.
+    fn signature_hash(&mut self, terms: &TermManager, t: Term) -> u64 {
+        let node = terms.node(t);
+        let mut h = node.head_hash();
+        for &c in node.children().iter() {
+            h = mix(h, u64::from(self.find(c)));
         }
+        h
+    }
+
+    /// `true` if `a` and `b` have the same signature under the current
+    /// partition. Signatures are keyed by node kind, so an uninterpreted
+    /// function named `select` is never congruent with an array read.
+    fn congruent(&mut self, terms: &TermManager, a: Term, b: Term) -> bool {
+        let (na, nb) = (terms.node(a), terms.node(b));
+        if na.kind() != nb.kind() {
+            return false;
+        }
+        if let (TermNode::App(f, _), TermNode::App(g, _)) = (na, nb) {
+            if f != g {
+                return false;
+            }
+        }
+        let (ka, kb) = (na.children(), nb.children());
+        ka.len() == kb.len()
+            && ka
+                .iter()
+                .zip(kb.iter())
+                .all(|(&x, &y)| self.find(x) == self.find(y))
     }
 
     /// Congruence propagation to a fixed point: applications of the same
-    /// symbol to congruent arguments are merged.
-    fn propagate(&mut self) {
-        for (a, b) in self.disequal.clone() {
-            self.register(a);
-            self.register(b);
-        }
+    /// symbol to congruent arguments are merged. A pass that merges nothing
+    /// saw every signature at its final roots, so the partition is closed.
+    fn propagate(&mut self, terms: &TermManager) {
+        let size = (2 * self.apps.len()).next_power_of_two().max(16);
+        let shift = 64 - size.trailing_zeros();
         loop {
             let mut merged = false;
-            let mut table: HashMap<(String, Vec<Term>), Term> = HashMap::new();
-            for t in self.apps.clone() {
-                let sig = self.signature(t);
-                if let Some(&other) = table.get(&sig) {
-                    let ra = self.find(t);
-                    let rb = self.find(other);
-                    if ra != rb {
-                        self.parent.insert(ra, rb);
-                        merged = true;
+            self.table.clear();
+            self.table.resize(size, NIL);
+            for i in 0..self.apps.len() {
+                let t = self.apps[i];
+                let mut slot = (self.signature_hash(terms, t) >> shift) as usize;
+                loop {
+                    let other = self.table[slot];
+                    if other == NIL {
+                        self.table[slot] = t.0;
+                        break;
                     }
-                } else {
-                    table.insert(sig, t);
+                    if self.congruent(terms, t, Term(other)) {
+                        merged |= self.union(t, Term(other));
+                        break;
+                    }
+                    slot = (slot + 1) & (size - 1);
                 }
             }
             if !merged {
                 return;
             }
         }
-    }
-
-    /// `true` if no asserted disequality has both sides in the same class.
-    fn check(&mut self) -> bool {
-        for (a, b) in self.disequal.clone() {
-            if self.find(a) == self.find(b) {
-                return false;
-            }
-        }
-        true
     }
 }
 
@@ -614,6 +615,62 @@ mod tests {
         for cube in &cubes {
             assert!(check_cube(&t, contradiction, cube).counterexample.is_none());
         }
+    }
+
+    #[test]
+    fn an_uninterpreted_select_is_not_congruent_with_an_array_read() {
+        // Signatures are keyed by node kind, not by display name: a user
+        // function that happens to be called `select` is just a function.
+        let mut t = manager();
+        let a = t.var("a", Sort::Array);
+        let i = t.var("i", Sort::Data);
+        let read = t.select(a, i);
+        let lookalike = t.app("select", &[a, i]);
+        assert_eq!(t.to_string(read), t.to_string(lookalike));
+        let same = t.eq(read, lookalike);
+        assert!(!check_valid(&mut t, same).valid());
+        // Congruence within each kind still holds.
+        let j = t.var("j", Sort::Data);
+        let ij = t.eq(i, j);
+        let reads = {
+            let rj = t.select(a, j);
+            t.eq(read, rj)
+        };
+        let apps = {
+            let fj = t.app("select", &[a, j]);
+            t.eq(lookalike, fj)
+        };
+        let both = t.and(reads, apps);
+        let congruence = t.implies(ij, both);
+        assert!(check_valid(&mut t, congruence).valid());
+    }
+
+    #[test]
+    fn congruence_covers_every_arity() {
+        let mut t = manager();
+        let xs: Vec<Term> = ["a", "b", "c", "d", "e"]
+            .iter()
+            .map(|n| t.var(n, Sort::Data))
+            .collect();
+        let ys: Vec<Term> = ["p", "q", "r", "s", "u"]
+            .iter()
+            .map(|n| t.var(n, Sort::Data))
+            .collect();
+        let pairs: Vec<Term> = xs.iter().zip(&ys).map(|(&x, &y)| t.eq(x, y)).collect();
+        let premise = t.and_many(&pairs);
+        let fx = t.app("f", &xs);
+        let fy = t.app("f", &ys);
+        let goal = t.eq(fx, fy);
+        let vc = t.implies(premise, goal);
+        assert!(check_valid(&mut t, vc).valid());
+        // Applications of one name at different arities are unrelated.
+        let short = t.app("f", &xs[..4]);
+        let unrelated = t.eq(fx, short);
+        assert!(!check_valid(&mut t, unrelated).valid());
+        // Dropping one premise breaks the five-argument congruence.
+        let partial = t.and_many(&pairs[..4]);
+        let weak = t.implies(partial, goal);
+        assert!(!check_valid(&mut t, weak).valid());
     }
 
     #[test]

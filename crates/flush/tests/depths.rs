@@ -5,7 +5,7 @@
 //!
 //! Depths 2–5 are exercised property-style in every build; the deeper sweep
 //! rides `--release`-only per the test-budget rule (the case-split cost grows
-//! roughly 5× per two stages of depth — see the `flushing_depth` bench).
+//! roughly 5× per two stages of depth — see the `exp_flushing` bench).
 
 use proptest::prelude::*;
 use pv_flush::{FlushVerifier, PipelineBug, PipelineDesc};
@@ -121,6 +121,82 @@ fn deep_pipelines_verify_and_stay_deterministic() {
         assert!(
             !FlushVerifier::new(bugged).verify().valid(),
             "depth {depth}"
+        );
+    }
+}
+
+/// The three description shapes the golden search test covers.
+#[derive(Clone, Copy, Debug)]
+enum Shape {
+    Straight,
+    Branching,
+    Annulling,
+}
+
+/// The EUF search itself, pinned at depth 6: for every shape, the correct
+/// design and each injected bug, the verdict, the split and closure-check
+/// counts, the failing cube and the counterexample text. The values were
+/// recorded from the engine before its hot path was made allocation-free,
+/// which had to reproduce every decision of the search.
+#[test]
+fn the_depth_6_search_is_pinned_on_every_shape_and_bug() {
+    type Golden = (
+        Shape,
+        Option<PipelineBug>,
+        bool,
+        usize,
+        usize,
+        Option<usize>,
+        Option<&'static str>,
+    );
+    #[rustfmt::skip]
+    const GOLDEN: [Golden; 24] = [
+        (Shape::Straight, None, true, 568, 568, None, None),
+        (Shape::Straight, Some(PipelineBug::NoForwarding), false, 10, 11, Some(0), Some("(= i.dest observed_index) := true, s.res3_valid := true, (= s.res3_dest i.src1) := true, (= s.res3_dest i.src2) := true, s.ex_valid := true, (= s.ex_dest observed_index) := true, (= s.ex_dest i.src1) := true, (= s.ex_dest i.src2) := true, (= (alu i.op s.res3_value s.res3_value) (alu i.op (alu s.ex_op s.ex_a s.ex_b) (alu s.ex_op s.ex_a s.ex_b))) := false")),
+        (Shape::Straight, Some(PipelineBug::ForwardAlways), false, 12, 13, Some(0), Some("(= i.dest observed_index) := true, s.ex_valid := true, s.res0_valid := true, s.res1_valid := true, s.res2_valid := true, s.res3_valid := true, (= s.ex_dest i.src1) := true, (= s.ex_dest i.src2) := false, (= s.res0_dest i.src2) := true, (= (alu i.op (alu s.ex_op s.ex_a s.ex_b) (alu s.ex_op s.ex_a s.ex_b)) (alu i.op (alu s.ex_op s.ex_a s.ex_b) s.res0_value)) := false")),
+        (Shape::Straight, Some(PipelineBug::WriteBackBubbles), false, 18, 19, Some(0), Some("(= i.dest observed_index) := true, s.ex_valid := true, (= s.ex_dest i.src1) := true, s.res0_valid := true, (= s.res0_dest i.src1) := true, s.res1_valid := true, (= s.ex_dest i.src2) := false, (= s.res0_dest i.src2) := false, (= s.res1_dest i.src2) := false, (= s.res2_dest i.src2) := true, s.res2_valid := false, (= s.res3_dest i.src2) := true, (= (alu i.op (alu s.ex_op s.ex_a s.ex_b) s.res2_value) (alu i.op (alu s.ex_op s.ex_a s.ex_b) s.res3_value)) := false")),
+        (Shape::Straight, Some(PipelineBug::StuckPc), false, 9, 10, Some(0), Some("(= i.dest observed_index) := true, s.ex_valid := true, (= s.ex_dest i.src1) := true, s.res0_valid := true, (= s.res0_dest i.src1) := true, s.res1_valid := true, (= s.ex_dest i.src2) := true, (= s.pc (succ s.pc)) := false")),
+        (Shape::Straight, Some(PipelineBug::StallInverted), false, 12, 13, Some(0), Some("s.ex_valid := true, (= s.ex_dest observed_index) := true, s.res0_valid := true, (= s.res0_dest observed_index) := true, s.res1_valid := true, (= s.res1_dest observed_index) := true, (= i.dest observed_index) := true, (= s.ex_dest i.src1) := true, (= s.ex_dest i.src2) := true, (= (alu s.ex_op s.ex_a s.ex_b) (alu i.op (alu s.ex_op s.ex_a s.ex_b) (alu s.ex_op s.ex_a s.ex_b))) := true, (= (succ (succ (succ (succ (succ s.pc))))) (succ (succ (succ (succ (succ (succ s.pc))))))) := false")),
+        (Shape::Straight, Some(PipelineBug::BranchTargetOffByOne), true, 568, 568, None, None),
+        (Shape::Straight, Some(PipelineBug::LostAnnul), true, 568, 568, None, None),
+        (Shape::Branching, None, true, 668, 668, None, None),
+        (Shape::Branching, Some(PipelineBug::NoForwarding), false, 107, 108, Some(16), Some("(= i.dest observed_index) := true, (= i.op opbr) := false, s.res3_valid := true, (= s.res3_dest i.src1) := true, (= s.res3_dest i.src2) := true, s.ex_valid := true, (= s.ex_dest i.src1) := true, s.ex_is_br := true, (= s.ex_dest i.src2) := true, (= (alu i.op s.res3_value s.res3_value) (alu i.op s.ex_link s.ex_link)) := false")),
+        (Shape::Branching, Some(PipelineBug::ForwardAlways), false, 108, 109, Some(16), Some("(= i.dest observed_index) := true, (= i.op opbr) := false, s.ex_valid := true, s.ex_is_br := true, s.res0_valid := true, s.res1_valid := true, (= s.ex_dest i.src1) := true, (= s.ex_dest i.src2) := false, (= s.res0_dest i.src2) := true, (= (alu i.op s.ex_link s.ex_link) (alu i.op s.ex_link s.res0_value)) := false")),
+        (Shape::Branching, Some(PipelineBug::WriteBackBubbles), false, 113, 114, Some(16), Some("(= i.dest observed_index) := true, (= i.op opbr) := false, s.ex_valid := true, (= s.ex_dest i.src1) := true, s.ex_is_br := true, s.res0_valid := true, (= s.ex_dest i.src2) := false, (= s.res0_dest i.src2) := false, (= s.res1_dest i.src2) := true, s.res1_valid := false, s.res2_valid := true, (= s.res2_dest i.src2) := true, (= (alu i.op s.ex_link s.res1_value) (alu i.op s.ex_link s.res2_value)) := false")),
+        (Shape::Branching, Some(PipelineBug::StuckPc), false, 8, 9, Some(0), Some("(= i.dest observed_index) := true, (= i.op opbr) := true, s.ex_valid := true, (= s.ex_dest i.src1) := true, s.ex_is_br := true, s.res0_valid := true, (= s.pc (btgt (succ s.pc) i.src1)) := false")),
+        (Shape::Branching, Some(PipelineBug::StallInverted), false, 16, 17, Some(0), Some("s.ex_valid := true, (= s.ex_dest observed_index) := true, s.ex_is_br := true, s.res0_valid := true, (= s.res0_dest observed_index) := true, s.res1_valid := true, (= i.dest observed_index) := true, (= i.op opbr) := true, (= opbr flushbubble4.op) := true, (= opbr flushbubble3.op) := true, (= opbr flushbubble2.op) := true, (= opbr flushbubble1.op) := true, (= opbr flushbubble0.op) := true, (= s.ex_link (succ (btgt (succ (btgt (succ (btgt (succ (btgt (succ (btgt (succ s.pc) flushbubble0.src1)) flushbubble1.src1)) flushbubble2.src1)) flushbubble3.src1)) flushbubble4.src1))) := true, (= (btgt (succ (btgt (succ (btgt (succ (btgt (succ (btgt (succ s.pc) flushbubble0.src1)) flushbubble1.src1)) flushbubble2.src1)) flushbubble3.src1)) flushbubble4.src1) (btgt (succ (btgt (succ (btgt (succ (btgt (succ (btgt (succ (btgt (succ s.pc) flushbubble0.src1)) flushbubble1.src1)) flushbubble2.src1)) flushbubble3.src1)) flushbubble4.src1)) i.src1)) := false")),
+        (Shape::Branching, Some(PipelineBug::BranchTargetOffByOne), false, 8, 9, Some(0), Some("(= i.dest observed_index) := true, (= i.op opbr) := true, s.ex_valid := true, (= s.ex_dest i.src1) := true, s.ex_is_br := true, s.res0_valid := true, (= (btgt s.pc i.src1) (btgt (succ s.pc) i.src1)) := false")),
+        (Shape::Branching, Some(PipelineBug::LostAnnul), true, 668, 668, None, None),
+        (Shape::Annulling, None, true, 602, 602, None, None),
+        (Shape::Annulling, Some(PipelineBug::NoForwarding), false, 131, 132, Some(20), Some("s.ex_valid := true, s.ex_is_br := false, (= i.dest observed_index) := true, (= i.op opbr) := false, s.res3_valid := true, (= s.res3_dest i.src1) := true, (= s.res3_dest i.src2) := true, (= s.ex_dest i.src1) := true, (= s.ex_dest i.src2) := true, (= (alu i.op s.res3_value s.res3_value) (alu i.op (alu s.ex_op s.ex_a s.ex_b) (alu s.ex_op s.ex_a s.ex_b))) := false")),
+        (Shape::Annulling, Some(PipelineBug::ForwardAlways), false, 132, 133, Some(20), Some("s.ex_valid := true, s.ex_is_br := false, (= i.dest observed_index) := true, (= i.op opbr) := false, s.res0_valid := true, s.res1_valid := true, (= s.ex_dest i.src1) := true, (= s.ex_dest i.src2) := false, (= s.res0_dest i.src2) := true, (= (alu i.op (alu s.ex_op s.ex_a s.ex_b) (alu s.ex_op s.ex_a s.ex_b)) (alu i.op (alu s.ex_op s.ex_a s.ex_b) s.res0_value)) := false")),
+        (Shape::Annulling, Some(PipelineBug::WriteBackBubbles), false, 9, 10, Some(0), Some("(= i.dest observed_index) := true, (= i.op opbr) := true, s.ex_valid := true, (= s.ex_dest i.src1) := true, s.ex_is_br := true, s.res0_valid := true, (= s.ex_dest observed_index) := true, (= s.ex_link (succ s.pc)) := false")),
+        (Shape::Annulling, Some(PipelineBug::StuckPc), false, 104, 105, Some(16), Some("s.ex_valid := true, s.ex_is_br := false, (= i.dest observed_index) := true, (= i.op opbr) := true, (= s.ex_dest i.src1) := true, s.res0_valid := true, (= s.pc (btgt (succ s.pc) i.src1)) := false")),
+        (Shape::Annulling, Some(PipelineBug::StallInverted), false, 12, 13, Some(0), Some("s.ex_valid := true, (= s.ex_dest observed_index) := true, s.ex_is_br := true, s.res0_valid := true, (= s.res0_dest observed_index) := true, s.res1_valid := true, (= opbr flushbubble1.op) := true, (= opbr flushbubble3.op) := true, (= opbr flushbubble0.op) := true, (= opbr flushbubble2.op) := true, (= (btgt (succ (btgt (succ s.ex_tgt) flushbubble1.src1)) flushbubble3.src1) (succ (btgt (succ (btgt (succ s.ex_tgt) flushbubble0.src1)) flushbubble2.src1))) := false")),
+        (Shape::Annulling, Some(PipelineBug::BranchTargetOffByOne), false, 104, 105, Some(16), Some("s.ex_valid := true, s.ex_is_br := false, (= i.dest observed_index) := true, (= i.op opbr) := true, (= s.ex_dest i.src1) := true, s.res0_valid := true, (= (btgt s.pc i.src1) (btgt (succ s.pc) i.src1)) := false")),
+        (Shape::Annulling, Some(PipelineBug::LostAnnul), false, 10, 11, Some(0), Some("(= i.dest observed_index) := true, (= i.op opbr) := true, s.ex_valid := true, (= s.ex_dest i.src1) := true, s.ex_is_br := true, s.res0_valid := true, (= s.ex_dest observed_index) := true, (= s.ex_link (succ s.pc)) := true, (= s.ex_tgt (btgt (succ s.pc) i.src1)) := false")),
+    ];
+    for (shape, bug, valid, splits, closure_checks, failing_cube, cex) in GOLDEN {
+        let mut desc = PipelineDesc::with_depth(6);
+        if let Shape::Branching | Shape::Annulling = shape {
+            desc = desc.with_branching();
+        }
+        if let Shape::Annulling = shape {
+            desc = desc.with_annulment();
+        }
+        if let Some(bug) = bug {
+            desc = desc.with_bug(bug);
+        }
+        let report = FlushVerifier::new(desc).verify();
+        let case = format!("{shape:?} {bug:?}");
+        assert_eq!(report.valid(), valid, "{case}");
+        assert_eq!(report.splits, splits, "{case}");
+        assert_eq!(report.closure_checks, closure_checks, "{case}");
+        assert_eq!(report.failing_cube, failing_cube, "{case}");
+        assert_eq!(
+            report.counterexample.map(|c| c.to_string()).as_deref(),
+            cex,
+            "{case}"
         );
     }
 }
