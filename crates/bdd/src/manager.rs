@@ -1244,6 +1244,31 @@ impl BddManager {
         vars
     }
 
+    /// Whether any of `roots` depends on a variable at or after `first` in
+    /// the order: `true` iff the union of their [`support`](Self::support)s
+    /// holds a variable whose index is `>= first.index()`. One walk over the
+    /// roots with a shared visited set (a bit per store slot), stopping at
+    /// the first such node; it reads the node store only, so no table or
+    /// counter changes.
+    pub fn support_reaches(&self, roots: &[Bdd], first: Var) -> bool {
+        let mut seen = vec![0u64; self.nodes.len().div_ceil(64)];
+        let mut stack: Vec<Bdd> = roots.to_vec();
+        while let Some(b) = stack.pop() {
+            let (word, bit) = (b.index() / 64, 1u64 << (b.index() % 64));
+            if b.is_const() || seen[word] & bit != 0 {
+                continue;
+            }
+            seen[word] |= bit;
+            let n = self.node(b);
+            if n.var >= first.0 {
+                return true;
+            }
+            stack.push(n.lo);
+            stack.push(n.hi);
+        }
+        false
+    }
+
     /// Number of distinct nodes reachable from `f`: 1 for a constant,
     /// otherwise the shared decision slots plus 2 for the terminal slots —
     /// the stored cost of the function, which complement edges make identical

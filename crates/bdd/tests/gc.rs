@@ -143,6 +143,30 @@ proptest! {
         prop_assert_eq!(before_restrict, after_restrict);
     }
 
+    /// `support_reaches` answers the same for handles that survive a
+    /// `gc_with_roots` — one permanent root, one extra root — as before the
+    /// collection, also after unrelated nodes reuse the reclaimed slots.
+    #[test]
+    fn support_reaches_survives_gc_with_roots(
+        (fe, ge, he) in (arb_expr(NVARS, 4), arb_expr(NVARS, 4), arb_expr(NVARS, 4))
+    ) {
+        let mut m = BddManager::new();
+        let vars = m.new_vars(NVARS);
+        let f = build(&mut m, &vars, &fe);
+        let g = build(&mut m, &vars, &ge);
+        let ng = m.not(g);
+        let _garbage = build(&mut m, &vars, &he);
+        m.add_root(f);
+        let reaches = |m: &BddManager| -> Vec<bool> {
+            vars.iter().map(|&v| m.support_reaches(&[f, ng], v)).collect()
+        };
+        let before = reaches(&m);
+        m.gc_with_roots(&[ng]);
+        prop_assert_eq!(reaches(&m), before.clone());
+        let _reused = build(&mut m, &vars, &he);
+        prop_assert_eq!(reaches(&m), before);
+    }
+
     /// Constrain results live in the computed table across calls. A
     /// collection that reclaims the slots an entry names must drop it: once
     /// unrelated nodes reuse those slots, constraining the rebuilt operands

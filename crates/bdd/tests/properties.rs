@@ -3,7 +3,7 @@
 //! bit-vector arithmetic against native `u64` arithmetic, and canonicity
 //! under the bounded, lossy computed table and the resizing unique table.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 use proptest::prelude::*;
 use pv_bdd::{Bdd, BddManager, BddVec, Var};
@@ -207,6 +207,31 @@ proptest! {
         }
         prop_assert_eq!(renamed, composed);
         prop_assert!(m.support(renamed).iter().all(|v| next.contains(v)));
+    }
+
+    /// `support_reaches` over several roots agrees with the union of their
+    /// supports at every threshold: on random functions, on their negations
+    /// (complemented root edges), and on root sets whose members share
+    /// subgraphs. It reads the store only, so no counter moves.
+    #[test]
+    fn support_reaches_agrees_with_support((fe, ge) in (arb_expr(NVARS, 4), arb_expr(NVARS, 4))) {
+        let mut m = BddManager::new();
+        // The extra variable is a threshold past every support.
+        let vars = m.new_vars(NVARS + 1);
+        let f = build(&mut m, &vars, &fe);
+        let g = build(&mut m, &vars, &ge);
+        let nf = m.not(f);
+        let both = m.and(f, g);
+        let before = m.stats();
+        let root_sets: [&[Bdd]; 5] = [&[f], &[nf], &[f, g], &[g, both, nf], &[]];
+        for roots in root_sets {
+            let support: BTreeSet<Var> = roots.iter().flat_map(|&r| m.support(r)).collect();
+            for &first in &vars {
+                let expected = support.iter().any(|&v| v >= first);
+                prop_assert_eq!(m.support_reaches(roots, first), expected);
+            }
+        }
+        prop_assert_eq!(m.stats(), before);
     }
 
     /// Model counting matches brute-force enumeration.

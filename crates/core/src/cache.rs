@@ -88,7 +88,12 @@ static M_CACHE_CORRUPT: Counter = Counter::new("cache.corrupt");
 /// Epoch 6: the computed table became a fixed-size, overwrite-on-collision
 /// cache, so the `bdd.ite.cache_*` and `bdd.constrain.cache_*` counts in
 /// plan reports' `metrics` changed for identical inputs.
-pub const ENGINE_EPOCH: u32 = 6;
+///
+/// Epoch 7: a β plan stops at the first sample that reads an annulled
+/// slot's don't-care variables, so such FAIL reports' `space` and
+/// `metrics` changed for identical inputs (verdicts and counterexamples did
+/// not).
+pub const ENGINE_EPOCH: u32 = 7;
 
 /// Environment variable overriding the default cache directory.
 pub const PV_CACHE_DIR: &str = "PV_CACHE_DIR";

@@ -18,11 +18,28 @@ use std::time::{Duration, Instant};
 
 use pv_bdd::{Bdd, BddManager, BddVec, Budget, Var};
 use pv_netlist::{Netlist, SymbolicSim};
+use pv_obs::Counter;
 
 use crate::flow::FlowErrorKind;
 use crate::plan::{CycleInput, SimulationPlan, SimulationSchedule, Slot};
 use crate::pool;
 use crate::spec::MachineSpec;
+
+/// Plans whose pipelined run stopped early because a sample read an annulled
+/// slot's don't-care variables (see [`Verifier::check_plan`]).
+static M_LEAK_STOPS: Counter = Counter::new("verify.leak_stops");
+
+/// One machine's symbolic run over (a prefix of) its schedule.
+struct MachineRun {
+    /// The observed words sampled per instruction slot, after `constrain`.
+    samples: BTreeMap<usize, BTreeMap<String, BddVec>>,
+    /// Per annulled delay slot of the implementation, `(cycle, variables)`:
+    /// the fresh instruction variables it was simulated with.
+    dontcare_vars: Vec<(usize, Vec<Var>)>,
+    /// The first slot whose implementation sample depends on one of those
+    /// variables; the run stopped after that sample's cycle.
+    leaked_slot: Option<usize>,
+}
 
 /// Errors detected before or during verification.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -513,6 +530,13 @@ impl Verifier {
     /// sampled formulae and returns the per-plan report. This is the function
     /// the worker pool fans out.
     ///
+    /// A plan whose implementation sample reads an annulled delay slot's
+    /// don't-care variables fails without simulating past that sample: the
+    /// pipelined run stops there, the specification runs only through the
+    /// same slot's sample, and the comparison finds the same first
+    /// counterexample as a full run would. Such a report's `bdd_nodes`,
+    /// `bdd_peak_live`, `bdd_vars` and `metrics` count only the work done.
+    ///
     /// # Errors
     /// See [`Verifier::verify`].
     pub fn check_plan(
@@ -785,7 +809,7 @@ impl Verifier {
         }
         drop(setup);
 
-        let (pipelined_samples, pipelined_dontcare_vars) = self.simulate(
+        let pipelined_run = self.simulate(
             &mut manager,
             pipelined,
             &schedule.pipelined_inputs,
@@ -799,14 +823,33 @@ impl Verifier {
             true,
             assumption,
         );
-        let (unpipelined_samples, _) = self.simulate(
+        // A leaking sample is a violation on its own (DESIGN.md § Flow 1,
+        // "Stopping at an annulment leak"), so the specification runs only
+        // through that slot's sample and the comparison covers the samples
+        // up to it. Samples are in slot order with increasing cycles in both
+        // machines, so the prefix is exactly what both runs sampled.
+        let (compared, unpipelined_inputs) = match pipelined_run.leaked_slot {
+            Some(slot) => {
+                let last = schedule
+                    .samples
+                    .iter()
+                    .position(|&(j, _, _)| j == slot)
+                    .expect("a leaking slot is a sampled slot");
+                let (_, _, unpipelined_cycle) = schedule.samples[last];
+                (
+                    &schedule.samples[..=last],
+                    &schedule.unpipelined_inputs[..=unpipelined_cycle],
+                )
+            }
+            None => (&schedule.samples[..], &schedule.unpipelined_inputs[..]),
+        };
+        let unpipelined_run = self.simulate(
             &mut manager,
             unpipelined,
-            &schedule.unpipelined_inputs,
+            unpipelined_inputs,
             &schedule.unpipelined_irq_cycles,
             &slot_words,
-            &schedule
-                .samples
+            &compared
                 .iter()
                 .map(|&(j, _, uc)| (j, uc))
                 .collect::<Vec<_>>(),
@@ -817,10 +860,10 @@ impl Verifier {
         let compare = pv_obs::span("plan.compare");
         let mut samples_compared = 0usize;
         let mut counterexample = None;
-        'outer: for &(slot, pipelined_cycle, unpipelined_cycle) in &schedule.samples {
+        'outer: for &(slot, pipelined_cycle, unpipelined_cycle) in compared {
             for name in &spec.observed {
-                let p = &pipelined_samples[&slot][name];
-                let u = &unpipelined_samples[&slot][name];
+                let p = &pipelined_run.samples[&slot][name];
+                let u = &unpipelined_run.samples[&slot][name];
                 if p.width() != u.width() {
                     return Err(VerifyError::WidthMismatch {
                         name: name.clone(),
@@ -861,7 +904,7 @@ impl Verifier {
                             &schedule.pipelined_inputs,
                             &schedule.pipelined_irq_cycles,
                             &slot_instructions,
-                            &pipelined_dontcare_vars,
+                            &pipelined_run.dontcare_vars,
                             &assignment,
                         ),
                         unpipelined_inputs: self.replay_rows(
@@ -891,6 +934,11 @@ impl Verifier {
                 }
             }
         }
+        assert!(
+            pipelined_run.leaked_slot.is_none() || counterexample.is_some(),
+            "engine bug: a sample reads an annulled slot's don't-care variables \
+             but no compared sample differs"
+        );
         drop(compare);
 
         let stats = manager.stats();
@@ -992,8 +1040,13 @@ impl Verifier {
     /// per don't-care cycle that received fresh symbolic instruction
     /// variables, `(cycle, variables)` — the witness evaluation of these
     /// words completes a counterexample's concrete replay schedule.
+    ///
+    /// Once an annulled slot has received fresh variables, each later sample
+    /// of the implementation is checked for them: they are allocated after
+    /// every slot variable, so a sample depends on one iff its support
+    /// reaches the first. The run stops after the first sample that does,
+    /// and reports its slot as [`MachineRun::leaked_slot`].
     #[allow(clippy::too_many_arguments)]
-    #[allow(clippy::type_complexity)]
     fn simulate(
         &self,
         manager: &mut BddManager,
@@ -1004,10 +1057,7 @@ impl Verifier {
         sample_cycles: &[(usize, usize)],
         is_implementation: bool,
         assumption: Bdd,
-    ) -> (
-        BTreeMap<usize, BTreeMap<String, BddVec>>,
-        Vec<(usize, Vec<Var>)>,
-    ) {
+    ) -> MachineRun {
         let _span = pv_obs::span(if is_implementation {
             "sim.pipelined"
         } else {
@@ -1018,6 +1068,7 @@ impl Verifier {
         let mut state = sym.initial_state(manager);
         let mut samples: BTreeMap<usize, BTreeMap<String, BddVec>> = BTreeMap::new();
         let mut dontcare_vars: Vec<(usize, Vec<Var>)> = Vec::new();
+        let mut leaked_slot = None;
         let has_irq = spec
             .irq_port
             .as_ref()
@@ -1111,8 +1162,22 @@ impl Verifier {
                             manager.add_root(bit);
                         }
                     }
+                    if let Some((_, vars)) = dontcare_vars.first() {
+                        let _span = pv_obs::span("sim.leak_check");
+                        let bits: Vec<Bdd> = observed
+                            .values()
+                            .flat_map(|word| word.bits().iter().copied())
+                            .collect();
+                        if manager.support_reaches(&bits, vars[0]) {
+                            leaked_slot = Some(slot);
+                        }
+                    }
                     samples.insert(slot, observed);
                 }
+            }
+            if leaked_slot.is_some() {
+                M_LEAK_STOPS.incr();
+                break;
             }
             state = next_state;
             // The per-cycle garbage — intermediate net functions and
@@ -1122,6 +1187,10 @@ impl Verifier {
             // per-cycle budget safe point.
             manager.maybe_gc(&state.regs);
         }
-        (samples, dontcare_vars)
+        MachineRun {
+            samples,
+            dontcare_vars,
+            leaked_slot,
+        }
     }
 }
