@@ -9,8 +9,7 @@
 //! ```
 //!
 //! The summary table is also written to `<summary-path>` (default
-//! `family-campaign.txt`, overridable via the `FAMILY_CAMPAIGN_OUT`
-//! environment variable) so CI can upload it as an artifact. The process
+//! `family-campaign.txt`) so CI can upload it as an artifact. The process
 //! exits nonzero if any cell violates the cross-flow agreement property:
 //! a correct design failing either flow, an injected bug slipping past
 //! either flow, or a β counterexample that does not replay concretely.
@@ -21,9 +20,9 @@ use std::time::Instant;
 use pv_bench::matrix::{self, CellReport};
 
 fn main() {
-    let out_path = std::env::args().nth(1).unwrap_or_else(|| {
-        std::env::var("FAMILY_CAMPAIGN_OUT").unwrap_or_else(|_| "family-campaign.txt".to_owned())
-    });
+    let out_path = std::env::args()
+        .nth(1)
+        .unwrap_or_else(|| "family-campaign.txt".to_owned());
 
     let configs = matrix::matrix_configs();
     let started = Instant::now();

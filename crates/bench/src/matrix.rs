@@ -170,10 +170,10 @@ pub fn run_cell(config: FamilyConfig, bug: Option<FamilyBug>) -> Result<CellRepo
     let beta_report = beta
         .verify_flow(&pipelined, &unpipelined)
         .map_err(|e| e.to_string())?;
-    let flushing = FlushVerifier::from_netlist(&pipelined).map_err(|e| e.to_string())?;
-    let flush_report = flushing
-        .verify_flow(&pipelined, &unpipelined)
-        .map_err(|e| e.to_string())?;
+    let flush_report = FlushVerifier::from_netlist(&pipelined)
+        .map_err(|e| e.to_string())?
+        .verify()
+        .to_flow_report();
     let replay = beta_report.replay(&pipelined, &unpipelined);
     Ok(CellReport {
         config,

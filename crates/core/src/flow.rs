@@ -218,9 +218,10 @@ impl fmt::Display for FlowError {
 
 impl std::error::Error for FlowError {}
 
-/// One unit of work (simulation plan / case-split block) that failed for a
-/// resource reason while the rest of its batch completed — the per-unit
-/// annotation of a gracefully-degraded [`FlowReport`]. The kind is never
+/// One unit of work (simulation plan / case-split block) that failed — a
+/// budget abort or a worker panic — while the rest of its batch completed:
+/// the per-unit annotation of a gracefully-degraded [`FlowReport`], and of
+/// the flow-specific reports it is rendered from. The kind is never
 /// [`FlowErrorKind::Invalid`]: invalid inputs fail the whole flow.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct UnitFailure {
@@ -524,15 +525,7 @@ impl VerificationReport {
             wall_time,
             unit_walls: self.plan_reports.iter().map(|p| p.wall_time).collect(),
             metrics: self.metrics.clone(),
-            unit_failures: self
-                .plan_failures
-                .iter()
-                .map(|f| UnitFailure {
-                    unit: f.plan_index,
-                    kind: f.kind,
-                    message: f.message.clone(),
-                })
-                .collect(),
+            unit_failures: self.plan_failures.clone(),
         }
     }
 }

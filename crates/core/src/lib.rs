@@ -77,6 +77,4 @@ pub use spec::MachineSpec;
 // (`Verifier::with_budget`), re-exported so flow and service callers need
 // no direct `pv-bdd` dependency to govern resources.
 pub use pv_bdd::{Budget, BudgetExceeded};
-pub use verify::{
-    Counterexample, PlanFailure, PlanReport, VerificationReport, Verifier, VerifyError,
-};
+pub use verify::{Counterexample, PlanReport, VerificationReport, Verifier, VerifyError};

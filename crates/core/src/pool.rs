@@ -28,12 +28,12 @@
 //! ```
 
 use std::any::Any;
-use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 use std::time::{Duration, Instant};
 
+use pv_bdd::Budget;
 use pv_obs::{Counter, Gauge, Histogram};
 
 /// Pool occupancy metrics: items claimed by pool workers, the widest pool
@@ -44,61 +44,6 @@ static M_POOL_CLAIM: Counter = Counter::new("pool.claim");
 static M_POOL_WORKERS: Gauge = Gauge::new("pool.workers");
 static M_POOL_BUSY: Histogram = Histogram::new("pool.worker.busy_us");
 static M_POOL_UNIT_PANIC: Counter = Counter::new("pool.unit_panic");
-
-/// A panic caught at a pool unit boundary: the unit's index and the panic
-/// payload, preserved so callers can downcast it back to a typed abort
-/// (e.g. `pv_bdd::BudgetExceeded`) or re-raise it unchanged.
-pub struct UnitPanic {
-    index: usize,
-    payload: Box<dyn Any + Send>,
-}
-
-impl UnitPanic {
-    /// The index of the item whose unit panicked.
-    pub fn index(&self) -> usize {
-        self.index
-    }
-
-    /// Downcasts the payload by reference (`panic_any` payloads keep their
-    /// concrete type; `panic!("...")` payloads are `&str` or `String`).
-    pub fn downcast_ref<T: 'static>(&self) -> Option<&T> {
-        self.payload.downcast_ref::<T>()
-    }
-
-    /// A human-readable rendering of the payload: the panic message for
-    /// string payloads, a generic marker otherwise.
-    pub fn message(&self) -> String {
-        if let Some(s) = self.payload.downcast_ref::<&str>() {
-            (*s).to_owned()
-        } else if let Some(s) = self.payload.downcast_ref::<String>() {
-            s.clone()
-        } else {
-            "worker panicked with a non-string payload".to_owned()
-        }
-    }
-
-    /// The raw payload by reference, for classification without consuming
-    /// the panic (see `FlowErrorKind::classify_panic` in `pipeverify-core`).
-    pub fn payload_ref(&self) -> &(dyn Any + Send) {
-        &*self.payload
-    }
-
-    /// The raw payload, for re-raising with [`std::panic::resume_unwind`].
-    pub fn into_payload(self) -> Box<dyn Any + Send> {
-        self.payload
-    }
-}
-
-impl fmt::Debug for UnitPanic {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "UnitPanic {{ index: {}, {} }}",
-            self.index,
-            self.message()
-        )
-    }
-}
 
 /// The default worker count: the `PV_THREADS` environment variable when it is
 /// set to a positive integer, otherwise the machine's available parallelism,
@@ -162,12 +107,11 @@ where
     R: Send,
     F: Fn(usize, &I) -> R + Sync,
 {
-    par_map_prefix_caught(threads, items, |_| {}, |i, item| (f(i, item), false))
+    par_map_prefix_caught(threads, items, None, |i, item, _| (f(i, item), false))
         .into_iter()
-        // Slots come back in index order, so the first panic met is the
+        // Results come back in index order, so the first panic met is the
         // lowest-indexed one.
-        .map(|slot| slot.expect("every item is computed when none is terminal"))
-        .map(|r| r.unwrap_or_else(|panic| resume_unwind(panic.into_payload())))
+        .map(|r| r.unwrap_or_else(|payload| resume_unwind(payload)))
         .collect()
 }
 
@@ -176,59 +120,66 @@ where
 /// no longer need to be computed (the verifiers' "stop at the first
 /// counterexample").
 ///
-/// Every index up to and including the lowest terminal one is guaranteed to
-/// be computed (`Some`); indices past it may or may not be, depending on how
-/// far the workers had raced ahead. Callers that want sequential semantics
-/// must therefore consume the slots in index order and stop at the first
-/// terminal item — a panic in a slot past it belongs to work a sequential
-/// run would never have done, and must not be re-raised.
+/// Returns the **sequential prefix**: one result per item, in index order,
+/// up to and including the lowest terminal item (every item when none is
+/// terminal) — exactly what an in-order loop that stops at the first
+/// terminal item computes. Items a racing worker computed past that cutoff
+/// are dropped here, so a panic in one of them never reaches the caller.
 ///
 /// Every unit runs inside [`std::panic::catch_unwind`], so one poisoned item
-/// yields an `Err(`[`UnitPanic`]`)` in its slot while every sibling
-/// completes. A panicked unit is **not** terminal — the prefix guarantee is
-/// unchanged, and slots keep index order.
+/// yields an `Err(payload)` in its slot while every sibling completes. A
+/// panicked unit is **not** terminal. Callers classify the payload (e.g.
+/// `FlowErrorKind::classify_panic` downcasts a typed
+/// [`BudgetExceeded`](pv_bdd::BudgetExceeded) abort).
 ///
-/// `on_cutoff(t)` fires (at most once per lowering) when a terminal item
-/// drops the cutoff to `t`: items with indices `> t` can never join the
-/// sequential prefix, so the callback is the pool's cooperative-cancellation
-/// hook — the plan verifier uses it to cancel the budgets of in-flight
-/// higher-indexed siblings, which then abort at their next safe point.
+/// With a `budget`, every item gets its own [`Budget::child`] — the
+/// parent's deadline and node limit, its own cancel flag — handed to `f`.
+/// A unit whose child already fails [`Budget::check`] is not started: its
+/// slot holds the typed [`BudgetExceeded`](pv_bdd::BudgetExceeded) payload,
+/// as if the unit had aborted at its first safe point. When a terminal item
+/// lowers the cutoff, the children past it are cancelled, so in-flight units
+/// the sequential loop would never have reached abort at their next safe
+/// point; the caller's budget itself is never cancelled.
 ///
 /// Unit closures are wrapped in [`AssertUnwindSafe`]: units are independent
 /// by contract (the pool's whole premise), so any state `f` shares across
 /// items must already tolerate an abandoned unit.
-pub fn par_map_prefix_caught<I, R, F, C>(
+pub fn par_map_prefix_caught<I, R, F>(
     threads: usize,
     items: &[I],
-    on_cutoff: C,
+    budget: Option<&Budget>,
     f: F,
-) -> Vec<Option<Result<R, UnitPanic>>>
+) -> Vec<thread::Result<R>>
 where
     I: Sync,
     R: Send,
-    F: Fn(usize, &I) -> (R, bool) + Sync,
-    C: Fn(usize) + Sync,
+    F: Fn(usize, &I, Option<&Budget>) -> (R, bool) + Sync,
 {
     let n = items.len();
-    let mut results: Vec<Option<Result<R, UnitPanic>>> = (0..n).map(|_| None).collect();
+    let children: Vec<Option<Budget>> = items.iter().map(|_| budget.map(Budget::child)).collect();
+    let unit = |i: usize| {
+        let child = children[i].as_ref();
+        let result = match child.map(|b| b.check(0)) {
+            Some(Err(exceeded)) => Err(Box::new(exceeded) as Box<dyn Any + Send>),
+            _ => catch_unwind(AssertUnwindSafe(|| f(i, &items[i], child))),
+        };
+        if result.is_err() {
+            M_POOL_UNIT_PANIC.incr();
+        }
+        result
+    };
     let threads = threads.clamp(1, n.max(1));
     if threads == 1 {
-        for (i, item) in items.iter().enumerate() {
-            match catch_unwind(AssertUnwindSafe(|| f(i, item))) {
-                Ok((r, terminal)) => {
-                    results[i] = Some(Ok(r));
-                    if terminal {
-                        on_cutoff(i);
-                        break;
-                    }
-                }
-                Err(payload) => {
-                    M_POOL_UNIT_PANIC.incr();
-                    results[i] = Some(Err(UnitPanic { index: i, payload }));
-                }
+        let mut prefix = Vec::with_capacity(n);
+        for i in 0..n {
+            let result = unit(i);
+            let terminal = matches!(result, Ok((_, true)));
+            prefix.push(result.map(|(r, _)| r));
+            if terminal {
+                break;
             }
         }
-        return results;
+        return prefix;
     }
 
     // Work distribution: each worker claims the next unclaimed index. When an
@@ -239,13 +190,12 @@ where
     let next = AtomicUsize::new(0);
     let cutoff = AtomicUsize::new(usize::MAX);
     M_POOL_WORKERS.set_max(threads as u64);
-    type Computed<R> = Vec<(usize, Result<R, UnitPanic>)>;
-    let computed = thread::scope(|s| {
+    let mut computed = thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
-                let (f, on_cutoff, next, cutoff) = (&f, &on_cutoff, &next, &cutoff);
+                let (unit, children, next, cutoff) = (&unit, &children, &next, &cutoff);
                 s.spawn(move || {
-                    let mut out: Computed<R> = Vec::new();
+                    let mut out = Vec::new();
                     let mut busy = Duration::ZERO;
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
@@ -257,23 +207,16 @@ where
                         }
                         M_POOL_CLAIM.incr();
                         let claimed_at = Instant::now();
-                        match catch_unwind(AssertUnwindSafe(|| f(i, &items[i]))) {
-                            Ok((r, terminal)) => {
-                                busy += claimed_at.elapsed();
-                                if terminal {
-                                    let prev = cutoff.fetch_min(i, Ordering::AcqRel);
-                                    if i < prev {
-                                        on_cutoff(i);
-                                    }
+                        let result = unit(i).map(|(r, terminal)| {
+                            if terminal && i < cutoff.fetch_min(i, Ordering::AcqRel) {
+                                for child in children[i + 1..].iter().flatten() {
+                                    child.cancel();
                                 }
-                                out.push((i, Ok(r)));
                             }
-                            Err(payload) => {
-                                busy += claimed_at.elapsed();
-                                M_POOL_UNIT_PANIC.incr();
-                                out.push((i, Err(UnitPanic { index: i, payload })));
-                            }
-                        }
+                            r
+                        });
+                        busy += claimed_at.elapsed();
+                        out.push((i, result));
                     }
                     M_POOL_BUSY.record(busy.as_micros() as u64);
                     // Workers retire here; deliver their span buffers so an
@@ -286,17 +229,22 @@ where
         handles
             .into_iter()
             .flat_map(|h| h.join().expect("pool worker survives unit panics"))
-            .collect::<Computed<R>>()
+            .collect::<Vec<_>>()
     });
-    for (i, r) in computed {
-        results[i] = Some(r);
-    }
-    results
+    let cutoff = cutoff.into_inner();
+    computed.retain(|&(i, _)| i <= cutoff);
+    computed.sort_unstable_by_key(|&(i, _)| i);
+    debug_assert!(
+        computed.iter().enumerate().all(|(k, &(i, _))| k == i),
+        "every index up to the cutoff is computed"
+    );
+    computed.into_iter().map(|(_, r)| r).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pv_bdd::BudgetExceeded;
     use std::sync::atomic::AtomicUsize;
 
     #[test]
@@ -319,41 +267,30 @@ mod tests {
         assert_eq!(par_map(0, &[1u32, 2], |_, &x| x), vec![1, 2]);
     }
 
-    /// Unwraps caught slots whose units are not expected to panic.
-    fn unwrap_slots<R>(slots: Vec<Option<Result<R, UnitPanic>>>) -> Vec<Option<R>> {
-        slots
+    /// Unwraps results whose units are not expected to panic.
+    fn unwrap_all<R>(results: Vec<thread::Result<R>>) -> Vec<R> {
+        results
             .into_iter()
-            .map(|slot| slot.map(|r| r.expect("no unit panics")))
+            .map(|r| r.unwrap_or_else(|_| panic!("no unit panics")))
             .collect()
     }
 
+    /// The panic message of a unit that panicked with a string payload.
+    fn message(payload: &(dyn Any + Send)) -> Option<String> {
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_owned()))
+    }
+
     #[test]
-    fn prefix_up_to_the_lowest_terminal_is_always_computed() {
+    fn the_result_is_the_prefix_up_to_the_lowest_terminal_item() {
         let items: Vec<usize> = (0..64).collect();
         for threads in [1, 2, 4, 8] {
-            let results = unwrap_slots(par_map_prefix_caught(
-                threads,
-                &items,
-                |_| {},
-                |_, &x| (x, x == 20),
-            ));
-            for (i, r) in results.iter().enumerate().take(21) {
-                assert_eq!(r, &Some(i), "index {i} belongs to the prefix");
-            }
-            // Consuming in index order and stopping at the terminal item
-            // reproduces the sequential prefix regardless of racing.
-            let prefix: Vec<usize> = results
-                .into_iter()
-                .map_while(|r| r)
-                .scan(false, |done, x| {
-                    if *done {
-                        return None;
-                    }
-                    *done = x == 20;
-                    Some(x)
-                })
-                .collect();
-            assert_eq!(prefix, (0..=20).collect::<Vec<_>>());
+            let prefix = unwrap_all(par_map_prefix_caught(threads, &items, None, |_, &x, _| {
+                (x, x == 20 || x == 41)
+            }));
+            assert_eq!(prefix, (0..=20).collect::<Vec<_>>(), "{threads} threads");
         }
     }
 
@@ -361,43 +298,29 @@ mod tests {
     fn sequential_fallback_stops_at_the_terminal_item() {
         let calls = AtomicUsize::new(0);
         let items: Vec<usize> = (0..10).collect();
-        let results = unwrap_slots(par_map_prefix_caught(
-            1,
-            &items,
-            |_| {},
-            |_, &x| {
-                calls.fetch_add(1, Ordering::Relaxed);
-                (x, x == 3)
-            },
-        ));
+        let prefix = unwrap_all(par_map_prefix_caught(1, &items, None, |_, &x, _| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            (x, x == 3)
+        }));
         assert_eq!(calls.load(Ordering::Relaxed), 4);
-        assert_eq!(results[3], Some(3));
-        assert!(results[4..].iter().all(Option::is_none));
+        assert_eq!(prefix, vec![0, 1, 2, 3]);
     }
 
     #[test]
     fn a_panic_past_the_terminal_item_stays_outside_the_prefix() {
         // A racing worker may reach (and panic in) a unit past the terminal
-        // one; the prefix is still all `Ok` on every thread count, so an
-        // in-order consumer that stops at the terminal item never meets it —
-        // exactly as a sequential run, which never computes that unit.
+        // one; the pool drops it, so the prefix is all `Ok` on every thread
+        // count — exactly as a sequential run, which never computes that
+        // unit.
         let items: Vec<usize> = (0..64).collect();
         for threads in [1, 2, 4, 8] {
-            let slots = par_map_prefix_caught(
-                threads,
-                &items,
-                |_| {},
-                |_, &x| {
-                    if x == 21 {
-                        panic!("unit 21 poisoned");
-                    }
-                    (x, x == 20)
-                },
-            );
-            for (i, slot) in slots.iter().enumerate().take(21) {
-                let ok = slot.as_ref().and_then(|r| r.as_ref().ok());
-                assert_eq!(ok, Some(&i), "index {i} on {threads} threads");
-            }
+            let prefix = par_map_prefix_caught(threads, &items, None, |_, &x, _| {
+                if x == 21 {
+                    panic!("unit 21 poisoned");
+                }
+                (x, x == 20)
+            });
+            assert_eq!(unwrap_all(prefix), (0..=20).collect::<Vec<_>>());
         }
     }
 
@@ -432,26 +355,20 @@ mod tests {
     fn caught_panics_surface_per_unit_and_stay_non_terminal() {
         let items: Vec<usize> = (0..16).collect();
         for threads in [1, 2, 4] {
-            let slots = par_map_prefix_caught(
-                threads,
-                &items,
-                |_| {},
-                |_, &x| {
-                    if x % 7 == 3 {
-                        panic!("unit {x} poisoned");
+            let results = par_map_prefix_caught(threads, &items, None, |_, &x, _| {
+                if x % 7 == 3 {
+                    panic!("unit {x} poisoned");
+                }
+                (x * 2, false)
+            });
+            assert_eq!(results.len(), items.len(), "no terminal item: every unit");
+            for (i, result) in results.iter().enumerate() {
+                match result {
+                    Err(payload) => {
+                        assert_eq!(i % 7, 3, "only poisoned units fail");
+                        assert_eq!(message(&**payload), Some(format!("unit {i} poisoned")));
                     }
-                    (x * 2, false)
-                },
-            );
-            assert_eq!(slots.len(), items.len());
-            for (i, slot) in slots.iter().enumerate() {
-                let slot = slot.as_ref().expect("no terminal item: every slot is Some");
-                if i % 7 == 3 {
-                    let panic = slot.as_ref().expect_err("poisoned unit");
-                    assert_eq!(panic.index(), i);
-                    assert_eq!(panic.message(), format!("unit {i} poisoned"));
-                } else {
-                    assert_eq!(slot.as_ref().ok(), Some(&(i * 2)));
+                    Ok(r) => assert_eq!(*r, i * 2),
                 }
             }
         }
@@ -459,50 +376,81 @@ mod tests {
 
     #[test]
     fn the_prefix_guarantee_holds_under_panics() {
-        // A panicked unit is non-terminal: the prefix up to the lowest
-        // *successful* terminal index must still be fully computed.
+        // A panicked unit is non-terminal: the prefix runs on to the lowest
+        // *successful* terminal index.
         let items: Vec<usize> = (0..64).collect();
         for threads in [1, 2, 4, 8] {
-            let slots = par_map_prefix_caught(
-                threads,
-                &items,
-                |_| {},
-                |_, &x| {
-                    if x == 9 {
-                        panic!("unit 9 poisoned");
-                    }
-                    (x, x == 20)
-                },
-            );
-            for (i, slot) in slots.iter().enumerate().take(21) {
-                let slot = slot.as_ref().expect("index {i} belongs to the prefix");
-                if i == 9 {
-                    assert!(slot.is_err(), "unit 9 panicked");
-                } else {
-                    assert_eq!(slot.as_ref().ok(), Some(&i));
+            let results = par_map_prefix_caught(threads, &items, None, |_, &x, _| {
+                if x == 9 {
+                    panic!("unit 9 poisoned");
                 }
+                (x, x == 20)
+            });
+            assert_eq!(results.len(), 21, "{threads} threads");
+            for (i, result) in results.iter().enumerate() {
+                assert_eq!(result.as_ref().ok(), (i != 9).then_some(&i), "index {i}");
             }
         }
     }
 
     #[test]
-    fn on_cutoff_reports_terminal_indices_for_sibling_cancellation() {
-        let items: Vec<usize> = (0..48).collect();
-        for threads in [1, 2, 4] {
-            let lowest_seen = AtomicUsize::new(usize::MAX);
-            par_map_prefix_caught(
-                threads,
-                &items,
-                |t| {
-                    lowest_seen.fetch_min(t, Ordering::Relaxed);
-                },
-                |_, &x| (x, x == 11 || x == 30),
-            );
-            let lowest = lowest_seen.load(Ordering::Relaxed);
-            assert!(
-                lowest == 11 || lowest == 30,
-                "on_cutoff fired for a terminal index (got {lowest})"
-            );
+    fn units_past_a_terminal_item_see_their_budget_cancelled() {
+        // Two workers: unit 0 waits until unit 1 is in flight, then turns
+        // terminal; unit 1 waits for its budget to be cancelled. Unit 1 lies
+        // past the cutoff, so its result never reaches the prefix — the
+        // flag is the evidence.
+        let items: Vec<usize> = (0..8).collect();
+        let budget = Budget::unlimited();
+        let started = std::sync::atomic::AtomicBool::new(false);
+        let saw_cancel = std::sync::atomic::AtomicBool::new(false);
+        let wait_for = |flag: &dyn Fn() -> bool| {
+            let until = Instant::now() + Duration::from_secs(20);
+            while !flag() && Instant::now() < until {
+                thread::yield_now();
+            }
+            flag()
+        };
+        let prefix = par_map_prefix_caught(2, &items, Some(&budget), |i, &x, child| {
+            let child = child.expect("a budgeted batch hands every unit a child");
+            match i {
+                0 => assert!(wait_for(&|| started.load(Ordering::Acquire))),
+                1 => {
+                    started.store(true, Ordering::Release);
+                    let cancelled = wait_for(&|| child.is_cancelled());
+                    saw_cancel.store(cancelled, Ordering::Release);
+                }
+                _ => {}
+            }
+            (x, i == 0)
+        });
+        assert_eq!(unwrap_all(prefix), vec![0]);
+        assert!(saw_cancel.load(Ordering::Acquire), "unit 1 was cancelled");
+        assert!(!budget.is_cancelled(), "the caller's budget is untouched");
+    }
+
+    #[test]
+    fn an_exhausted_budget_starts_no_unit() {
+        let items: Vec<usize> = (0..12).collect();
+        let cancelled = Budget::unlimited();
+        cancelled.cancel();
+        let expired = Budget::unlimited().with_deadline(Duration::ZERO);
+        for (budget, kind) in [
+            (cancelled, BudgetExceeded::Cancelled),
+            (expired, BudgetExceeded::Deadline),
+        ] {
+            for threads in [1, 2, 4] {
+                let calls = AtomicUsize::new(0);
+                let results = par_map_prefix_caught(threads, &items, Some(&budget), |_, &x, _| {
+                    calls.fetch_add(1, Ordering::Relaxed);
+                    (x, true)
+                });
+                assert_eq!(calls.load(Ordering::Relaxed), 0, "{kind:?} on {threads}");
+                assert_eq!(results.len(), items.len());
+                for result in &results {
+                    let payload = result.as_ref().expect_err("no unit started");
+                    assert_eq!(payload.downcast_ref::<BudgetExceeded>(), Some(&kind));
+                }
+            }
         }
     }
 

@@ -20,7 +20,7 @@ use pv_bdd::{Bdd, BddManager, BddVec, Budget, Var};
 use pv_netlist::{Netlist, SymbolicSim};
 use pv_obs::Counter;
 
-use crate::flow::FlowErrorKind;
+use crate::flow::{FlowErrorKind, UnitFailure};
 use crate::plan::{CycleInput, SimulationPlan, SimulationSchedule, Slot};
 use crate::pool;
 use crate::spec::MachineSpec;
@@ -175,36 +175,6 @@ impl PlanReport {
     }
 }
 
-/// A plan that could not be checked: its worker aborted on a resource
-/// budget (deadline, node limit, cancellation) or panicked. Failed plans
-/// contribute **zero** statistics to the merged report — the outcome is a
-/// pure function of the budget decision, not of how far the worker got —
-/// so a degraded report stays field-identical at any thread count.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct PlanFailure {
-    /// Position of the plan in the batch handed to
-    /// [`Verifier::verify_plans`].
-    pub plan_index: usize,
-    /// The plan that failed.
-    pub plan: SimulationPlan,
-    /// Why the plan failed (never [`FlowErrorKind::Invalid`] — invalid
-    /// inputs are [`VerifyError`]s, not failures).
-    pub kind: FlowErrorKind,
-    /// Human-readable detail (the budget that tripped, or the panic
-    /// message).
-    pub message: String,
-}
-
-impl fmt::Display for PlanFailure {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "plan #{} {}: {}",
-            self.plan_index, self.kind, self.message
-        )
-    }
-}
-
 /// Outcome and cost statistics of a verification run.
 #[derive(Clone, Debug)]
 pub struct VerificationReport {
@@ -245,11 +215,14 @@ pub struct VerificationReport {
     /// sequential one.
     pub metrics: BTreeMap<String, u64>,
     /// Plans that could not be checked (budget aborts, worker panics), in
-    /// plan order. A non-empty list marks the report **degraded**: every
-    /// listed plan contributed zero statistics, and
-    /// [`equivalent`](Self::equivalent) speaks only for the plans that
-    /// completed — see [`complete`](Self::complete).
-    pub plan_failures: Vec<PlanFailure>,
+    /// plan order, each keyed by its position in the batch handed to
+    /// [`Verifier::verify_plans`]. A non-empty list marks the report
+    /// **degraded**, and [`equivalent`](Self::equivalent) speaks only for
+    /// the plans that completed — see [`complete`](Self::complete). Every
+    /// listed plan contributed zero statistics: the outcome is a pure
+    /// function of the budget decision, not of how far the worker got, so a
+    /// degraded report stays field-identical at any thread count.
+    pub plan_failures: Vec<UnitFailure>,
 }
 
 impl VerificationReport {
@@ -281,7 +254,7 @@ impl VerificationReport {
         machine: String,
         threads_used: usize,
         plan_reports: Vec<PlanReport>,
-        plan_failures: Vec<PlanFailure>,
+        plan_failures: Vec<UnitFailure>,
     ) -> Self {
         let mut report = VerificationReport {
             machine,
@@ -371,7 +344,11 @@ impl fmt::Display for VerificationReport {
         writeln!(f, "PIPELINED filter  : {}", self.filters.0)?;
         writeln!(f, "UNPIPELINED filter: {}", self.filters.1)?;
         for failure in &self.plan_failures {
-            writeln!(f, "degraded          : {failure}")?;
+            writeln!(
+                f,
+                "degraded          : plan #{} {}: {}",
+                failure.unit, failure.kind, failure.message
+            )?;
         }
         match (&self.counterexample, self.complete()) {
             (None, true) => writeln!(f, "result            : EQUIVALENT (β-relation holds)"),
@@ -409,7 +386,6 @@ const _: () = {
     assert_send_sync::<VerificationReport>();
     assert_send_sync::<Counterexample>();
     assert_send_sync::<VerifyError>();
-    assert_send_sync::<PlanFailure>();
 };
 
 impl Verifier {
@@ -455,7 +431,7 @@ impl Verifier {
     /// overshoot.
     ///
     /// A tripped plan does **not** fail the batch: it is recorded as a
-    /// [`PlanFailure`] with zero statistics and the remaining plans still
+    /// [`UnitFailure`] with zero statistics and the remaining plans still
     /// run, so the merged report is *degraded*, not absent — and because the
     /// node limit gates on the monotone allocation total, a budget-aborted
     /// plan yields the same typed outcome at any thread count.
@@ -525,40 +501,6 @@ impl Verifier {
         self.verify_plans(pipelined, unpipelined, std::slice::from_ref(plan))
     }
 
-    /// Checks one plan as a pure, self-contained unit of work: builds a fresh
-    /// [`BddManager`], simulates both machines under the plan, compares the
-    /// sampled formulae and returns the per-plan report. This is the function
-    /// the worker pool fans out.
-    ///
-    /// A plan whose implementation sample reads an annulled delay slot's
-    /// don't-care variables fails without simulating past that sample: the
-    /// pipelined run stops there, the specification runs only through the
-    /// same slot's sample, and the comparison finds the same first
-    /// counterexample as a full run would. Such a report's `bdd_nodes`,
-    /// `bdd_peak_live`, `bdd_vars` and `metrics` count only the work done.
-    ///
-    /// # Errors
-    /// See [`Verifier::verify`].
-    pub fn check_plan(
-        &self,
-        pipelined: &Netlist,
-        unpipelined: &Netlist,
-        plan: &SimulationPlan,
-    ) -> Result<PlanReport, VerifyError> {
-        self.validate(pipelined)?;
-        self.validate(unpipelined)?;
-        let budget = self.budget.as_ref().map(Budget::child);
-        let instr_order = self.instr_order(pipelined);
-        self.check_plan_indexed(
-            pipelined,
-            unpipelined,
-            plan,
-            0,
-            budget,
-            instr_order.as_deref(),
-        )
-    }
-
     /// Verifies a sequence of plans, stopping at the first counterexample.
     ///
     /// With a worker count above 1 (see [`with_threads`](Self::with_threads)
@@ -581,26 +523,12 @@ impl Verifier {
         self.validate(unpipelined)?;
         let threads = self.threads().min(plans.len().max(1));
         let instr_order = self.instr_order(pipelined);
-        // One budget child per plan, created up front: every plan shares the
-        // batch's deadline and node limit but carries its own cancel flag, so
-        // a terminal cutoff can stop exactly the in-flight plans the
-        // sequential loop would never have reached (the ones *past* the
-        // cutoff — lower-indexed siblings must finish for prefix identity).
-        let children: Vec<Option<Budget>> = plans
-            .iter()
-            .map(|_| self.budget.as_ref().map(Budget::child))
-            .collect();
         let results = pool::par_map_prefix_caught(
             threads,
             plans,
-            |cutoff| {
-                for child in children.iter().skip(cutoff + 1).flatten() {
-                    child.cancel();
-                }
-            },
-            |index, plan| {
-                let budget = children[index].clone();
-                let result = self.check_plan_indexed(
+            self.budget.as_ref(),
+            |index, plan, budget| {
+                let result = self.check_plan(
                     pipelined,
                     unpipelined,
                     plan,
@@ -608,39 +536,24 @@ impl Verifier {
                     budget,
                     instr_order.as_deref(),
                 );
-                let terminal = match &result {
-                    Err(_) => true,
-                    Ok(report) => report.counterexample.is_some(),
-                };
+                let terminal = !matches!(&result, Ok(report) if report.equivalent());
                 (result, terminal)
             },
         );
-        // Consume the sequential prefix: everything up to (and including) the
-        // first failing plan, exactly as the sequential loop would have. A
-        // unit that unwound — budget trip or panic — is *non-terminal*: it is
-        // recorded as a typed `PlanFailure` with zero statistics and the scan
-        // continues, so one exploding plan degrades the report instead of
-        // sinking the batch.
-        let mut prefix: Vec<PlanReport> = Vec::with_capacity(plans.len());
-        let mut failures: Vec<PlanFailure> = Vec::new();
-        for (index, slot) in results.into_iter().enumerate() {
-            match slot {
-                // Past the lowest terminal index: the sequential loop would
-                // never have reached this plan.
-                None => break,
-                Some(Ok(Err(e))) => return Err(e),
-                Some(Ok(Ok(plan_report))) => {
-                    let stop = plan_report.counterexample.is_some();
-                    prefix.push(plan_report);
-                    if stop {
-                        break;
-                    }
-                }
-                Some(Err(panic)) => {
-                    let (kind, message) = FlowErrorKind::classify_panic(panic.payload_ref());
-                    failures.push(PlanFailure {
-                        plan_index: index,
-                        plan: plans[index].clone(),
+        // The pool hands back the sequential prefix: everything up to (and
+        // including) the first failing plan. A unit that unwound — budget
+        // trip or panic — is *non-terminal*: it is recorded as a typed
+        // `UnitFailure` with zero statistics, so one exploding plan degrades
+        // the report instead of sinking the batch.
+        let mut prefix: Vec<PlanReport> = Vec::with_capacity(results.len());
+        let mut failures: Vec<UnitFailure> = Vec::new();
+        for (unit, result) in results.into_iter().enumerate() {
+            match result {
+                Ok(checked) => prefix.push(checked?),
+                Err(payload) => {
+                    let (kind, message) = FlowErrorKind::classify_panic(&*payload);
+                    failures.push(UnitFailure {
+                        unit,
                         kind,
                         message,
                     });
@@ -709,23 +622,37 @@ impl Verifier {
             .filter(|order| order.len() == self.spec.instr_width)
     }
 
-    /// The unit of work behind [`check_plan`](Self::check_plan): assumes the
-    /// netlists have already been validated and `instr_order` computed
-    /// (both are plan-independent and done once per batch).
-    fn check_plan_indexed(
+    /// Checks one plan as a pure, self-contained unit of work: builds a fresh
+    /// [`BddManager`], simulates both machines under the plan, compares the
+    /// sampled formulae and returns the per-plan report. This is the function
+    /// the worker pool fans out.
+    ///
+    /// A plan whose implementation sample reads an annulled delay slot's
+    /// don't-care variables fails without simulating past that sample: the
+    /// pipelined run stops there, the specification runs only through the
+    /// same slot's sample, and the comparison finds the same first
+    /// counterexample as a full run would. Such a report's `bdd_nodes`,
+    /// `bdd_peak_live`, `bdd_vars` and `metrics` count only the work done.
+    ///
+    /// Assumes the netlists have already been validated and `instr_order`
+    /// computed (both are plan-independent and done once per batch).
+    ///
+    /// # Errors
+    /// See [`Verifier::verify`].
+    fn check_plan(
         &self,
         pipelined: &Netlist,
         unpipelined: &Netlist,
         plan: &SimulationPlan,
         plan_index: usize,
-        budget: Option<Budget>,
+        budget: Option<&Budget>,
         instr_order: Option<&[usize]>,
     ) -> Result<PlanReport, VerifyError> {
         let _span = pv_obs::span("plan.check");
         let started = Instant::now();
         // Fault-injection sites (compiled out unless the `failpoints`
         // feature is on): a worker panic mid-plan, and an artificial
-        // deadline trip — both must surface as typed `PlanFailure`s.
+        // deadline trip — both must surface as typed `UnitFailure`s.
         pv_obs::fail::inject_panic("plan.panic");
         if pv_obs::fail::failpoint("plan.deadline") {
             std::panic::panic_any(pv_bdd::BudgetExceeded::Deadline);
@@ -741,7 +668,7 @@ impl Verifier {
         let schedule = SimulationSchedule::expand(spec, plan);
         let mut manager = BddManager::new();
         if let Some(budget) = budget {
-            manager.set_budget(budget);
+            manager.set_budget(budget.clone());
         }
 
         // One vector of instruction variables per slot, shared by both

@@ -21,17 +21,24 @@
 //! search into a fixed set of **cubes** (every assignment of the leading pure
 //! atoms, in depth-first order) and fans them out over the same
 //! `pipeverify_core::pool` worker pool the β-relation verifier uses, with the
-//! same deterministic merge rule: per-cube results are consumed in cube
-//! order, statistics are summed, the counterexample is the lowest-indexed
-//! failing cube's, and nothing past it is merged — so the [`FlushReport`] is
-//! field-by-field identical for any worker count (only the wall-time fields
-//! and [`FlushReport::threads_used`] vary).
+//! same deterministic merge rule: the pool returns the sequential prefix of
+//! cube results (nothing past the lowest-indexed failing cube), statistics
+//! are summed in cube order and the counterexample is the last cube's — so
+//! the [`FlushReport`] is field-by-field identical for any worker count
+//! (only the wall-time fields and [`FlushReport::threads_used`] vary).
+//!
+//! Cubes fail like β plans: a cube whose worker panics, or whose share of an
+//! attached [`Budget`] is spent before it starts, becomes a [`UnitFailure`]
+//! that contributes nothing to the statistics, and the report is *degraded*
+//! ([`FlushReport::complete`] is `false`) instead of the flow unwinding.
 
 use std::fmt;
-use std::panic::resume_unwind;
 use std::time::{Duration, Instant};
 
-use pipeverify_core::{pool, FlowCounterexample, FlowError, FlowReport, VerificationFlow};
+use pipeverify_core::{
+    pool, Budget, FlowCounterexample, FlowError, FlowErrorKind, FlowReport, UnitFailure,
+    VerificationFlow,
+};
 use pv_netlist::Netlist;
 
 use crate::euf::{self, EufCounterexample};
@@ -78,12 +85,26 @@ pub struct FlushReport {
     /// Per-cube wall-clock breakdown, in cube order, truncated like
     /// [`cubes_checked`](Self::cubes_checked).
     pub cube_walls: Vec<Duration>,
+    /// Cubes that could not be checked (budget aborts, worker panics), in
+    /// cube order. A non-empty list marks the report **degraded**: every
+    /// listed cube contributed zero statistics, and [`valid`](Self::valid)
+    /// speaks only for the cubes that completed — see
+    /// [`complete`](Self::complete).
+    pub unit_failures: Vec<UnitFailure>,
 }
 
 impl FlushReport {
-    /// `true` iff the commuting diagram holds.
+    /// `true` iff no counterexample was found: the commuting diagram holds
+    /// on every checked cube. It is only exhaustive when the report is also
+    /// [`complete`](Self::complete).
     pub fn valid(&self) -> bool {
         self.counterexample.is_none()
+    }
+
+    /// `true` iff every cube of the case split actually completed — no
+    /// budget aborts, no worker panics.
+    pub fn complete(&self) -> bool {
+        self.unit_failures.is_empty()
     }
 
     /// Renders this report in the shared [`FlowReport`] shape.
@@ -113,9 +134,7 @@ impl FlushReport {
                 ("euf.splits".to_owned(), self.splits as u64),
                 ("euf.closure_checks".to_owned(), self.closure_checks as u64),
             ]),
-            // The term-level case split runs to completion or fails the
-            // whole flow — there is no per-cube budget degradation (yet).
-            unit_failures: Vec::new(),
+            unit_failures: self.unit_failures.clone(),
         }
     }
 }
@@ -138,9 +157,22 @@ impl fmt::Display for FlushReport {
             if self.threads_used == 1 { "" } else { "s" }
         )?;
         writeln!(f, "closure checks : {}", self.closure_checks)?;
-        match &self.counterexample {
-            None => writeln!(f, "result         : VALID (commuting diagram holds)"),
-            Some(cex) => writeln!(f, "result         : INVALID — {cex}"),
+        for failure in &self.unit_failures {
+            writeln!(
+                f,
+                "degraded       : case-split block #{} {}: {}",
+                failure.unit, failure.kind, failure.message
+            )?;
+        }
+        match (&self.counterexample, self.complete()) {
+            (None, true) => writeln!(f, "result         : VALID (commuting diagram holds)"),
+            (None, false) => writeln!(
+                f,
+                "result         : VALID on {} completed block(s) — {} block(s) not checked",
+                self.cubes_checked,
+                self.unit_failures.len()
+            ),
+            (Some(cex), _) => writeln!(f, "result         : INVALID — {cex}"),
         }
     }
 }
@@ -151,6 +183,7 @@ impl fmt::Display for FlushReport {
 pub struct FlushVerifier {
     desc: PipelineDesc,
     threads: Option<usize>,
+    budget: Option<Budget>,
     /// Whether `desc` came from [`PipelineDesc::from_netlist`]. A
     /// netlist-derived verifier follows whatever netlist the
     /// [`VerificationFlow`] front-end hands it; an explicitly configured one
@@ -178,6 +211,7 @@ impl FlushVerifier {
         FlushVerifier {
             desc,
             threads: None,
+            budget: None,
             netlist_derived: false,
         }
     }
@@ -205,6 +239,19 @@ impl FlushVerifier {
     /// β-relation verifier's plan merge.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = (threads > 0).then_some(threads);
+        self
+    }
+
+    /// Attaches a resource [`Budget`] governing the case split. Every cube
+    /// gets a [`Budget::child`] of it, checked before the cube starts: once
+    /// the deadline has passed or the budget is cancelled, the remaining
+    /// cubes are recorded as [`UnitFailure`]s with zero statistics and the
+    /// report is degraded, as a budget-starved β-relation sweep is. A cube
+    /// already running finishes (cubes are short: tens of milliseconds at
+    /// depth 16). The node limit counts BDD nodes, so it never trips this
+    /// flow, which builds none.
+    pub fn with_budget(mut self, budget: Budget) -> Self {
+        self.budget = Some(budget);
         self
     }
 
@@ -274,9 +321,11 @@ impl FlushVerifier {
     /// The negated condition is split into a fixed set of cubes
     /// (assignments of its leading pure atoms, in depth-first order) and the
     /// cubes are searched on the worker pool; a cube finding a model is
-    /// *terminal* — racing workers stop, and the merge consumes cube results
-    /// in order up to the lowest-indexed failing cube, so the report is
-    /// identical for any thread count.
+    /// *terminal* — racing workers stop, and the pool returns the cube
+    /// results in order up to the lowest-indexed failing cube, so the report
+    /// is identical for any thread count. A cube that panics or finds the
+    /// budget spent degrades the report (see
+    /// [`FlushReport::unit_failures`]).
     pub fn verify(&self) -> FlushReport {
         let started = Instant::now();
         let mut terms = TermManager::new();
@@ -285,23 +334,16 @@ impl FlushVerifier {
         let term_count = terms.len();
         let cubes = euf::split_cubes(&terms, negated, SPLIT_ATOMS);
         let threads = self.threads().min(cubes.len().max(1));
-        let results = pool::par_map_prefix_caught(
-            threads,
-            &cubes,
-            |_| {},
-            |_, cube| {
+        let results =
+            pool::par_map_prefix_caught(threads, &cubes, self.budget.as_ref(), |_, cube, _| {
                 let _span = pv_obs::span("flow.flush.cube");
+                // Chaos site: a panicking cube must degrade the report.
+                pv_obs::fail::inject_panic("flush.cube");
                 let report = euf::check_cube(&terms, negated, cube);
                 let terminal = report.counterexample.is_some();
                 (report, terminal)
-            },
-        );
+            });
 
-        // Consume the sequential prefix: everything up to (and including) the
-        // first failing cube, exactly as a sequential search would. A cube
-        // that panicked is re-raised only inside that prefix — one past the
-        // first failing cube was computed by a racing worker, and a
-        // sequential search would never have reached it.
         let mut report = FlushReport {
             desc: self.desc.clone(),
             counterexample: None,
@@ -314,23 +356,28 @@ impl FlushVerifier {
             threads_used: threads,
             wall_time: Duration::ZERO,
             cube_walls: Vec::new(),
+            unit_failures: Vec::new(),
         };
-        for (index, slot) in results.into_iter().enumerate() {
-            let cube_report = match slot {
-                Some(Ok(cube_report)) => cube_report,
-                Some(Err(panic)) => resume_unwind(panic.into_payload()),
-                // Past the lowest terminal index: a sequential search would
-                // never have reached this cube.
-                None => break,
-            };
-            report.splits += cube_report.splits;
-            report.closure_checks += cube_report.closure_checks;
-            report.cube_walls.push(cube_report.wall);
-            report.cubes_checked += 1;
-            if let Some(cex) = cube_report.counterexample {
-                report.counterexample = Some(cex);
-                report.failing_cube = Some(index);
-                break;
+        for (unit, result) in results.into_iter().enumerate() {
+            match result {
+                Ok(cube_report) => {
+                    report.splits += cube_report.splits;
+                    report.closure_checks += cube_report.closure_checks;
+                    report.cube_walls.push(cube_report.wall);
+                    report.cubes_checked += 1;
+                    if let Some(cex) = cube_report.counterexample {
+                        report.counterexample = Some(cex);
+                        report.failing_cube = Some(unit);
+                    }
+                }
+                Err(payload) => {
+                    let (kind, message) = FlowErrorKind::classify_panic(&*payload);
+                    report.unit_failures.push(UnitFailure {
+                        unit,
+                        kind,
+                        message,
+                    });
+                }
             }
         }
         report.wall_time = started.elapsed();
@@ -361,13 +408,12 @@ impl VerificationFlow for FlushVerifier {
         pipelined: &Netlist,
         _unpipelined: &Netlist,
     ) -> Result<FlowReport, FlowError> {
-        let derived = FlushVerifier::from_netlist(pipelined)
-            .map_err(|e| FlowError::invalid(self.flow_name(), e.to_string()))?
-            .with_threads(self.threads.unwrap_or(0));
-        let matches = self.desc.depth == derived.desc().depth
-            && self.desc.bug == derived.desc().bug
-            && self.desc.branching == derived.desc().branching
-            && self.desc.annulling == derived.desc().annulling;
+        let desc = PipelineDesc::from_netlist(pipelined)
+            .map_err(|e| FlowError::invalid(self.flow_name(), e.to_string()))?;
+        let matches = self.desc.depth == desc.depth
+            && self.desc.bug == desc.bug
+            && self.desc.branching == desc.branching
+            && self.desc.annulling == desc.annulling;
         if !self.netlist_derived && !matches {
             return Err(FlowError::invalid(
                 self.flow_name(),
@@ -377,10 +423,14 @@ impl VerificationFlow for FlushVerifier {
                      (or FlushVerifier::verify to check the configured description directly)",
                     self.desc.name,
                     pipelined.name(),
-                    derived.desc().name
+                    desc.name
                 ),
             ));
         }
+        let derived = FlushVerifier {
+            desc,
+            ..self.clone()
+        };
         Ok(derived.verify().to_flow_report())
     }
 }
@@ -485,6 +535,31 @@ mod tests {
         assert!(rendered.contains("alu"), "{rendered}");
         assert!(rendered.contains("select"), "{rendered}");
         assert!(rendered.contains("observed_index"), "{rendered}");
+    }
+
+    #[test]
+    fn an_expired_deadline_fails_every_cube_without_failing_the_flow() {
+        let budget = Budget::unlimited().with_deadline(Duration::ZERO);
+        for threads in [1, 2] {
+            let report = FlushVerifier::new(PipelineDesc::three_stage())
+                .with_threads(threads)
+                .with_budget(budget.clone())
+                .verify();
+            assert_eq!(report.cubes, 64);
+            assert_eq!(report.cubes_checked, 0);
+            assert_eq!((report.splits, report.closure_checks), (0, 0));
+            assert!(report.cube_walls.is_empty());
+            assert_eq!(report.unit_failures.len(), report.cubes);
+            for (unit, failure) in report.unit_failures.iter().enumerate() {
+                assert_eq!(failure.unit, unit);
+                assert_eq!(failure.kind, FlowErrorKind::DeadlineExceeded);
+            }
+            assert!(report.valid(), "no counterexample was found…");
+            assert!(!report.complete(), "…but nothing was actually checked");
+            let flow = report.to_flow_report();
+            assert_eq!(flow.unit_failures, report.unit_failures);
+            assert!(report.to_string().contains("64 block(s) not checked"));
+        }
     }
 
     #[test]

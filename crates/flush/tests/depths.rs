@@ -7,8 +7,11 @@
 //! rides `--release`-only per the test-budget rule (the case-split cost grows
 //! roughly 5× per two stages of depth — see the `exp_flushing` bench).
 
+use std::time::Duration;
+
+use pipeverify_core::Budget;
 use proptest::prelude::*;
-use pv_flush::{FlushVerifier, PipelineBug, PipelineDesc};
+use pv_flush::{FlushReport, FlushVerifier, PipelineBug, PipelineDesc};
 
 const BUGS: [PipelineBug; 5] = [
     PipelineBug::NoForwarding,
@@ -72,27 +75,43 @@ proptest! {
 
     /// The deterministic-merge guarantee, property-style: every report field
     /// except the wall times and `threads_used` is identical between the
-    /// sequential run and a pool of any size, correct or bugged.
+    /// sequential run and a pool of any size — correct or bugged, and with
+    /// a cancelled budget, whose degraded report must not depend on the
+    /// worker count either.
     #[test]
     fn parallel_case_splits_are_report_identical_to_sequential(
         depth in 2usize..6,
         threads in 2usize..9,
         bug_index in 0usize..6,
+        cancelled in any::<bool>(),
     ) {
         let mut desc = PipelineDesc::with_depth(depth);
         if bug_index < 5 {
             desc = desc.with_bug(BUGS[bug_index]);
         }
-        let seq = FlushVerifier::new(desc.clone()).with_threads(1).verify();
-        let par = FlushVerifier::new(desc).with_threads(threads).verify();
-        prop_assert_eq!(&par.counterexample, &seq.counterexample);
-        prop_assert_eq!(par.failing_cube, seq.failing_cube);
-        prop_assert_eq!(par.splits, seq.splits);
-        prop_assert_eq!(par.closure_checks, seq.closure_checks);
-        prop_assert_eq!(par.terms, seq.terms);
-        prop_assert_eq!(par.cubes, seq.cubes);
-        prop_assert_eq!(par.cubes_checked, seq.cubes_checked);
-        prop_assert_eq!(par.cube_walls.len(), seq.cube_walls.len());
+        let run = |threads: usize| {
+            let mut verifier = FlushVerifier::new(desc.clone()).with_threads(threads);
+            if cancelled {
+                let budget = Budget::unlimited();
+                budget.cancel();
+                verifier = verifier.with_budget(budget);
+            }
+            deterministic_fields(verifier.verify())
+        };
+        let seq = run(1);
+        prop_assert_eq!(seq.complete(), !cancelled);
+        prop_assert_eq!(run(threads), seq);
+    }
+}
+
+/// A report with its nondeterministic fields (wall times, worker count)
+/// blanked, so whole reports compare for equality.
+fn deterministic_fields(report: FlushReport) -> FlushReport {
+    FlushReport {
+        threads_used: 0,
+        wall_time: Duration::ZERO,
+        cube_walls: vec![Duration::ZERO; report.cube_walls.len()],
+        ..report
     }
 }
 

@@ -289,19 +289,40 @@ fn cmd_batch(args: &[String]) -> Result<ExitCode, String> {
     })
 }
 
-/// The soak's rotating design menu: tiny family members (correct and
-/// bug-seeded) plus the one-register VSM — cheap enough to flood by the
-/// hundreds, varied enough that the cache sees several distinct keys.
-fn soak_design(index: usize) -> DesignSpec {
+/// The soak's rotating job menu: tiny stallable family members (correct
+/// and bug-seeded) through both flows, plus the one-register VSM through the
+/// β-relation flow — cheap enough to flood by the hundreds, varied enough
+/// that the cache sees several distinct keys. The correct member is one
+/// stage deeper than the bug-seeded ones: at depth 2 the flushing flow's
+/// case split is a single block, at depth 3 it is 64, so the chaos soak's
+/// `flush.cube` failpoint has blocks to fire in.
+fn soak_job(id: u64) -> JobRequest {
     let base = FamilyConfig::new(2, 4, 2, 0).stallable();
-    match index % 4 {
-        0 => DesignSpec::Family(base),
-        1 => DesignSpec::Family(base.with_bug(FamilyBug::WrongStallCondition)),
-        2 => DesignSpec::Family(base.with_bug(FamilyBug::BranchTargetOffByOne)),
-        _ => DesignSpec::Vsm {
-            num_regs: 2,
-            stallable: false,
-        },
+    let family = |config| {
+        (
+            DesignSpec::Family(config),
+            vec![FlowKind::Beta, FlowKind::Flushing],
+        )
+    };
+    let (design, flows) = match id % 4 {
+        0 => family(FamilyConfig::new(3, 4, 2, 0).stallable()),
+        1 => family(base.with_bug(FamilyBug::WrongStallCondition)),
+        2 => family(base.with_bug(FamilyBug::BranchTargetOffByOne)),
+        _ => (
+            DesignSpec::Vsm {
+                num_regs: 2,
+                stallable: false,
+            },
+            vec![FlowKind::Beta],
+        ),
+    };
+    JobRequest {
+        id,
+        design,
+        flows,
+        plans: PlanSet::Default,
+        deadline_ms: None,
+        node_budget: None,
     }
 }
 
@@ -372,15 +393,7 @@ fn cmd_soak(args: &[String]) -> Result<ExitCode, String> {
             let reader = client.reader().map_err(|e| e.to_string())?;
             let writer = scope.spawn(move || -> std::io::Result<()> {
                 for id in 0..jobs as u64 {
-                    let job = JobRequest {
-                        id,
-                        design: soak_design(id as usize),
-                        flows: vec![FlowKind::Beta],
-                        plans: PlanSet::Default,
-                        deadline_ms: None,
-                        node_budget: None,
-                    };
-                    let line = protocol::request_to_json(&job).render();
+                    let line = protocol::request_to_json(&soak_job(id)).render();
                     client.write_all(line.as_bytes())?;
                     client.write_all(b"\n")?;
                 }

@@ -31,7 +31,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use pipeverify_core::cache::{content_key, ArtifactCache, ArtifactKind, CacheKey};
 use pipeverify_core::json::Json;
 use pipeverify_core::report_io;
-use pipeverify_core::{Budget, FlowReport, MachineSpec, VerificationFlow, Verifier};
+use pipeverify_core::{Budget, FlowReport, MachineSpec, Verifier};
 use pv_flush::FlushVerifier;
 use pv_netlist::{export, Netlist};
 use pv_proc::family::FamilyConfig;
@@ -87,10 +87,11 @@ impl JobRunner {
     /// # Errors
     /// Returns a structured [`JobError`] when the design parameters are out
     /// of range, elaboration fails, or a flow rejects the pair (e.g. flushing
-    /// on a design without a stall input) — all `invalid`. A budget trip that
-    /// starves *every* plan of the β-relation sweep is reported with its
-    /// budget kind; a partially-starved sweep still answers `ok` with the
-    /// degraded report (per-plan failures inside). Job errors never panic
+    /// on a design without a stall input) — all `invalid`. A flow in which
+    /// *no* unit (plan / case-split block) completed is reported with the
+    /// first unit failure's kind (budget kind, or `worker_panicked`); a
+    /// partially-starved flow still answers `ok` with the degraded report
+    /// (per-unit failures inside). Job errors never panic
     /// the worker; injected faults and genuine panics are caught one layer
     /// up, in [`crate::sched`].
     pub fn run(&self, job: &JobRequest) -> Result<JobResponse, JobError> {
@@ -99,9 +100,10 @@ impl JobRunner {
         pv_obs::fail::inject_panic("job.run");
         validate_design(&job.design).map_err(JobError::invalid)?;
         let (pipelined, unpipelined, spec) = elaborate(&job.design).map_err(JobError::invalid)?;
+        let budget = job_budget(job);
         let mut verifier = Verifier::new(spec).with_threads(1);
-        if let Some(budget) = job_budget(job) {
-            verifier = verifier.with_budget(budget);
+        if let Some(budget) = &budget {
+            verifier = verifier.with_budget(budget.clone());
         }
         let plans = match &job.plans {
             PlanSet::Default => verifier.default_plans(),
@@ -149,34 +151,39 @@ impl JobRunner {
             let report = match flow {
                 FlowKind::Beta => {
                     let started = std::time::Instant::now();
-                    let vreport = verifier
+                    verifier
                         .verify_plans(&pipelined, &unpipelined, &plans)
-                        .map_err(|e| JobError::invalid(e.to_string()))?;
-                    // Graceful degradation: a budget that starved *some*
-                    // plans still answers `ok` with the per-plan failures in
-                    // the report; only a sweep with **nothing** checked
-                    // escalates to a typed job error.
-                    if vreport.plans_checked == 0 && !vreport.complete() {
-                        let first = &vreport.plan_failures[0];
-                        return Err(JobError {
-                            kind: first.kind,
-                            message: format!("no plan completed: {first}"),
-                        });
-                    }
-                    vreport.to_flow_report(started.elapsed())
+                        .map_err(|e| JobError::invalid(e.to_string()))?
+                        .to_flow_report(started.elapsed())
                 }
-                FlowKind::Flushing => FlushVerifier::from_netlist(&pipelined)
-                    .map_err(|e| JobError::invalid(e.to_string()))?
-                    .with_threads(1)
-                    .verify_flow(&pipelined, &unpipelined)
-                    .map_err(|e| JobError {
-                        kind: e.kind,
-                        message: e.to_string(),
-                    })?,
+                FlowKind::Flushing => {
+                    let mut flushing = FlushVerifier::from_netlist(&pipelined)
+                        .map_err(|e| JobError::invalid(e.to_string()))?
+                        .with_threads(1);
+                    if let Some(budget) = &budget {
+                        flushing = flushing.with_budget(budget.clone());
+                    }
+                    flushing.verify().to_flow_report()
+                }
             };
-            // A degraded (budget-starved) report is this *job's* answer, not
-            // the design pair's — caching it would poison warm runs that
-            // carry a bigger budget, so only complete reports are stored.
+            // Graceful degradation: a budget or panic that failed *some*
+            // units still answers `ok` with the per-unit failures in the
+            // report; only a flow with **nothing** checked escalates to a
+            // typed job error.
+            if let (0, Some(first)) = (report.units_checked, report.unit_failures.first()) {
+                let unit = report.unit_label;
+                return Err(JobError {
+                    kind: first.kind,
+                    message: format!(
+                        "no {unit} completed: {unit} #{} {}: {}",
+                        first.unit, first.kind, first.message
+                    ),
+                });
+            }
+            // A degraded (budget-starved or panic-hit) report is this
+            // *job's* answer, not the design pair's — caching it would
+            // poison warm runs that carry a bigger budget or hit no fault,
+            // so only complete reports are stored.
             if report.unit_failures.is_empty() {
                 self.store_report(key, &report);
             }
@@ -368,6 +375,7 @@ pub fn cost_estimate(job: &JobRequest) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pipeverify_core::FlowErrorKind;
     use pv_proc::family::FamilyBug;
 
     fn family_job(id: u64, config: FamilyConfig) -> JobRequest {
@@ -405,6 +413,28 @@ mod tests {
             node_budget: None,
         };
         assert!(runner.run(&vsm).is_err());
+    }
+
+    #[test]
+    fn a_starved_flow_answers_a_typed_job_error_in_either_flow() {
+        let runner = JobRunner::new(None);
+        let config = FamilyConfig::new(3, 4, 2, 0).stallable();
+        for (flow, unit) in [
+            (FlowKind::Flushing, "case-split block"),
+            (FlowKind::Beta, "plan"),
+        ] {
+            let job = JobRequest {
+                flows: vec![flow],
+                deadline_ms: Some(0),
+                ..family_job(1, config)
+            };
+            let error = runner.run(&job).expect_err("nothing can complete");
+            assert_eq!(error.kind, FlowErrorKind::DeadlineExceeded);
+            assert_eq!(
+                error.message,
+                format!("no {unit} completed: {unit} #0 deadline_exceeded: wall-clock deadline exceeded")
+            );
+        }
     }
 
     #[test]

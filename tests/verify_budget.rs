@@ -95,10 +95,10 @@ fn a_node_budget_abort_degrades_the_report_identically_at_any_thread_count() {
         for failure in &report.plan_failures {
             assert_eq!(failure.kind, FlowErrorKind::NodeBudgetExceeded);
             assert!(
-                totals[failure.plan_index] > limit,
+                totals[failure.unit] > limit,
                 "plan #{} failed but only allocates {} ≤ limit {}",
-                failure.plan_index,
-                totals[failure.plan_index],
+                failure.unit,
+                totals[failure.unit],
                 limit
             );
         }
