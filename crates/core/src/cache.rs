@@ -93,7 +93,12 @@ static M_CACHE_CORRUPT: Counter = Counter::new("cache.corrupt");
 /// slot's don't-care variables, so such FAIL reports' `space` and
 /// `metrics` changed for identical inputs (verdicts and counterexamples did
 /// not).
-pub const ENGINE_EPOCH: u32 = 7;
+///
+/// Epoch 8: the flushing flow's EUF case split skips residual formulas it
+/// has already refuted, so flushing reports' `checks`, `euf.splits` and
+/// `euf.closure_checks` shrank for identical inputs (verdicts and
+/// counterexamples did not change).
+pub const ENGINE_EPOCH: u32 = 8;
 
 /// Environment variable overriding the default cache directory.
 pub const PV_CACHE_DIR: &str = "PV_CACHE_DIR";

@@ -203,6 +203,11 @@ struct Search<'a> {
     terms: &'a mut TermManager,
     splits: usize,
     closure_checks: usize,
+    /// Closure checks that failed, i.e. branches the trail pruned.
+    pruned: usize,
+    /// By term id: `true` for a residual formula whose subtree held no model
+    /// without any closure check failing inside it.
+    refuted: Vec<bool>,
     closure: Closure,
 }
 
@@ -212,6 +217,8 @@ impl<'a> Search<'a> {
             terms,
             splits: 0,
             closure_checks: 0,
+            pruned: 0,
+            refuted: Vec::new(),
             closure: Closure::default(),
         }
     }
@@ -220,14 +227,40 @@ impl<'a> Search<'a> {
 impl Search<'_> {
     /// Depth-first search for an EUF-consistent model of `formula` under the
     /// literals already decided in `trail`.
+    ///
+    /// The subtree below `formula` depends on `formula` alone (the atom
+    /// choice and [`TermManager::assign`] never read the trail), so only its
+    /// closure checks consult the trail. A subtree that held no model while
+    /// every one of its checks passed is propositionally unsatisfiable and
+    /// stays refuted under any trail: it is memoised by term id and skipped
+    /// when the search reaches the same formula again.
     fn find_model(
         &mut self,
         formula: Term,
         trail: &mut Vec<(Term, bool)>,
     ) -> Option<EufCounterexample> {
-        if self.terms.is_false(formula) {
+        if self.terms.is_false(formula) || self.refuted.get(formula.0 as usize) == Some(&true) {
             return None;
         }
+        let pruned = self.pruned;
+        let model = self.search_below(formula, trail);
+        if model.is_none() && self.pruned == pruned {
+            let id = formula.0 as usize;
+            if self.refuted.len() <= id {
+                self.refuted.resize(self.terms.len(), false);
+            }
+            self.refuted[id] = true;
+        }
+        model
+    }
+
+    /// One level of [`find_model`](Self::find_model): split `formula` (not
+    /// `false`) on its first innermost atom, or check the leaf.
+    fn search_below(
+        &mut self,
+        formula: Term,
+        trail: &mut Vec<(Term, bool)>,
+    ) -> Option<EufCounterexample> {
         // Split on an *innermost* atom — one that contains no other atom of the
         // formula as a subterm. Deciding innermost atoms first guarantees that
         // by the time an equality literal is pushed on the trail, every
@@ -279,7 +312,9 @@ impl Search<'_> {
     /// Congruence-closure consistency of the decided equality literals.
     fn consistent(&mut self, trail: &[(Term, bool)]) -> bool {
         self.closure_checks += 1;
-        self.closure.check(self.terms, trail)
+        let consistent = self.closure.check(self.terms, trail);
+        self.pruned += usize::from(!consistent);
+        consistent
     }
 }
 
@@ -671,6 +706,61 @@ mod tests {
         let partial = t.and_many(&pairs[..4]);
         let weak = t.implies(partial, goal);
         assert!(!check_valid(&mut t, weak).valid());
+    }
+
+    /// `(x ∧ r) ∨ (¬x ∧ r)`: the search splits on `x` first and reaches the
+    /// residual `r` under both polarities.
+    fn residual_twice(t: &mut TermManager, x: Term, r: Term) -> Term {
+        let pos = t.and(x, r);
+        let nx = t.not(x);
+        let neg = t.and(nx, r);
+        t.or(pos, neg)
+    }
+
+    #[test]
+    fn a_refutation_that_needed_the_trail_is_not_memoised() {
+        let mut t = manager();
+        let a = t.var("a", Sort::Data);
+        let b = t.var("b", Sort::Data);
+        let x = t.eq(a, b);
+        let fa = t.app("f", &[a]);
+        let fb = t.app("f", &[b]);
+        // The residual's only model, f(a) ≠ f(b), is pruned by congruence
+        // under x = true but consistent under x = false.
+        let r = {
+            let same = t.eq(fa, fb);
+            t.not(same)
+        };
+        let formula = residual_twice(&mut t, x, r);
+        let model = check_sat(&mut t, formula).expect("the x = false branch has a model");
+        assert_eq!(
+            model.to_string(),
+            "(= a b) := false, (= (f a) (f b)) := false"
+        );
+    }
+
+    #[test]
+    fn a_propositionally_refuted_residual_is_searched_once() {
+        let mut t = manager();
+        let a = t.var("a", Sort::Data);
+        let b = t.var("b", Sort::Data);
+        let x = t.eq(a, b);
+        let p = t.var("p", Sort::Bool);
+        let q = t.var("q", Sort::Bool);
+        // (p ∨ q) ∧ ¬p ∧ ¬q: no constructor folds it, no assignment
+        // satisfies it, and refuting it takes four splits.
+        let r = {
+            let pq = t.or(p, q);
+            let np = t.not(p);
+            let nq = t.not(q);
+            let lhs = t.and(pq, np);
+            t.and(lhs, nq)
+        };
+        let formula = residual_twice(&mut t, x, r);
+        let mut search = Search::new(&mut t);
+        assert!(search.find_model(formula, &mut Vec::new()).is_none());
+        // Two splits on x, four below x = true, none below x = false.
+        assert_eq!(search.splits, 6);
     }
 
     #[test]

@@ -38,7 +38,7 @@ USAGE:
     pv serve --listen <unix:PATH|tcp:HOST:PORT> [--threads N] [--cache-dir DIR | --no-cache]
     pv batch [FILE] [--threads N] [--cache-dir DIR | --no-cache]
     pv soak  [--jobs N] [--rss-limit-mb MB] [--summary PATH] [--threads N] [--listen ADDR]
-             [--allow-errors]
+             [--allow-errors] [--cache-dir DIR | --no-cache]
     pv trace [--out PATH] [--threads N]
 
     serve    Answer line-delimited JSON jobs over a socket (docs/PROTOCOL.md).
@@ -59,7 +59,8 @@ OPTIONS:
     --threads N       Worker threads (default: PV_THREADS, else all cores;
                       `pv trace` defaults to 1).
     --cache-dir DIR   Artifact cache directory (default: PV_CACHE_DIR, else
-                      .pv-cache). The soak uses a scratch directory.
+                      .pv-cache). The soak uses a scratch directory
+                      unless --cache-dir or --no-cache is given.
     --no-cache        Disable the artifact cache (every job runs cold).
     --allow-errors    (soak) Count error responses as answered instead of
                       failing the run — for chaos soaks under PV_FAILPOINTS.

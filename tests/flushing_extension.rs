@@ -55,6 +55,21 @@ fn the_flush_bound_follows_the_depth() {
 }
 
 #[test]
+fn the_depth_12_case_split_count_is_pinned() {
+    // The EUF search's cost on a deep straight pipeline, on one worker and
+    // on a pool: the count is thread-count-independent, and it drops only
+    // when the search skips subtrees that hold no model.
+    for threads in [1, 2] {
+        let report = FlushVerifier::new(PipelineDesc::with_depth(12))
+            .with_threads(threads)
+            .verify();
+        assert!(report.valid(), "{report}");
+        assert_eq!(report.splits, 14_134, "{threads} worker(s)");
+        assert_eq!(report.closure_checks, 14_134, "{threads} worker(s)");
+    }
+}
+
+#[test]
 fn the_euf_checker_decides_textbook_properties() {
     let mut t = TermManager::new();
     let a = t.var("a", Sort::Data);
