@@ -1,4 +1,4 @@
-//! **Profile explainer**: folds a `pv trace` / `PV_TRACE=1` JSONL trace into
+//! **Profile explainer**: folds a `pv trace` JSONL trace into
 //! a per-span self-time table and checks instrumentation coverage; given two
 //! traces, prints how each span's self time moved between them.
 //!

@@ -13,12 +13,14 @@
 //!   β-relation sampling points. Coverage grows only linearly with simulation
 //!   effort, which is the motivation for formal verification in Chapter 1.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use pv_bdd::{Bdd, BddManager, BddVec, TransitionSystem, Var};
-use pv_netlist::{ConcreteSim, Netlist, SymbolicSim};
+use pv_netlist::{Netlist, SymbolicSim};
 
-use crate::plan::{CycleInput, SimulationPlan, SimulationSchedule, Slot};
+use crate::plan::{
+    concrete_rows, run_concrete, CycleInput, SimulationPlan, SimulationSchedule, Slot,
+};
 use crate::spec::MachineSpec;
 use crate::verify::VerifyError;
 
@@ -175,7 +177,8 @@ impl RandomSimReport {
 /// point.
 ///
 /// # Errors
-/// Returns [`VerifyError`] if the netlists lack the ports named in `spec`.
+/// Returns the [`VerifyError`] that [`crate::Verifier::verify_plan`] returns
+/// for the same pair and plan, before anything is simulated.
 pub fn random_simulation<F>(
     spec: &MachineSpec,
     pipelined: &Netlist,
@@ -187,24 +190,7 @@ pub fn random_simulation<F>(
 where
     F: FnMut(usize, usize, Slot) -> u64,
 {
-    for netlist in [pipelined, unpipelined] {
-        for port in [&spec.instr_port, &spec.reset_port] {
-            if netlist.input_width(port).is_none() {
-                return Err(VerifyError::MissingPort {
-                    netlist: netlist.name().to_owned(),
-                    port: port.clone(),
-                });
-            }
-        }
-        for observed in &spec.observed {
-            if netlist.output_width(observed).is_none() {
-                return Err(VerifyError::MissingPort {
-                    netlist: netlist.name().to_owned(),
-                    port: observed.clone(),
-                });
-            }
-        }
-    }
+    spec.check(pipelined, unpipelined, std::slice::from_ref(plan))?;
     let schedule = SimulationSchedule::expand(spec, plan);
     let mut report = RandomSimReport {
         programs,
@@ -219,49 +205,22 @@ where
             .enumerate()
             .map(|(j, class)| generate(p, j, *class))
             .collect();
-        let run = |inputs: &[CycleInput], irq_cycles: &[usize], netlist: &Netlist| {
-            let mut sim = ConcreteSim::new(netlist);
-            let has_irq = spec
-                .irq_port
-                .as_ref()
-                .is_some_and(|p| netlist.input_width(p).is_some());
-            let has_stall = spec
-                .stall_port
-                .as_ref()
-                .is_some_and(|p| netlist.input_width(p).is_some());
-            let mut per_cycle: Vec<HashMap<String, u64>> = Vec::with_capacity(inputs.len());
-            for (cycle, input) in inputs.iter().enumerate() {
-                let (instr, reset) = match input {
-                    CycleInput::Reset => (0, 1),
-                    CycleInput::Slot(j) => (words[*j], 0),
-                    CycleInput::DontCare => (0, 0),
-                };
-                let mut drive: Vec<(&str, u64)> = vec![
-                    (spec.instr_port.as_str(), instr),
-                    (spec.reset_port.as_str(), reset),
-                ];
-                if has_irq {
-                    let irq = u64::from(irq_cycles.contains(&cycle));
-                    drive.push((spec.irq_port.as_deref().expect("checked"), irq));
-                }
-                if has_stall {
-                    // Like the symbolic flow, the baseline replays the
-                    // un-stalled behaviour.
-                    drive.push((spec.stall_port.as_deref().expect("checked"), 0));
-                }
-                per_cycle.push(sim.step(&drive));
-            }
-            per_cycle
+        // Don't-care cycles, annulled delay slots included, carry word 0.
+        let run = |netlist: &Netlist, inputs: &[CycleInput], irq_cycles: &[usize]| {
+            run_concrete(
+                netlist,
+                &concrete_rows(spec, netlist, inputs, irq_cycles, &words, |_| 0),
+            )
         };
         let p_trace = run(
+            pipelined,
             &schedule.pipelined_inputs,
             &schedule.pipelined_irq_cycles,
-            pipelined,
         );
         let u_trace = run(
+            unpipelined,
             &schedule.unpipelined_inputs,
             &schedule.unpipelined_irq_cycles,
-            unpipelined,
         );
         report.cycles += p_trace.len() + u_trace.len();
         for &(slot, pc, uc) in &schedule.samples {

@@ -98,7 +98,12 @@ static M_CACHE_CORRUPT: Counter = Counter::new("cache.corrupt");
 /// has already refuted, so flushing reports' `checks`, `euf.splits` and
 /// `euf.closure_checks` shrank for identical inputs (verdicts and
 /// counterexamples did not change).
-pub const ENGINE_EPOCH: u32 = 8;
+///
+/// Epoch 9: the β-relation flow checks every plan of a batch before any
+/// runs, so a plan list whose failing plan precedes a malformed one is now
+/// an error, not a FAIL report; epoch-8 entries for such lists must not
+/// answer it.
+pub const ENGINE_EPOCH: u32 = 9;
 
 /// Environment variable overriding the default cache directory.
 pub const PV_CACHE_DIR: &str = "PV_CACHE_DIR";

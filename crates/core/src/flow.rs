@@ -43,8 +43,9 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::time::{Duration, Instant};
 
-use pv_netlist::{ConcreteSim, Netlist};
+use pv_netlist::Netlist;
 
+use crate::plan::run_concrete;
 use crate::verify::{VerificationReport, Verifier};
 
 /// A verification flow: anything that can check a pipelined netlist against
@@ -235,8 +236,9 @@ pub struct UnitFailure {
 }
 
 /// A complete, self-contained recipe for replaying a counterexample on the
-/// concrete [`ConcreteSim`] interpreter: every input of both machines in
-/// every cycle, and the cycle/variable at which the divergence was observed.
+/// concrete [`pv_netlist::ConcreteSim`] interpreter: every input of both
+/// machines in every cycle, and the cycle/variable at which the divergence
+/// was observed.
 ///
 /// The β-relation verifier fills the recipe from the SAT witness of the
 /// violated comparison (unconstrained variables take the same default —
@@ -272,17 +274,28 @@ impl ReplayRecipe {
     /// netlist or the sampled variable is not one of its outputs — the recipe
     /// must be replayed against the same design pair it was produced from.
     pub fn replay(&self, pipelined: &Netlist, unpipelined: &Netlist) -> ReplayOutcome {
-        let p = Self::run(
+        let sample = |netlist: &Netlist, rows, cycle: usize| {
+            let outputs = run_concrete(netlist, rows);
+            let at = outputs
+                .get(cycle)
+                .expect("the sample cycle lies within the recorded input rows");
+            *at.get(&self.variable).unwrap_or_else(|| {
+                panic!(
+                    "netlist `{}` has no output `{}`",
+                    netlist.name(),
+                    self.variable
+                )
+            })
+        };
+        let p = sample(
             pipelined,
             &self.pipelined_inputs,
             self.pipelined_sample_cycle,
-            &self.variable,
         );
-        let u = Self::run(
+        let u = sample(
             unpipelined,
             &self.unpipelined_inputs,
             self.unpipelined_sample_cycle,
-            &self.variable,
         );
         ReplayOutcome {
             variable: self.variable.clone(),
@@ -291,26 +304,6 @@ impl ReplayRecipe {
             diverged: p != u,
             matches_report: p == self.pipelined_value && u == self.unpipelined_value,
         }
-    }
-
-    fn run(
-        netlist: &Netlist,
-        rows: &[Vec<(String, u64)>],
-        sample_cycle: usize,
-        variable: &str,
-    ) -> u64 {
-        let mut sim = ConcreteSim::new(netlist);
-        let mut value = None;
-        for (cycle, row) in rows.iter().enumerate() {
-            let inputs: Vec<(&str, u64)> = row.iter().map(|(n, v)| (n.as_str(), *v)).collect();
-            let outputs = sim.step(&inputs);
-            if cycle == sample_cycle {
-                value = Some(*outputs.get(variable).unwrap_or_else(|| {
-                    panic!("netlist `{}` has no output `{variable}`", netlist.name())
-                }));
-            }
-        }
-        value.expect("the sample cycle lies within the recorded input rows")
     }
 }
 

@@ -7,15 +7,18 @@
 //! instruction, `i` = an interrupt arrives at this slot). From a plan and the
 //! machine properties (`k`, `d`), [`SimulationSchedule`] computes
 //!
-//! * what to drive on the instruction input in every cycle of each machine,
+//! * what to drive on the instruction input in every cycle of each machine
+//!   (which [`drive`] turns into the value of every input port),
 //! * the output filtering functions (the `1 0 0 0 1 …` strings the thesis
 //!   prints), and
 //! * the pairs of cycles at which the two machines' observed variables must
 //!   agree.
 
+use std::collections::HashMap;
 use std::fmt;
 use std::str::FromStr;
 
+use pv_netlist::{ConcreteSim, Netlist};
 use pv_strfn::FilterSchedule;
 
 use crate::spec::MachineSpec;
@@ -348,6 +351,98 @@ impl SimulationSchedule {
     }
 }
 
+/// What one input port of a machine receives in one cycle (see [`drive`]).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum PortValue {
+    /// The word of instruction slot `j`.
+    Slot(usize),
+    /// An instruction word the β-relation does not prescribe, picked by the
+    /// caller: an annulled delay slot's free variables or witness, else 0.
+    DontCare,
+    /// The constant `value`, `width` bits wide.
+    Const(u64, usize),
+}
+
+/// The drive rule, shared by the symbolic run, the replay rows and the
+/// random-simulation baseline: for every cycle of one machine's `inputs`, the
+/// `(port, value)` row of its input ports, in the order instruction, reset,
+/// irq, stall.
+///
+/// The instruction word follows the [`CycleInput`] (0 on reset cycles), and
+/// reset is asserted on reset cycles. Irq is asserted on `irq_cycles` when
+/// `netlist` has that port. A declared stall port is held at 0: the
+/// β-relation compares the un-stalled behaviour, and the flushing flow is the
+/// one that drives it (see [`MachineSpec::stall_port`]).
+pub(crate) fn drive<'a>(
+    spec: &'a MachineSpec,
+    netlist: &Netlist,
+    inputs: &'a [CycleInput],
+    irq_cycles: &'a [usize],
+) -> impl Iterator<Item = Vec<(&'a str, PortValue)>> + 'a {
+    let declared = |port: &'a Option<String>| {
+        port.as_deref()
+            .filter(|name| netlist.input_width(name).is_some())
+    };
+    let (irq, stall) = (declared(&spec.irq_port), declared(&spec.stall_port));
+    let bit = |on: bool| PortValue::Const(u64::from(on), 1);
+    inputs.iter().enumerate().map(move |(cycle, &input)| {
+        let instr = match input {
+            CycleInput::Reset => PortValue::Const(0, spec.instr_width),
+            CycleInput::Slot(j) => PortValue::Slot(j),
+            CycleInput::DontCare => PortValue::DontCare,
+        };
+        let mut row = vec![
+            (spec.instr_port.as_str(), instr),
+            (spec.reset_port.as_str(), bit(input == CycleInput::Reset)),
+        ];
+        row.extend(irq.map(|port| (port, bit(irq_cycles.contains(&cycle)))));
+        row.extend(stall.map(|port| (port, bit(false))));
+        row
+    })
+}
+
+/// One machine's concrete input rows under [`drive`]: slot `j` carries
+/// `slot_words[j]`, and a don't-care word in cycle `c` is `dont_care(c)`.
+pub(crate) fn concrete_rows(
+    spec: &MachineSpec,
+    netlist: &Netlist,
+    inputs: &[CycleInput],
+    irq_cycles: &[usize],
+    slot_words: &[u64],
+    dont_care: impl Fn(usize) -> u64,
+) -> Vec<Vec<(String, u64)>> {
+    drive(spec, netlist, inputs, irq_cycles)
+        .enumerate()
+        .map(|(cycle, row)| {
+            row.into_iter()
+                .map(|(port, value)| {
+                    let value = match value {
+                        PortValue::Slot(j) => slot_words[j],
+                        PortValue::DontCare => dont_care(cycle),
+                        PortValue::Const(value, _) => value,
+                    };
+                    (port.to_owned(), value)
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Steps `netlist` from reset through `rows` on [`ConcreteSim`] and returns
+/// the outputs of every cycle.
+pub(crate) fn run_concrete(
+    netlist: &Netlist,
+    rows: &[Vec<(String, u64)>],
+) -> Vec<HashMap<String, u64>> {
+    let mut sim = ConcreteSim::new(netlist);
+    rows.iter()
+        .map(|row| {
+            let inputs: Vec<(&str, u64)> = row.iter().map(|(n, v)| (n.as_str(), *v)).collect();
+            sim.step(&inputs)
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -446,11 +541,32 @@ mod tests {
 
     #[test]
     fn interrupt_slots_set_irq_cycles() {
-        let spec = MachineSpec::vsm_with_interrupts();
+        let spec = MachineSpec::vsm_with_interrupts().with_stall_port("stall");
         let s = SimulationSchedule::expand(&spec, &SimulationPlan::with_interrupt_at(3, 1));
         assert_eq!(s.pipelined_irq_cycles, vec![2]);
         assert_eq!(s.unpipelined_irq_cycles, vec![1 + 4]);
         // The interrupt slot behaves like a control transfer in the pipeline.
         assert_eq!(s.pipelined_inputs[3], CycleInput::DontCare);
+        // The drive asserts irq in that cycle, in port order, and skips a
+        // port the netlist lacks.
+        let mut b = pv_netlist::NetlistBuilder::new("ports");
+        for (name, width) in [("instr", 13), ("reset", 1), ("irq", 1)] {
+            let word = b.input(name, width);
+            b.expose(name, &word);
+        }
+        let netlist = b.finish().expect("valid netlist");
+        let rows: Vec<_> = drive(
+            &spec,
+            &netlist,
+            &s.pipelined_inputs,
+            &s.pipelined_irq_cycles,
+        )
+        .collect();
+        let bit = |on| PortValue::Const(u64::from(on), 1);
+        let row =
+            |instr, reset, irq| vec![("instr", instr), ("reset", bit(reset)), ("irq", bit(irq))];
+        assert_eq!(rows[0], row(PortValue::Const(0, 13), true, false));
+        assert_eq!(rows[2], row(PortValue::Slot(1), false, true));
+        assert_eq!(rows[3], row(PortValue::DontCare, false, false));
     }
 }

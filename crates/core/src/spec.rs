@@ -5,6 +5,10 @@
 
 use pv_bdd::{Bdd, BddManager, Var};
 use pv_isa::{alpha0, vsm};
+use pv_netlist::Netlist;
+
+use crate::plan::{SimulationPlan, Slot};
+use crate::verify::VerifyError;
 
 /// Builds the characteristic function of an instruction class over the
 /// instruction-word variables (least-significant bit first).
@@ -199,6 +203,77 @@ impl MachineSpec {
     pub fn with_stall_port<S: Into<String>>(mut self, name: S) -> Self {
         self.stall_port = Some(name.into());
         self
+    }
+
+    /// Checks that a design pair can be driven and compared under every plan
+    /// in `plans`, before any plan runs. In order: each netlist (pipelined
+    /// first) has the instruction and reset inputs, no input the drive rule
+    /// does not know and every observed output; every plan has an instruction
+    /// slot, and only a spec with an irq port takes interrupt slots; each
+    /// observed output has one width in both machines.
+    pub(crate) fn check(
+        &self,
+        pipelined: &Netlist,
+        unpipelined: &Netlist,
+        plans: &[SimulationPlan],
+    ) -> Result<(), VerifyError> {
+        let known = [
+            Some(&self.instr_port),
+            Some(&self.reset_port),
+            self.irq_port.as_ref(),
+            self.stall_port.as_ref(),
+        ];
+        for netlist in [pipelined, unpipelined] {
+            let missing = |port: &String| VerifyError::MissingPort {
+                netlist: netlist.name().to_owned(),
+                port: port.clone(),
+            };
+            if let Some(port) = [&self.instr_port, &self.reset_port]
+                .into_iter()
+                .find(|port| netlist.input_width(port).is_none())
+            {
+                return Err(missing(port));
+            }
+            if let Some(port) = netlist
+                .inputs()
+                .iter()
+                .find(|port| !known.contains(&Some(&port.name)))
+            {
+                return Err(VerifyError::UnexpectedInput {
+                    netlist: netlist.name().to_owned(),
+                    port: port.name.clone(),
+                });
+            }
+            if let Some(port) = self
+                .observed
+                .iter()
+                .find(|port| netlist.output_width(port).is_none())
+            {
+                return Err(missing(port));
+            }
+        }
+        for plan in plans {
+            if plan.instruction_count() == 0 {
+                return Err(VerifyError::EmptyPlan);
+            }
+            if plan.slots().contains(&Slot::Interrupt) && self.irq_port.is_none() {
+                return Err(VerifyError::InterruptWithoutIrqPort);
+            }
+        }
+        for name in &self.observed {
+            if let (Some(p), Some(u)) =
+                (pipelined.output_width(name), unpipelined.output_width(name))
+            {
+                if p != u {
+                    return Err(VerifyError::WidthMismatch {
+                        name: name.clone(),
+                        pipelined: p,
+                        unpipelined: u,
+                    });
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Replaces the observed-variable list (builder style).

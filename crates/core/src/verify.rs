@@ -21,7 +21,9 @@ use pv_netlist::{Netlist, SymbolicSim};
 use pv_obs::Counter;
 
 use crate::flow::{FlowErrorKind, UnitFailure};
-use crate::plan::{CycleInput, SimulationPlan, SimulationSchedule, Slot};
+use crate::plan::{
+    concrete_rows, drive, CycleInput, PortValue, SimulationPlan, SimulationSchedule, Slot,
+};
 use crate::pool;
 use crate::spec::MachineSpec;
 
@@ -478,8 +480,7 @@ impl Verifier {
     /// plan sweep.
     ///
     /// # Errors
-    /// Returns [`VerifyError`] if the netlists do not expose the ports and
-    /// observed variables named in the [`MachineSpec`].
+    /// See [`Verifier::verify_plans`].
     pub fn verify(
         &self,
         pipelined: &Netlist,
@@ -491,7 +492,7 @@ impl Verifier {
     /// Verifies a single simulation plan.
     ///
     /// # Errors
-    /// See [`Verifier::verify`].
+    /// See [`Verifier::verify_plans`].
     pub fn verify_plan(
         &self,
         pipelined: &Netlist,
@@ -512,15 +513,21 @@ impl Verifier {
     /// merged, even if a racing worker had already checked it).
     ///
     /// # Errors
-    /// See [`Verifier::verify`].
+    /// Returns [`VerifyError`] before any plan runs, and so before any BDD
+    /// work, if the pair or a plan cannot be driven: a netlist lacks a port
+    /// named in the [`MachineSpec`] or has an input it does not name, a plan
+    /// has no instruction slot or interrupts a spec without an irq port, or an
+    /// observed variable has different widths in the two machines. A batch
+    /// with one malformed plan answers the error even if an earlier plan
+    /// fails. Budget trips and panics are never errors; they degrade the
+    /// report (see [`with_budget`](Self::with_budget)).
     pub fn verify_plans(
         &self,
         pipelined: &Netlist,
         unpipelined: &Netlist,
         plans: &[SimulationPlan],
     ) -> Result<VerificationReport, VerifyError> {
-        self.validate(pipelined)?;
-        self.validate(unpipelined)?;
+        self.spec.check(pipelined, unpipelined, plans)?;
         let threads = self.threads().min(plans.len().max(1));
         let instr_order = self.instr_order(pipelined);
         let results = pool::par_map_prefix_caught(
@@ -528,7 +535,7 @@ impl Verifier {
             plans,
             self.budget.as_ref(),
             |index, plan, budget| {
-                let result = self.check_plan(
+                let report = self.check_plan(
                     pipelined,
                     unpipelined,
                     plan,
@@ -536,8 +543,8 @@ impl Verifier {
                     budget,
                     instr_order.as_deref(),
                 );
-                let terminal = !matches!(&result, Ok(report) if report.equivalent());
-                (result, terminal)
+                let terminal = !report.equivalent();
+                (report, terminal)
             },
         );
         // The pool hands back the sequential prefix: everything up to (and
@@ -549,7 +556,7 @@ impl Verifier {
         let mut failures: Vec<UnitFailure> = Vec::new();
         for (unit, result) in results.into_iter().enumerate() {
             match result {
-                Ok(checked) => prefix.push(checked?),
+                Ok(report) => prefix.push(report),
                 Err(payload) => {
                     let (kind, message) = FlowErrorKind::classify_panic(&*payload);
                     failures.push(UnitFailure {
@@ -566,44 +573,6 @@ impl Verifier {
             prefix,
             failures,
         ))
-    }
-
-    fn validate(&self, netlist: &Netlist) -> Result<(), VerifyError> {
-        let spec = &self.spec;
-        let known: Vec<&str> = [
-            Some(spec.instr_port.as_str()),
-            Some(spec.reset_port.as_str()),
-            spec.irq_port.as_deref(),
-            spec.stall_port.as_deref(),
-        ]
-        .into_iter()
-        .flatten()
-        .collect();
-        for required in [&spec.instr_port, &spec.reset_port] {
-            if netlist.input_width(required).is_none() {
-                return Err(VerifyError::MissingPort {
-                    netlist: netlist.name().to_owned(),
-                    port: required.clone(),
-                });
-            }
-        }
-        for port in netlist.inputs() {
-            if !known.contains(&port.name.as_str()) {
-                return Err(VerifyError::UnexpectedInput {
-                    netlist: netlist.name().to_owned(),
-                    port: port.name.clone(),
-                });
-            }
-        }
-        for observed in &spec.observed {
-            if netlist.output_width(observed).is_none() {
-                return Err(VerifyError::MissingPort {
-                    netlist: netlist.name().to_owned(),
-                    port: observed.clone(),
-                });
-            }
-        }
-        Ok(())
     }
 
     /// The FORCE-derived static order of the instruction bits
@@ -634,11 +603,8 @@ impl Verifier {
     /// counterexample as a full run would. Such a report's `bdd_nodes`,
     /// `bdd_peak_live`, `bdd_vars` and `metrics` count only the work done.
     ///
-    /// Assumes the netlists have already been validated and `instr_order`
+    /// Assumes [`MachineSpec::check`] has passed and `instr_order` is
     /// computed (both are plan-independent and done once per batch).
-    ///
-    /// # Errors
-    /// See [`Verifier::verify`].
     fn check_plan(
         &self,
         pipelined: &Netlist,
@@ -647,7 +613,7 @@ impl Verifier {
         plan_index: usize,
         budget: Option<&Budget>,
         instr_order: Option<&[usize]>,
-    ) -> Result<PlanReport, VerifyError> {
+    ) -> PlanReport {
         let _span = pv_obs::span("plan.check");
         let started = Instant::now();
         // Fault-injection sites (compiled out unless the `failpoints`
@@ -658,12 +624,6 @@ impl Verifier {
             std::panic::panic_any(pv_bdd::BudgetExceeded::Deadline);
         }
         let spec = &self.spec;
-        if plan.instruction_count() == 0 {
-            return Err(VerifyError::EmptyPlan);
-        }
-        if plan.slots().contains(&Slot::Interrupt) && spec.irq_port.is_none() {
-            return Err(VerifyError::InterruptWithoutIrqPort);
-        }
         let setup = pv_obs::span("plan.setup");
         let schedule = SimulationSchedule::expand(spec, plan);
         let mut manager = BddManager::new();
@@ -791,13 +751,6 @@ impl Verifier {
             for name in &spec.observed {
                 let p = &pipelined_run.samples[&slot][name];
                 let u = &unpipelined_run.samples[&slot][name];
-                if p.width() != u.width() {
-                    return Err(VerifyError::WidthMismatch {
-                        name: name.clone(),
-                        pipelined: p.width(),
-                        unpipelined: u.width(),
-                    });
-                }
                 samples_compared += 1;
                 let equal = p.eq(&mut manager, u);
                 let differs = manager.not(equal);
@@ -811,36 +764,42 @@ impl Verifier {
                             .map(|&(_, val)| val)
                             .unwrap_or(false)
                     };
-                    let slot_instructions: Vec<u64> = slot_vars
-                        .iter()
-                        .map(|vars| {
-                            vars.iter()
-                                .enumerate()
-                                .fold(0u64, |acc, (i, &v)| acc | (u64::from(assignment(v)) << i))
-                        })
-                        .collect();
+                    let word = |vars: &[Var]| {
+                        vars.iter()
+                            .enumerate()
+                            .fold(0u64, |acc, (i, &v)| acc | (u64::from(assignment(v)) << i))
+                    };
+                    let slot_instructions: Vec<u64> =
+                        slot_vars.iter().map(|vars| word(vars)).collect();
                     let pipelined_value = p.eval(&manager, assignment);
                     let unpipelined_value = u.eval(&manager, assignment);
                     // The recipe evaluates every input word of both machines
                     // under the same witness (unassigned variables default to
                     // `false`, exactly as `eval` above does), so the concrete
                     // replay reproduces the reported values bit for bit.
+                    let annulled = |cycle: usize| {
+                        pipelined_run
+                            .dontcare_vars
+                            .iter()
+                            .find(|&&(c, _)| c == cycle)
+                            .map_or(0, |(_, vars)| word(vars))
+                    };
                     let replay = crate::ReplayRecipe {
-                        pipelined_inputs: self.replay_rows(
+                        pipelined_inputs: concrete_rows(
+                            spec,
                             pipelined,
                             &schedule.pipelined_inputs,
                             &schedule.pipelined_irq_cycles,
                             &slot_instructions,
-                            &pipelined_run.dontcare_vars,
-                            &assignment,
+                            annulled,
                         ),
-                        unpipelined_inputs: self.replay_rows(
+                        unpipelined_inputs: concrete_rows(
+                            spec,
                             unpipelined,
                             &schedule.unpipelined_inputs,
                             &schedule.unpipelined_irq_cycles,
                             &slot_instructions,
-                            &[],
-                            &assignment,
+                            |_| 0,
                         ),
                         pipelined_sample_cycle: pipelined_cycle,
                         unpipelined_sample_cycle: unpipelined_cycle,
@@ -882,7 +841,7 @@ impl Verifier {
             ),
             ("bdd.unique.grow".to_owned(), stats.unique_grows as u64),
         ]);
-        Ok(PlanReport {
+        PlanReport {
             plan: plan.clone(),
             plan_index,
             samples_compared,
@@ -898,68 +857,7 @@ impl Verifier {
             counterexample,
             wall_time: started.elapsed(),
             metrics,
-        })
-    }
-
-    /// Assembles one machine's concrete per-cycle input rows for a
-    /// counterexample's [`crate::ReplayRecipe`]: slot cycles carry the
-    /// witness instruction words, don't-care cycles that were simulated with
-    /// fresh symbolic variables carry their witness evaluation, and every
-    /// other input is the constant the symbolic simulation drove.
-    fn replay_rows(
-        &self,
-        netlist: &Netlist,
-        cycle_inputs: &[CycleInput],
-        irq_cycles: &[usize],
-        slot_instructions: &[u64],
-        dontcare_vars: &[(usize, Vec<Var>)],
-        assignment: &impl Fn(Var) -> bool,
-    ) -> Vec<Vec<(String, u64)>> {
-        let spec = &self.spec;
-        let has_irq = spec
-            .irq_port
-            .as_ref()
-            .is_some_and(|p| netlist.input_width(p).is_some());
-        let has_stall = spec
-            .stall_port
-            .as_ref()
-            .is_some_and(|p| netlist.input_width(p).is_some());
-        cycle_inputs
-            .iter()
-            .enumerate()
-            .map(|(cycle, input)| {
-                let (instr, reset) = match input {
-                    CycleInput::Reset => (0, 1),
-                    CycleInput::Slot(j) => (slot_instructions[*j], 0),
-                    CycleInput::DontCare => {
-                        let word = dontcare_vars
-                            .iter()
-                            .find(|&&(c, _)| c == cycle)
-                            .map(|(_, vars)| {
-                                vars.iter().enumerate().fold(0u64, |acc, (i, &v)| {
-                                    acc | (u64::from(assignment(v)) << i)
-                                })
-                            })
-                            .unwrap_or(0);
-                        (word, 0)
-                    }
-                };
-                let mut row = vec![
-                    (spec.instr_port.clone(), instr),
-                    (spec.reset_port.clone(), reset),
-                ];
-                if has_irq {
-                    row.push((
-                        spec.irq_port.clone().expect("checked above"),
-                        u64::from(irq_cycles.contains(&cycle)),
-                    ));
-                }
-                if has_stall {
-                    row.push((spec.stall_port.clone().expect("checked above"), 0));
-                }
-                row
-            })
-            .collect()
+        }
     }
 
     /// Symbolically simulates one machine over the expanded cycle plan and
@@ -996,17 +894,6 @@ impl Verifier {
         let mut samples: BTreeMap<usize, BTreeMap<String, BddVec>> = BTreeMap::new();
         let mut dontcare_vars: Vec<(usize, Vec<Var>)> = Vec::new();
         let mut leaked_slot = None;
-        let has_irq = spec
-            .irq_port
-            .as_ref()
-            .is_some_and(|p| netlist.input_width(p).is_some());
-        // The β-relation compares the *un-stalled* behaviour: a declared
-        // stall input is held at 0 for the whole simulation (the flushing
-        // flow is the one that drives it — see `MachineSpec::stall_port`).
-        let has_stall = spec
-            .stall_port
-            .as_ref()
-            .is_some_and(|p| netlist.input_width(p).is_some());
         // Don't-care cycles of the *implementation* that lie before the last
         // instruction slot are annulled delay slots: they receive fresh
         // symbolic variables so annulment is checked for every possible
@@ -1019,37 +906,24 @@ impl Verifier {
             .iter()
             .rposition(|i| matches!(i, CycleInput::Slot(_)))
             .unwrap_or(0);
-        for (cycle, input) in cycle_inputs.iter().enumerate() {
+        for (cycle, row) in drive(spec, netlist, cycle_inputs, irq_cycles).enumerate() {
             let _span = pv_obs::span("sim.cycle");
-            let (instr, reset) = match input {
-                CycleInput::Reset => (BddVec::constant(manager, 0, spec.instr_width), true),
-                CycleInput::Slot(j) => (slot_words[*j].clone(), false),
-                CycleInput::DontCare if is_implementation && cycle <= last_slot_cycle => {
-                    let vars = manager.new_vars(spec.instr_width);
-                    dontcare_vars.push((cycle, vars.clone()));
-                    (BddVec::from_vars(manager, &vars), false)
-                }
-                CycleInput::DontCare => (BddVec::constant(manager, 0, spec.instr_width), false),
-            };
-            let mut inputs = BTreeMap::new();
-            inputs.insert(spec.instr_port.clone(), instr);
-            inputs.insert(
-                spec.reset_port.clone(),
-                BddVec::constant(manager, u64::from(reset), 1),
-            );
-            if has_irq {
-                let irq = irq_cycles.contains(&cycle);
-                inputs.insert(
-                    spec.irq_port.clone().expect("checked above"),
-                    BddVec::constant(manager, u64::from(irq), 1),
-                );
-            }
-            if has_stall {
-                inputs.insert(
-                    spec.stall_port.clone().expect("checked above"),
-                    BddVec::constant(manager, 0, 1),
-                );
-            }
+            let inputs: BTreeMap<String, BddVec> = row
+                .into_iter()
+                .map(|(port, value)| {
+                    let word = match value {
+                        PortValue::Slot(j) => slot_words[j].clone(),
+                        PortValue::DontCare if is_implementation && cycle <= last_slot_cycle => {
+                            let vars = manager.new_vars(spec.instr_width);
+                            dontcare_vars.push((cycle, vars.clone()));
+                            BddVec::from_vars(manager, &vars)
+                        }
+                        PortValue::DontCare => BddVec::constant(manager, 0, spec.instr_width),
+                        PortValue::Const(value, width) => BddVec::constant(manager, value, width),
+                    };
+                    (port.to_owned(), word)
+                })
+                .collect();
             let (mut next_state, outputs) = {
                 let _span = pv_obs::span("sim.eval");
                 sym.step(manager, &state, &inputs)

@@ -14,8 +14,8 @@
 //! * [`trace`]: scoped spans ([`span`] returns a guard that emits matching
 //!   enter/exit events) buffered per thread and merged deterministically on
 //!   export ([`take_events`] sorts by `(tid, seq)`). Tracing is **off** by
-//!   default; `PV_TRACE=1` or [`set_trace_enabled`] turns it on, and a
-//!   disabled [`span`] call is a single relaxed atomic load.
+//!   default; [`set_trace_enabled`] turns it on, and a disabled [`span`]
+//!   call is a single relaxed atomic load.
 //! * [`mod@fold`]: turns an event stream into a self-time profile
 //!   ([`fold::fold`]) and checks span-nesting well-formedness
 //!   ([`fold::check_nesting`]) — every exit must match the open enter on its
@@ -40,5 +40,5 @@ pub use fold::{check_nesting, fold, FoldReport, SpanRow};
 pub use metrics::{snapshot, Counter, Gauge, Histogram};
 pub use trace::{
     flush_thread, set_trace_enabled, span, take_events, trace_enabled, warn_once, SpanGuard,
-    TraceEvent, TraceKind, TRACE_ENV, TRACE_OUT_ENV,
+    TraceEvent, TraceKind,
 };

@@ -13,13 +13,14 @@
 //!
 //! # Cost discipline
 //!
-//! Tracing is **off** unless `PV_TRACE` is set truthy (or
-//! [`set_trace_enabled`] is called): a disabled [`span`] is one relaxed
-//! atomic load and no allocation. Enabled spans append to a thread-local
-//! buffer (no locks, no per-event allocation — names are borrowed statics)
-//! that drains into the process-global sink when it fills, when the thread
-//! ends, or on [`flush_thread`] — the worker pool flushes as each worker
-//! retires, so a [`take_events`] after a parallel region sees everything.
+//! Tracing is **off** until [`set_trace_enabled`] turns it on — each
+//! program that exports a trace does so around the region it traces. A
+//! disabled [`span`] is one relaxed atomic load and no allocation. Enabled
+//! spans append to a thread-local buffer (no locks, no per-event
+//! allocation — names are borrowed statics) that drains into the
+//! process-global sink when it fills, when the thread ends, or on
+//! [`flush_thread`] — the worker pool flushes as each worker retires, so a
+//! [`take_events`] after a parallel region sees everything.
 //!
 //! # Determinism
 //!
@@ -33,19 +34,11 @@
 use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 use crate::metrics;
-
-/// The environment variable that enables tracing (`1`/`true`/anything else
-/// non-empty and non-`0`/`false`).
-pub const TRACE_ENV: &str = "PV_TRACE";
-
-/// The environment variable naming the JSONL file `pv trace` writes when no
-/// `--out` is given (read by the `pv` binary in `pv-server`).
-pub const TRACE_OUT_ENV: &str = "PV_TRACE_OUT";
 
 /// A thread buffer drains to the sink at this many events.
 const FLUSH_AT: usize = 8192;
@@ -80,8 +73,8 @@ pub struct TraceEvent {
     pub msg: Option<String>,
 }
 
-/// 0 = unresolved (consult `PV_TRACE`), 1 = off, 2 = on.
-static TRACE_STATE: AtomicU8 = AtomicU8::new(0);
+/// Whether spans record events (see [`set_trace_enabled`]).
+static TRACE_ON: AtomicBool = AtomicBool::new(false);
 
 fn epoch() -> Instant {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
@@ -97,33 +90,19 @@ fn sink() -> &'static Mutex<Vec<TraceEvent>> {
     SINK.get_or_init(|| Mutex::new(Vec::new()))
 }
 
-/// Is tracing currently on? One relaxed load on the steady state; the first
-/// call resolves `PV_TRACE`.
+/// Is tracing currently on? One relaxed load.
 #[inline]
 pub fn trace_enabled() -> bool {
-    match TRACE_STATE.load(Ordering::Relaxed) {
-        0 => resolve_from_env(),
-        s => s == 2,
-    }
+    TRACE_ON.load(Ordering::Relaxed)
 }
 
-#[cold]
-fn resolve_from_env() -> bool {
-    let on = std::env::var(TRACE_ENV).is_ok_and(|v| {
-        let v = v.trim();
-        !v.is_empty() && v != "0" && !v.eq_ignore_ascii_case("false")
-    });
-    epoch(); // anchor the timebase at first resolution
-    TRACE_STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-    on
-}
-
-/// Turns tracing on or off programmatically, overriding `PV_TRACE` (used by
-/// `pv trace` and the perf-smoke overhead gate). Spans already open keep
-/// their pairing: a guard created while tracing was off never emits an exit.
+/// Turns tracing on or off (used by `pv trace`, perf-smoke, perfbench and
+/// `pv_bench::traced_verify_plan`, which each drain the events they cause).
+/// Spans already open keep their pairing: a guard created while tracing was
+/// off never emits an exit.
 pub fn set_trace_enabled(on: bool) {
-    epoch();
-    TRACE_STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
+    epoch(); // anchor the timebase before the first traced event
+    TRACE_ON.store(on, Ordering::Relaxed);
 }
 
 struct ThreadBuf {

@@ -50,10 +50,10 @@ USAGE:
              stays under --rss-limit-mb. Writes a JSON summary line to stdout
              (and to --summary, when given).
     trace    Run a condensed-Alpha0 control-transfer sweep with span tracing
-             force-enabled (no PV_TRACE needed) under a `trace.run` root span
-             and write the trace to --out (default: PV_TRACE_OUT, else
-             pv-trace.jsonl). Defaults to 1 worker thread so every span nests
-             under the root; fold the file with pv-bench's `trace_report`.
+             enabled under a `trace.run` root span and write the trace to
+             --out (default: pv-trace.jsonl). Defaults to 1 worker thread so
+             every span nests under the root; fold the file with pv-bench's
+             `trace_report`.
 
 OPTIONS:
     --threads N       Worker threads (default: PV_THREADS, else all cores;
@@ -532,13 +532,9 @@ fn cmd_trace(args: &[String]) -> Result<ExitCode, String> {
     if !explicit_threads {
         opts.threads = 1;
     }
-    let out = match take_flag(&mut opts.rest, "--out")? {
-        Some(path) => PathBuf::from(path),
-        None => std::env::var_os(pv_obs::TRACE_OUT_ENV)
-            .filter(|p| !p.is_empty())
-            .map(PathBuf::from)
-            .unwrap_or_else(|| PathBuf::from("pv-trace.jsonl")),
-    };
+    let out = PathBuf::from(
+        take_flag(&mut opts.rest, "--out")?.unwrap_or_else(|| "pv-trace.jsonl".to_owned()),
+    );
     if let Some(extra) = opts.rest.first() {
         return Err(format!("unexpected argument `{extra}`"));
     }

@@ -7,10 +7,12 @@
 //! netlist traces.
 
 use pipeverify::core::{
-    product_equivalence, random_simulation, MachineSpec, SimulationPlan, Slot, Verifier,
+    product_equivalence, random_simulation, Budget, MachineSpec, SimulationPlan, Slot, Verifier,
+    VerifyError,
 };
 use pipeverify::isa::vsm::{VsmInstr, VsmOp};
 use pipeverify::netlist::{Netlist, NetlistBuilder};
+use pipeverify::proc::family::{self, FamilyConfig};
 use pipeverify::proc::vsm::{self, VsmBug, VsmConfig};
 use rand::prelude::*;
 
@@ -118,6 +120,109 @@ fn subtle_bug_found_symbolically_can_hide_from_a_small_random_sample() {
         !symbolic.equivalent(),
         "the plan sweep must find the annulment bug"
     );
+}
+
+#[test]
+fn malformed_inputs_are_rejected_alike_by_the_verifier_and_random_simulation() {
+    // Both procedures drive the pair from one schedule, so a pair or plan
+    // that cannot be driven is the same error to both, raised before any
+    // plan runs: a node budget of one node must not turn it into plan
+    // failures.
+    struct Row<'a> {
+        what: &'a str,
+        spec: &'a MachineSpec,
+        pair: &'a (Netlist, Netlist),
+        plans: Vec<SimulationPlan>,
+        budget: Option<Budget>,
+        expected: VerifyError,
+    }
+    let vsm_pair = |config: VsmConfig| {
+        (
+            vsm::pipelined(config).expect("build"),
+            vsm::unpipelined(VsmConfig::reduced(2)).expect("build"),
+        )
+    };
+    let reduced = vsm_pair(VsmConfig::reduced(2));
+    let stallable = vsm_pair(VsmConfig::reduced(2).stallable());
+    let family_pair = (
+        family::pipelined(FamilyConfig::new(3, 4, 2, 0)).expect("build"),
+        family::unpipelined(FamilyConfig::new(3, 3, 2, 0)).expect("build"),
+    );
+    let vsm_spec = MachineSpec::vsm_reduced(2);
+    let family_spec = MachineSpec::family(3, 4, 2, 0);
+    let width_mismatch = VerifyError::WidthMismatch {
+        name: "r0".to_owned(),
+        pipelined: 4,
+        unpipelined: 3,
+    };
+    let rows = [
+        Row {
+            what: "empty plan",
+            spec: &vsm_spec,
+            pair: &reduced,
+            plans: vec![SimulationPlan::new(vec![Slot::Reset])],
+            budget: None,
+            expected: VerifyError::EmptyPlan,
+        },
+        Row {
+            what: "interrupt without an irq port",
+            spec: &vsm_spec,
+            pair: &reduced,
+            plans: vec![SimulationPlan::with_interrupt_at(4, 1)],
+            budget: None,
+            expected: VerifyError::InterruptWithoutIrqPort,
+        },
+        Row {
+            what: "undeclared stall input",
+            spec: &vsm_spec,
+            pair: &stallable,
+            plans: vec![SimulationPlan::paper_vsm()],
+            budget: None,
+            expected: VerifyError::UnexpectedInput {
+                netlist: stallable.0.name().to_owned(),
+                port: "stall".to_owned(),
+            },
+        },
+        Row {
+            what: "observed widths differ",
+            spec: &family_spec,
+            pair: &family_pair,
+            plans: vec![SimulationPlan::all_normal(3)],
+            budget: None,
+            expected: width_mismatch.clone(),
+        },
+        Row {
+            what: "observed widths differ under a one-node budget",
+            spec: &family_spec,
+            pair: &family_pair,
+            plans: Verifier::new(family_spec.clone()).default_plans(),
+            budget: Some(Budget::unlimited().with_node_limit(1)),
+            expected: width_mismatch,
+        },
+    ];
+    for row in rows {
+        let (pipelined, unpipelined) = row.pair;
+        let mut verifier = Verifier::new(row.spec.clone()).with_threads(1);
+        if let Some(budget) = row.budget {
+            verifier = verifier.with_budget(budget);
+        }
+        let symbolic = verifier.verify_plans(pipelined, unpipelined, &row.plans);
+        assert_eq!(
+            symbolic.err(),
+            Some(row.expected.clone()),
+            "{}: verifier",
+            row.what
+        );
+        for plan in &row.plans {
+            let random = random_simulation(row.spec, pipelined, unpipelined, plan, 3, |_, _, _| 0);
+            assert_eq!(
+                random.err(),
+                Some(row.expected.clone()),
+                "{}: random simulation",
+                row.what
+            );
+        }
+    }
 }
 
 #[test]
