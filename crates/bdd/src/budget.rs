@@ -15,10 +15,11 @@
 //! The engine consults the budget only at its existing safe points — the
 //! per-cycle [`maybe_gc`](crate::BddManager::maybe_gc) call and (amortized)
 //! the ITE and constrain cache-miss paths — and aborts by unwinding with a typed
-//! [`BudgetExceeded`] panic payload. Unwinding at a safe point leaves the
-//! manager **allocation-consistent**: every table mutation between two safe
-//! points completes atomically, so a caught abort leaves a GC-able, reusable
-//! manager (see the `budget` tests).
+//! [`BudgetExceeded`] panic payload through [`std::panic::resume_unwind`], so
+//! no panic hook runs and nothing is printed. Unwinding at a safe point
+//! leaves the manager **allocation-consistent**: every table mutation
+//! between two safe points completes atomically, so a caught abort leaves a
+//! GC-able, reusable manager (see the `budget` tests).
 //!
 //! [`Budget::child`] derives a per-unit budget sharing the parent's deadline
 //! and node limit but owning its cancel flag; cancelling the parent cancels

@@ -240,8 +240,8 @@ impl BddManager {
     /// points (every [`maybe_gc`](Self::maybe_gc) call, and the ITE and
     /// constrain cache-miss paths once per `BUDGET_CHECK_INTERVAL` (1024)
     /// misses) and aborts an
-    /// exceeded computation by unwinding with a [`crate::BudgetExceeded`]
-    /// panic payload.
+    /// exceeded computation by unwinding, without running the panic hook,
+    /// with a [`crate::BudgetExceeded`] payload.
     ///
     /// Every table mutation between two check points completes atomically,
     /// so a caught abort leaves the manager allocation-consistent: it can be
@@ -259,7 +259,9 @@ impl BddManager {
 
     /// Checks the attached budget (if any) against the allocated-node
     /// count, flushing the batched metrics and unwinding with the typed
-    /// [`crate::BudgetExceeded`] payload when a bound is exceeded. Called
+    /// [`crate::BudgetExceeded`] payload when a bound is exceeded. The abort
+    /// is control flow, not a crash, so it unwinds with
+    /// [`std::panic::resume_unwind`], which skips the panic hook. Called
     /// only at safe points.
     pub(crate) fn check_budget(&mut self) {
         let Some(budget) = &self.budget else { return };
@@ -267,7 +269,7 @@ impl BddManager {
             // Leave the global metrics registry consistent with the work
             // actually performed before abandoning the computation.
             self.flush_metrics();
-            std::panic::panic_any(exceeded);
+            std::panic::resume_unwind(Box::new(exceeded));
         }
     }
 

@@ -392,16 +392,11 @@ fn cache() -> Vec<Row> {
 fn budget_abort() -> Vec<Row> {
     let mut m = BddManager::new();
     m.set_budget(Budget::unlimited().with_node_limit(BUDGET_ABORT_LIMIT));
-    // The abort unwinds via panic_any; silence the default hook for the
-    // expected panic so the log stays readable.
-    let default_hook = panic::take_hook();
-    panic::set_hook(Box::new(|_| {}));
     let (wall, aborted) = timed(|| {
         panic::catch_unwind(AssertUnwindSafe(|| {
             counter_system(&mut m, 12).reachable(&mut m);
         }))
     });
-    panic::set_hook(default_hook);
     let payload = aborted.expect_err("reachability finished under the node budget");
     let exceeded = payload.downcast_ref::<BudgetExceeded>();
     assert_eq!(exceeded, Some(&BudgetExceeded::Nodes));

@@ -103,7 +103,12 @@ static M_CACHE_CORRUPT: Counter = Counter::new("cache.corrupt");
 /// runs, so a plan list whose failing plan precedes a malformed one is now
 /// an error, not a FAIL report; epoch-8 entries for such lists must not
 /// answer it.
-pub const ENGINE_EPOCH: u32 = 9;
+///
+/// Epoch 10: symbolic simulation evaluates each multiplexer and ripple
+/// carry as one `ite` and skips gates nothing reads, so β reports' `space`
+/// and `metrics` shrank for identical inputs (verdicts and counterexamples
+/// did not change).
+pub const ENGINE_EPOCH: u32 = 10;
 
 /// Environment variable overriding the default cache directory.
 pub const PV_CACHE_DIR: &str = "PV_CACHE_DIR";

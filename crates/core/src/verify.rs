@@ -621,7 +621,7 @@ impl Verifier {
         // deadline trip — both must surface as typed `UnitFailure`s.
         pv_obs::fail::inject_panic("plan.panic");
         if pv_obs::fail::failpoint("plan.deadline") {
-            std::panic::panic_any(pv_bdd::BudgetExceeded::Deadline);
+            std::panic::resume_unwind(Box::new(pv_bdd::BudgetExceeded::Deadline));
         }
         let spec = &self.spec;
         let setup = pv_obs::span("plan.setup");

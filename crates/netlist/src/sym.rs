@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 
 use pv_bdd::{Bdd, BddManager, BddVec, Var};
 
-use crate::net::{NetNode, Netlist};
+use crate::net::{NetId, NetNode, Netlist};
 
 /// The symbolic register state of a netlist: one BDD per register bit, in
 /// declaration order.
@@ -48,15 +48,118 @@ impl SymState {
 }
 
 /// Symbolic simulator for one [`Netlist`].
-#[derive(Clone, Copy, Debug)]
+///
+/// [`new`](Self::new) derives an evaluation plan from the netlist once (see
+/// [`Eval`]); every [`step`](Self::step), [`outputs`](Self::outputs) and
+/// [`relation`](Self::relation) follows it. ROBDDs are canonical, so the plan
+/// changes how many BDD operations a cycle costs, never a function computed.
+#[derive(Clone, Debug)]
 pub struct SymbolicSim<'a> {
     netlist: &'a Netlist,
+    plan: Vec<Eval>,
+}
+
+/// How [`SymbolicSim`] evaluates one net.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Eval {
+    /// The net's own node: a source, or a gate as one BDD operation.
+    Node,
+    /// `ite(s, t, e)` in place of an `Or` of two `And`s that nothing else
+    /// reads: a multiplexer `s∧t ∨ ¬s∧e`, or a ripple carry
+    /// `x∧y ∨ (x⊕y)∧c` as `ite(x⊕y, c, x)`.
+    Ite(NetId, NetId, NetId),
+    /// Not evaluated: a gate that no register, output or evaluated net reads
+    /// (an `And` absorbed into an [`Eval::Ite`], or a dead gate).
+    Skip,
+}
+
+/// The operand nets of `node` (none for a source).
+fn operands(node: NetNode) -> impl Iterator<Item = NetId> {
+    let (a, b) = match node {
+        NetNode::Const(_) | NetNode::Input { .. } | NetNode::Reg(_) => (None, None),
+        NetNode::Not(a) => (Some(a), None),
+        NetNode::And(a, b) | NetNode::Or(a, b) | NetNode::Xor(a, b) => (Some(a), Some(b)),
+    };
+    a.into_iter().chain(b)
+}
+
+/// The single `ite` equal to `Or(a, b)`, if `a` and `b` are `And`s with no
+/// other reader that form a multiplexer or a ripple carry.
+fn fuse(nodes: &[NetNode], readers: &[u32], a: NetId, b: NetId) -> Option<Eval> {
+    let sole_and = |n: NetId| match nodes[n.0 as usize] {
+        NetNode::And(x, y) if readers[n.0 as usize] == 1 => Some([(x, y), (y, x)]),
+        _ => None,
+    };
+    let (p, q) = (sole_and(a)?, sole_and(b)?);
+    for (s, t) in p {
+        for (r, e) in q {
+            // `s∧t ∨ ¬s∧e`, with the select on either side.
+            if nodes[r.0 as usize] == NetNode::Not(s) {
+                return Some(Eval::Ite(s, t, e));
+            }
+            if nodes[s.0 as usize] == NetNode::Not(r) {
+                return Some(Eval::Ite(r, e, t));
+            }
+        }
+    }
+    for ((x, y), pair) in [(p[0], q), (q[0], p)] {
+        for (xy, c) in pair {
+            // `x∧y ∨ (x⊕y)∧c` is `c` where x and y differ and `x` where they agree.
+            if let NetNode::Xor(u, v) = nodes[xy.0 as usize] {
+                if (u, v) == (x, y) || (u, v) == (y, x) {
+                    return Some(Eval::Ite(xy, c, x));
+                }
+            }
+        }
+    }
+    None
 }
 
 impl<'a> SymbolicSim<'a> {
-    /// Creates a symbolic simulator for `netlist`.
+    /// Creates a symbolic simulator for `netlist`, deriving its evaluation
+    /// plan from per-net reader counts (gate operands, register next-state
+    /// nets and output nets).
     pub fn new(netlist: &'a Netlist) -> Self {
-        SymbolicSim { netlist }
+        let nodes = &netlist.nodes;
+        let roots = || {
+            let next = netlist.regs.iter().filter_map(|r| r.next);
+            next.chain(
+                netlist
+                    .outputs
+                    .iter()
+                    .flat_map(|(_, nets)| nets.iter().copied()),
+            )
+        };
+        let mut readers = vec![0u32; nodes.len()];
+        for n in nodes.iter().flat_map(|&node| operands(node)).chain(roots()) {
+            readers[n.0 as usize] += 1;
+        }
+        let mut plan: Vec<Eval> = nodes
+            .iter()
+            .map(|&node| match node {
+                NetNode::Or(a, b) => fuse(nodes, &readers, a, b).unwrap_or(Eval::Node),
+                _ => Eval::Node,
+            })
+            .collect();
+        // Operands precede their readers, so one backward sweep from the
+        // roots finds every net the plan reads.
+        let mut live = vec![false; nodes.len()];
+        for n in roots() {
+            live[n.0 as usize] = true;
+        }
+        for i in (0..nodes.len()).rev() {
+            let is_gate = operands(nodes[i]).next().is_some();
+            if !live[i] && is_gate {
+                plan[i] = Eval::Skip;
+                continue;
+            }
+            let mut mark = |n: NetId| live[n.0 as usize] = true;
+            match plan[i] {
+                Eval::Ite(s, t, e) => [s, t, e].into_iter().for_each(&mut mark),
+                _ => operands(nodes[i]).for_each(&mut mark),
+            }
+        }
+        SymbolicSim { netlist, plan }
     }
 
     /// The reset state as constant BDDs.
@@ -84,41 +187,52 @@ impl<'a> SymbolicSim<'a> {
         let port_words: Vec<Option<&BddVec>> =
             netlist.inputs.iter().map(|p| inputs.get(&p.name)).collect();
         let mut values: Vec<Bdd> = Vec::with_capacity(netlist.nodes.len());
-        for node in &netlist.nodes {
-            let v = match *node {
-                NetNode::Const(b) => manager.constant(b),
-                NetNode::Input { port, bit } => {
-                    let word = port_words[port as usize].unwrap_or_else(|| {
-                        panic!(
-                            "symbolic simulation of `{}`: no value supplied for input `{}`",
-                            netlist.name, netlist.inputs[port as usize].name
-                        )
-                    });
-                    assert_eq!(
-                        word.width(),
-                        netlist.inputs[port as usize].width,
-                        "input `{}` width mismatch",
-                        netlist.inputs[port as usize].name
+        for (node, &eval) in netlist.nodes.iter().zip(&self.plan) {
+            let v = match eval {
+                Eval::Skip => Bdd::FALSE,
+                Eval::Ite(s, t, e) => {
+                    let (s, t, e) = (
+                        values[s.0 as usize],
+                        values[t.0 as usize],
+                        values[e.0 as usize],
                     );
-                    word.bit(bit as usize)
+                    manager.ite(s, t, e)
                 }
-                NetNode::Reg(r) => state.regs[r as usize],
-                NetNode::Not(a) => {
-                    let x = values[a.0 as usize];
-                    manager.not(x)
-                }
-                NetNode::And(a, b) => {
-                    let (x, y) = (values[a.0 as usize], values[b.0 as usize]);
-                    manager.and(x, y)
-                }
-                NetNode::Or(a, b) => {
-                    let (x, y) = (values[a.0 as usize], values[b.0 as usize]);
-                    manager.or(x, y)
-                }
-                NetNode::Xor(a, b) => {
-                    let (x, y) = (values[a.0 as usize], values[b.0 as usize]);
-                    manager.xor(x, y)
-                }
+                Eval::Node => match *node {
+                    NetNode::Const(b) => manager.constant(b),
+                    NetNode::Input { port, bit } => {
+                        let word = port_words[port as usize].unwrap_or_else(|| {
+                            panic!(
+                                "symbolic simulation of `{}`: no value supplied for input `{}`",
+                                netlist.name, netlist.inputs[port as usize].name
+                            )
+                        });
+                        assert_eq!(
+                            word.width(),
+                            netlist.inputs[port as usize].width,
+                            "input `{}` width mismatch",
+                            netlist.inputs[port as usize].name
+                        );
+                        word.bit(bit as usize)
+                    }
+                    NetNode::Reg(r) => state.regs[r as usize],
+                    NetNode::Not(a) => {
+                        let x = values[a.0 as usize];
+                        manager.not(x)
+                    }
+                    NetNode::And(a, b) => {
+                        let (x, y) = (values[a.0 as usize], values[b.0 as usize]);
+                        manager.and(x, y)
+                    }
+                    NetNode::Or(a, b) => {
+                        let (x, y) = (values[a.0 as usize], values[b.0 as usize]);
+                        manager.or(x, y)
+                    }
+                    NetNode::Xor(a, b) => {
+                        let (x, y) = (values[a.0 as usize], values[b.0 as usize]);
+                        manager.xor(x, y)
+                    }
+                },
             };
             values.push(v);
         }
@@ -240,7 +354,7 @@ impl<'a> SymbolicSim<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ConcreteSim, Netlist, NetlistBuilder};
+    use crate::{ConcreteSim, Netlist, NetlistBuilder, Word};
 
     fn accumulator() -> Netlist {
         let mut b = NetlistBuilder::new("acc");
@@ -294,6 +408,163 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The gate-by-gate reference for [`SymbolicSim::step`]: one BDD
+    /// operation per net, no evaluation plan.
+    fn reference_step(
+        netlist: &Netlist,
+        m: &mut BddManager,
+        state: &SymState,
+        inputs: &BTreeMap<String, BddVec>,
+    ) -> (SymState, BTreeMap<String, BddVec>) {
+        let mut values: Vec<Bdd> = Vec::new();
+        for &node in &netlist.nodes {
+            let at = |n: NetId| values[n.0 as usize];
+            let v = match node {
+                NetNode::Const(b) => m.constant(b),
+                NetNode::Input { port, bit } => {
+                    inputs[&netlist.inputs[port as usize].name].bit(bit as usize)
+                }
+                NetNode::Reg(r) => state.regs[r as usize],
+                NetNode::Not(a) => m.not(at(a)),
+                NetNode::And(a, b) => m.and(at(a), at(b)),
+                NetNode::Or(a, b) => m.or(at(a), at(b)),
+                NetNode::Xor(a, b) => m.xor(at(a), at(b)),
+            };
+            values.push(v);
+        }
+        let word =
+            |nets: &[NetId]| BddVec::from_bits(nets.iter().map(|n| values[n.0 as usize]).collect());
+        let regs = netlist
+            .regs
+            .iter()
+            .map(|r| values[r.next.expect("assigned").0 as usize])
+            .collect();
+        let outputs = netlist
+            .outputs
+            .iter()
+            .map(|(name, nets)| (name.clone(), word(nets)))
+            .collect();
+        (SymState { regs }, outputs)
+    }
+
+    /// Steps `netlist` for several cycles with fresh input variables each
+    /// cycle, asserting that the planned evaluation returns the very handles
+    /// the reference does, in the same manager.
+    fn assert_plan_matches_reference(netlist: &Netlist) -> SymbolicSim<'_> {
+        let sym = SymbolicSim::new(netlist);
+        let mut m = BddManager::new();
+        let mut state = sym.initial_state(&m);
+        for cycle in 0..4 {
+            let inputs: BTreeMap<String, BddVec> = netlist
+                .inputs
+                .iter()
+                .map(|p| {
+                    let vars = m.new_vars(p.width);
+                    (p.name.clone(), BddVec::from_vars(&mut m, &vars))
+                })
+                .collect();
+            let expected = reference_step(netlist, &mut m, &state, &inputs);
+            let (next, outputs) = sym.step(&mut m, &state, &inputs);
+            assert_eq!(next, expected.0, "next state in cycle {cycle}");
+            assert_eq!(outputs, expected.1, "outputs in cycle {cycle}");
+            state = next;
+        }
+        sym
+    }
+
+    fn plan_of(sym: &SymbolicSim<'_>, net: NetId) -> Eval {
+        sym.plan[net.0 as usize]
+    }
+
+    #[test]
+    fn multiplexers_evaluate_as_one_ite() {
+        let mut b = NetlistBuilder::new("mux");
+        let s = b.input("s", 1).bit(0);
+        let t = b.input("t", 2);
+        let u = b.input("u", 2);
+        let r = b.register("r", 2, 1);
+        let plain = b.wmux(s, &t, &r.value());
+        // `mux(¬s, ..)` builds `¬s∧t ∨ s∧e`: the select is the `Not`.
+        let ns = b.not(s);
+        let negated = b.wmux(ns, &plain, &u);
+        b.set_next(&r, &negated);
+        b.expose("plain", &plain);
+        let n = b.finish().expect("valid");
+        let sym = assert_plan_matches_reference(&n);
+        for bit in 0..2 {
+            assert!(matches!(plan_of(&sym, plain.bit(bit)), Eval::Ite(sel, ..) if sel == s));
+            assert!(matches!(plan_of(&sym, negated.bit(bit)), Eval::Ite(sel, ..) if sel == s));
+        }
+        // Both `And`s of every multiplexer, and the `Not` only they read,
+        // are absorbed.
+        assert_eq!(plan_of(&sym, ns), Eval::Skip);
+        let evaluated = sym.plan.iter().filter(|&&e| e != Eval::Skip).count();
+        assert_eq!(evaluated, n.nodes.len() - 2 * 4 - 1);
+    }
+
+    #[test]
+    fn a_multiplexer_whose_and_has_another_reader_stays_unfused() {
+        let mut b = NetlistBuilder::new("shared");
+        let s = b.input("s", 1).bit(0);
+        let t = b.input("t", 1).bit(0);
+        let e = b.input("e", 1).bit(0);
+        let m = b.mux(s, t, e);
+        let st = b.and(s, t);
+        b.expose_bit("m", m);
+        b.expose_bit("st", st);
+        let hold = b.register("hold", 1, 0);
+        b.set_next(&hold, &Word::from_bit(m));
+        let n = b.finish().expect("valid");
+        let sym = assert_plan_matches_reference(&n);
+        assert_eq!(plan_of(&sym, m), Eval::Node);
+        assert_eq!(plan_of(&sym, st), Eval::Node);
+    }
+
+    #[test]
+    fn adders_and_register_file_reads_match_the_reference() {
+        let mut b = NetlistBuilder::new("datapath");
+        let x = b.input("x", 4);
+        let addr = b.input("addr", 2);
+        let rf = b.reg_array("rf", 3, 4, 5);
+        let read = b.reg_array_read(&rf, &addr);
+        let sum = b.wadd(&read, &x);
+        let diff = b.wsub(&read, &x);
+        b.reg_array_write(&rf, &[(addr.bit(0), addr.clone(), sum.clone())]);
+        b.expose("sum", &sum);
+        b.expose("diff", &diff);
+        b.expose("read", &read);
+        let n = b.finish().expect("valid");
+        let sym = assert_plan_matches_reference(&n);
+        // The read tree's multiplexers are fused, and so is each ripple
+        // carry that is an `Or` (the carries into bits 2 and 3): a sum bit is
+        // `x⊕y⊕c`, and its carry operand `c` is `ite(x⊕y, c', x)`.
+        let is_xor = |net: NetId| matches!(n.nodes[net.0 as usize], NetNode::Xor(..));
+        for bit in 0..4 {
+            assert!(matches!(plan_of(&sym, read.bit(bit)), Eval::Ite(..)));
+        }
+        for bit in 2..4 {
+            let NetNode::Xor(a, c) = n.nodes[sum.bit(bit).0 as usize] else {
+                panic!("a sum bit is an xor");
+            };
+            assert!([a, c]
+                .into_iter()
+                .any(|net| matches!(plan_of(&sym, net), Eval::Ite(sel, ..) if is_xor(sel))));
+        }
+    }
+
+    #[test]
+    fn dead_gates_are_skipped() {
+        let mut b = NetlistBuilder::new("dead");
+        let x = b.input("x", 2);
+        let acc = b.register("acc", 2, 0);
+        let dead = b.and(x.bit(0), x.bit(1));
+        let sum = b.wadd(&acc.value(), &x);
+        b.set_next(&acc, &sum);
+        let n = b.finish().expect("valid");
+        let sym = assert_plan_matches_reference(&n);
+        assert_eq!(plan_of(&sym, dead), Eval::Skip);
     }
 
     #[test]

@@ -69,7 +69,10 @@ proptest! {
     /// symbolic outputs under a concrete assignment gives the concrete trace.
     #[test]
     fn symbolic_agrees_with_concrete(inputs in proptest::collection::vec(0u64..16, 1..6)) {
-        // A 4-bit accumulator with a running XOR checksum.
+        // A 4-bit accumulator with a running XOR checksum, plus a
+        // multiplexer-heavy part: a 4-entry file written with the sum and
+        // read back through its multiplexer tree, and a register that picks
+        // the read or the checksum under a `Not` select.
         let mut b = NetlistBuilder::new("acc");
         let data = b.input("data", 4);
         let acc = b.register("acc", 4, 0);
@@ -78,9 +81,17 @@ proptest! {
         let x = b.wxor(&chk.value(), &data);
         b.set_next(&acc, &sum);
         b.set_next(&chk, &x);
+        let rf = b.reg_array("rf", 4, 4, 0b0110);
+        b.reg_array_write(&rf, &[(data.bit(2), data.slice(0, 2), sum.clone())]);
+        let read = b.reg_array_read(&rf, &acc.value().slice(1, 2));
+        let pick = b.register("pick", 4, 0);
+        let select = b.not(data.bit(3));
+        let picked = b.wmux(select, &read, &x);
+        b.set_next(&pick, &picked);
         b.expose("acc", &acc.value());
         b.expose("chk", &chk.value());
         let netlist = b.finish().expect("valid");
+        let registers = ["acc", "chk", "pick", "rf[0]", "rf[1]", "rf[2]", "rf[3]"];
 
         // Concrete run.
         let mut concrete = ConcreteSim::new(&netlist);
@@ -106,10 +117,10 @@ proptest! {
                 vars.iter().position(|&x| x == v).is_some_and(|bit| inputs[c] >> bit & 1 == 1)
             })
         };
-        let acc_sym = state.register(&netlist, "acc").expect("acc").eval(&m, assignment);
-        let chk_sym = state.register(&netlist, "chk").expect("chk").eval(&m, assignment);
-        prop_assert_eq!(acc_sym, concrete.register("acc").expect("acc"));
-        prop_assert_eq!(chk_sym, concrete.register("chk").expect("chk"));
+        for name in registers {
+            let symbolic = state.register(&netlist, name).expect("register").eval(&m, assignment);
+            prop_assert_eq!(symbolic, concrete.register(name).expect("register"), "{}", name);
+        }
     }
 
     /// Register arrays behave like software arrays under random write/read

@@ -20,7 +20,7 @@ use std::time::Instant;
 
 use pipeverify_core::cache::ArtifactCache;
 use pipeverify_core::json::Json;
-use pipeverify_core::{pool, trace_io, BudgetExceeded, MachineSpec, SimulationPlan, Verifier};
+use pipeverify_core::{pool, trace_io, MachineSpec, SimulationPlan, Verifier};
 use pv_isa::alpha0::Alpha0Config;
 use pv_proc::alpha0::{self, PipelineConfig};
 use pv_proc::family::{FamilyBug, FamilyConfig};
@@ -70,18 +70,15 @@ from the environment; budget-exhausted plans degrade the report (or fail the
 job with a typed error when no plan completes) instead of killing the batch.
 ";
 
-/// Budget aborts and injected faults unwind through `panic_any` and are
-/// caught at the pool boundary — they are control flow, not crashes. The
-/// default hook would still spam a full panic report for each one; replace
-/// it with a single concise line for those payloads and keep the default
-/// for everything genuinely unexpected.
+/// Injected faults unwind through `panic_any` and are caught at the pool
+/// boundary — they are control flow, not crashes. The default hook would
+/// still spam a full panic report for each one; replace it with a single
+/// concise line for those payloads and keep the default for everything
+/// genuinely unexpected. (Budget aborts unwind without running the hook.)
 fn install_panic_hook() {
     let default = std::panic::take_hook();
     std::panic::set_hook(Box::new(move |info| {
-        let payload = info.payload();
-        if let Some(exceeded) = payload.downcast_ref::<BudgetExceeded>() {
-            eprintln!("pv: worker aborted: {exceeded}");
-        } else if let Some(fault) = payload.downcast_ref::<pv_obs::InjectedFault>() {
+        if let Some(fault) = info.payload().downcast_ref::<pv_obs::InjectedFault>() {
             eprintln!("pv: worker aborted: {fault}");
         } else {
             default(info);

@@ -89,10 +89,10 @@ fn a_lost_annulment_keeps_its_counterexample_and_allocates_less() {
     assert_eq!(recipe.variable, "r0");
     assert_eq!((recipe.pipelined_value, recipe.unpipelined_value), (1, 0));
     assert!(replayed, "the counterexample must replay concretely");
-    // The full run allocated 50,422 nodes; the failing plan now stops at
-    // slot 1's sample instead of draining the pipeline.
+    // The full run allocates 29,730 nodes; the failing plan stops at slot
+    // 1's sample instead of draining the pipeline.
     assert!(
-        report.space < 50_422,
+        report.space < 29_730,
         "no early stop: {} BDD nodes",
         report.space
     );
@@ -105,5 +105,5 @@ fn a_correct_design_with_annulled_slots_does_the_same_bdd_work() {
     assert!(report.complete());
     assert_eq!(report.units_checked, 5);
     assert_eq!(report.checks, 60);
-    assert_eq!(report.space, 11_406);
+    assert_eq!(report.space, 6_553);
 }

@@ -242,7 +242,7 @@ fn strict_io_equivalence_fails_where_outputs_are_retimed() {
     // fixpoint.
     assert_eq!(product.iterations, 1);
     assert_eq!(product.reachable_states, 8.0);
-    assert_eq!(product.bdd_nodes, 1054);
+    assert_eq!(product.bdd_nodes, 1006);
     assert_eq!(product.state_bits, 9);
     // The β-relation on the processor pair holds (reduced model, one plan).
     let pipelined = vsm::pipelined(VsmConfig::reduced(2)).expect("build");
@@ -266,5 +266,5 @@ fn product_machine_confirms_self_equivalence() {
     // "equal states" diagonal (2^4 of the 2^8 product states) is reachable.
     assert_eq!(report.reachable_states, 16.0);
     assert_eq!(report.iterations, 2);
-    assert_eq!(report.bdd_nodes, 1250);
+    assert_eq!(report.bdd_nodes, 1129);
 }
