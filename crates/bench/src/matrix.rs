@@ -16,13 +16,20 @@
 //! seeded bug has a soundness hole, a flow that rejects a correct design has
 //! a completeness hole, and a counterexample that does not replay concretely
 //! is an artefact of the symbolic machinery rather than a real divergence.
+//!
+//! Each cell runs as one `pv batch` job through [`JobRunner::run`] (no
+//! cache), so the campaign exercises the service's own elaboration and flow
+//! dispatch, and the `PV_DEADLINE_MS`/`PV_NODE_BUDGET` defaults govern it as
+//! they govern the service.
 
 use std::fmt;
 use std::time::Duration;
 
-use pipeverify_core::{MachineSpec, ReplayOutcome, VerificationFlow, Verifier};
-use pv_flush::FlushVerifier;
-use pv_proc::family::{self, FamilyBug, FamilyConfig};
+use pipeverify_core::ReplayOutcome;
+use pv_proc::family::{FamilyBug, FamilyConfig};
+use pv_server::job;
+use pv_server::protocol::{DesignSpec, FlowKind, JobRequest, PlanSet};
+use pv_server::JobRunner;
 
 /// The campaign's configuration axis: thirteen stallable family members
 /// spanning depths 2–8, two word widths, two register-file sizes and both
@@ -145,44 +152,42 @@ impl fmt::Display for CellReport {
     }
 }
 
-/// Runs one matrix cell: elaborates the (possibly bug-injected) pipelined
-/// design and its correct serial specification, pushes the pair through both
-/// flows, and concretely replays the β counterexample if there is one.
+/// Runs one matrix cell: the (possibly bug-injected) design as one job
+/// through both flows on [`JobRunner::run`], then concretely replays the β
+/// counterexample, if there is one, on the netlists [`job::elaborate`]
+/// builds for that job.
 ///
 /// # Errors
-/// Returns the flow's own error rendering when either flow rejects the
-/// generated pair outright (missing ports, underivable hints, …) — which the
+/// Returns the job error's rendering when the job fails outright (a flow
+/// rejects the generated pair, or a budget starves a flow) — which the
 /// matrix also counts as a violation, since every generated design must be
 /// *verifiable*.
 pub fn run_cell(config: FamilyConfig, bug: Option<FamilyBug>) -> Result<CellReport, String> {
-    let implementation = match bug {
-        Some(bug) => config.with_bug(bug),
-        None => config,
+    let job = JobRequest {
+        id: 0,
+        design: DesignSpec::Family(bug.map_or(config, |bug| config.with_bug(bug))),
+        flows: vec![FlowKind::Beta, FlowKind::Flushing],
+        plans: PlanSet::Default,
+        deadline_ms: None,
+        node_budget: None,
     };
-    let pipelined = family::pipelined(implementation).map_err(|e| e.to_string())?;
-    let unpipelined = family::unpipelined(config).map_err(|e| e.to_string())?;
-    let beta = Verifier::new(MachineSpec::family(
-        config.depth,
-        config.word_width,
-        config.num_regs,
-        config.delay_slots,
-    ));
-    let beta_report = beta
-        .verify_flow(&pipelined, &unpipelined)
-        .map_err(|e| e.to_string())?;
-    let flush_report = FlushVerifier::from_netlist(&pipelined)
-        .map_err(|e| e.to_string())?
-        .verify()
-        .to_flow_report();
-    let replay = beta_report.replay(&pipelined, &unpipelined);
+    let response = JobRunner::new(None).run(&job).map_err(|e| e.to_string())?;
+    let beta = &response.results[0].report;
+    let flushing = &response.results[1].report;
+    let replay = if beta.counterexample.is_some() {
+        let (pipelined, unpipelined, _) = job::elaborate(&job.design)?;
+        beta.replay(&pipelined, &unpipelined)
+    } else {
+        None
+    };
     Ok(CellReport {
         config,
         bug,
-        beta_equivalent: beta_report.equivalent,
-        flush_equivalent: flush_report.equivalent,
+        beta_equivalent: beta.equivalent,
+        flush_equivalent: flushing.equivalent,
         replay,
-        beta_wall: beta_report.wall_time,
-        flush_wall: flush_report.wall_time,
+        beta_wall: beta.wall_time,
+        flush_wall: flushing.wall_time,
     })
 }
 

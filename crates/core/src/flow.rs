@@ -1,33 +1,36 @@
-//! The unified front-end over the repository's two verification flows.
+//! The report shape shared by the repository's two verification flows.
 //!
-//! The β-relation methodology ([`Verifier`]) and the Burch–Dill flushing
-//! method (`pv-flush`'s `FlushVerifier`) answer the same question — *does the
-//! pipelined netlist realise its specification?* — through very different
-//! machinery: bit-level symbolic simulation over ROBDDs on one side, EUF
-//! validity of a commuting diagram over an uninterpreted datapath on the
-//! other. The [`VerificationFlow`] trait gives them one call shape and one
-//! report shape, so a *single* stallable netlist (see
+//! The β-relation methodology ([`Verifier`](crate::Verifier)) and the
+//! Burch–Dill flushing method (`pv-flush`'s `FlushVerifier`) answer the same
+//! question — *does the pipelined netlist realise its specification?* —
+//! through very different machinery: bit-level symbolic simulation over
+//! ROBDDs on one side, EUF validity of a commuting diagram over an
+//! uninterpreted datapath on the other. Each flow has one entry point with
+//! its own report ([`Verifier::verify_plans`](crate::Verifier::verify_plans)
+//! → [`VerificationReport`], `FlushVerifier::verify` → `FlushReport`), and
+//! each report renders into the one [`FlowReport`] shape through its
+//! `to_flow_report`, so a *single* stallable netlist (see
 //! `Netlist::pipeline_hints`) can be pushed through both flows and the
 //! verdicts compared directly:
 //!
 //! ```no_run
-//! use pipeverify_core::{MachineSpec, VerificationFlow, Verifier};
+//! use pipeverify_core::{MachineSpec, Verifier};
 //! use pv_proc::vsm::{self, VsmConfig};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let pipelined = vsm::pipelined(VsmConfig::reduced(2).stallable())?;
 //! let unpipelined = vsm::unpipelined(VsmConfig::reduced(2))?;
 //! let beta = Verifier::new(MachineSpec::vsm_reduced(2).with_stall_port("stall"));
-//! let report = beta.verify_flow(&pipelined, &unpipelined)?;
+//! let report = beta.verify(&pipelined, &unpipelined)?.to_flow_report();
 //! assert!(report.equivalent);
-//! // pv_flush::FlushVerifier::from_netlist(&pipelined)? answers through the
-//! // same trait — see the `both_flows` example.
+//! // pv_flush::FlushVerifier::from_netlist(&pipelined)?.verify().to_flow_report()
+//! // answers in the same shape — see the `both_flows` example.
 //! # Ok(())
 //! # }
 //! ```
 //!
-//! Both implementations also share their work-distribution substrate: batches
-//! of independent units (simulation plans here, EUF case-split blocks in
+//! Both flows also share their work-distribution substrate: batches of
+//! independent units (simulation plans here, EUF case-split blocks in
 //! `pv-flush`) run on [`crate::pool`] with the same deterministic
 //! lowest-index-counterexample merge rule, so either flow's report is
 //! field-by-field identical for any worker count.
@@ -41,38 +44,12 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use pv_netlist::Netlist;
 
 use crate::plan::run_concrete;
-use crate::verify::{VerificationReport, Verifier};
-
-/// A verification flow: anything that can check a pipelined netlist against
-/// an unpipelined specification netlist and answer with the shared
-/// [`FlowReport`] shape.
-///
-/// Implemented by the β-relation [`Verifier`] (which simulates both netlists
-/// bit-level) and by `pv_flush::FlushVerifier` (which derives a term-level
-/// pipeline description from the *pipelined* netlist's
-/// `pv_netlist::PipelineHints` and decides the flushing commuting diagram —
-/// the specification netlist is not consulted, because flushing's
-/// specification is the uninterpreted single-step ISA semantics).
-pub trait VerificationFlow {
-    /// Short stable name of the flow (`"beta-relation"`, `"flushing"`).
-    fn flow_name(&self) -> &'static str;
-
-    /// Verifies the design pair and reports through the shared shape.
-    ///
-    /// # Errors
-    /// Returns [`FlowError`] when the netlists do not fit the flow (missing
-    /// ports, no stall input / pipeline hints, …).
-    fn verify_flow(
-        &self,
-        pipelined: &Netlist,
-        unpipelined: &Netlist,
-    ) -> Result<FlowReport, FlowError>;
-}
+use crate::verify::VerificationReport;
 
 /// How a flow (or one of its units of work) failed — the structured taxonomy
 /// that lets callers distinguish "the design is wrong for this flow" from
@@ -172,52 +149,6 @@ impl fmt::Display for FlowErrorKind {
         f.write_str(self.as_str())
     }
 }
-
-/// A flow-agnostic verification error: which flow failed, how
-/// ([`FlowErrorKind`]), and why.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct FlowError {
-    /// Name of the flow that failed.
-    pub flow: &'static str,
-    /// The failure class.
-    pub kind: FlowErrorKind,
-    /// Human-readable reason.
-    pub message: String,
-}
-
-impl FlowError {
-    /// An [`FlowErrorKind::Invalid`] error — the historical "the inputs do
-    /// not fit this flow" case.
-    pub fn invalid(flow: &'static str, message: impl Into<String>) -> Self {
-        FlowError {
-            flow,
-            kind: FlowErrorKind::Invalid,
-            message: message.into(),
-        }
-    }
-
-    /// An error of the given kind.
-    pub fn new(flow: &'static str, kind: FlowErrorKind, message: impl Into<String>) -> Self {
-        FlowError {
-            flow,
-            kind,
-            message: message.into(),
-        }
-    }
-}
-
-impl fmt::Display for FlowError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.kind {
-            // The historical rendering for invalid inputs, which error
-            // messages and tests match on.
-            FlowErrorKind::Invalid => write!(f, "{} flow: {}", self.flow, self.message),
-            kind => write!(f, "{} flow: {kind}: {}", self.flow, self.message),
-        }
-    }
-}
-
-impl std::error::Error for FlowError {}
 
 /// One unit of work (simulation plan / case-split block) that failed — a
 /// budget abort or a worker panic — while the rest of its batch completed:
@@ -354,7 +285,7 @@ pub struct FlowCounterexample {
     pub replay: Option<ReplayRecipe>,
 }
 
-/// The report shape shared by every [`VerificationFlow`]: verdict,
+/// The report shape shared by both verification flows: verdict,
 /// counterexample, cost statistics and a wall-time breakdown over the units
 /// of work the flow distributed.
 #[derive(Clone, Debug)]
@@ -492,10 +423,8 @@ impl fmt::Display for FlowReport {
 }
 
 impl VerificationReport {
-    /// Renders this β-relation report in the shared [`FlowReport`] shape
-    /// (`wall_time` is the caller's measurement: the report itself only
-    /// carries per-plan walls).
-    pub fn to_flow_report(&self, wall_time: Duration) -> FlowReport {
+    /// Renders this β-relation report in the shared [`FlowReport`] shape.
+    pub fn to_flow_report(&self) -> FlowReport {
         FlowReport {
             flow: "beta-relation",
             design: self.machine.clone(),
@@ -515,31 +444,11 @@ impl VerificationReport {
             space: self.bdd_nodes,
             space_label: "BDD nodes",
             threads_used: self.threads_used,
-            wall_time,
+            wall_time: self.wall_time,
             unit_walls: self.plan_reports.iter().map(|p| p.wall_time).collect(),
             metrics: self.metrics.clone(),
             unit_failures: self.plan_failures.clone(),
         }
-    }
-}
-
-impl VerificationFlow for Verifier {
-    fn flow_name(&self) -> &'static str {
-        "beta-relation"
-    }
-
-    /// Runs the default Section 5.3 plan sweep ([`Verifier::verify`]) and
-    /// reports through the shared shape.
-    fn verify_flow(
-        &self,
-        pipelined: &Netlist,
-        unpipelined: &Netlist,
-    ) -> Result<FlowReport, FlowError> {
-        let started = Instant::now();
-        let report = self
-            .verify(pipelined, unpipelined)
-            .map_err(|e| FlowError::invalid(self.flow_name(), e.to_string()))?;
-        Ok(report.to_flow_report(started.elapsed()))
     }
 }
 
@@ -548,7 +457,6 @@ const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<FlowReport>();
     assert_send_sync::<FlowCounterexample>();
-    assert_send_sync::<FlowError>();
     assert_send_sync::<FlowErrorKind>();
     assert_send_sync::<UnitFailure>();
     assert_send_sync::<ReplayRecipe>();

@@ -28,9 +28,9 @@
 //!
 //! The crate also contains the baselines the evaluation compares against
 //! (the product-machine reachability equivalence procedure of Section 3.4 and
-//! a conventional random-simulation checker) and the [`VerificationFlow`]
-//! front-end, which gives this flow and the Burch–Dill flushing flow of
-//! `pv-flush` one call shape and one report shape — a stallable netlist
+//! a conventional random-simulation checker) and the [`FlowReport`] shape
+//! that this flow's report and the Burch–Dill flushing flow's (`pv-flush`)
+//! both render into through `to_flow_report` — a stallable netlist
 //! (`VsmConfig::stallable`, `MachineSpec::with_stall_port`) runs through
 //! both, and the verdicts are directly comparable (see `DESIGN.md` § "Where
 //! they meet").
@@ -68,8 +68,7 @@ mod verify;
 
 pub use baseline::{product_equivalence, random_simulation, ProductReport, RandomSimReport};
 pub use flow::{
-    FlowCounterexample, FlowError, FlowErrorKind, FlowReport, ReplayOutcome, ReplayRecipe,
-    UnitFailure, VerificationFlow,
+    FlowCounterexample, FlowErrorKind, FlowReport, ReplayOutcome, ReplayRecipe, UnitFailure,
 };
 pub use plan::{CycleInput, ParsePlanError, SimulationPlan, SimulationSchedule, Slot};
 pub use spec::MachineSpec;

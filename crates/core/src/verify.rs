@@ -207,6 +207,10 @@ pub struct VerificationReport {
     pub counterexample: Option<Counterexample>,
     /// Worker threads the batch ran on (1 = the sequential path).
     pub threads_used: usize,
+    /// Wall-clock time of the whole [`Verifier::verify_plans`] call
+    /// (nondeterministic, like the per-plan walls; zero straight out of
+    /// [`merge`](Self::merge)).
+    pub wall_time: Duration,
     /// Per-plan breakdown, in plan order, truncated exactly where the
     /// sequential loop would have stopped (after the first failing plan).
     /// The per-plan [`wall_time`](PlanReport::wall_time) exposes the parallel
@@ -270,6 +274,7 @@ impl VerificationReport {
             filters: (String::new(), String::new()),
             counterexample: None,
             threads_used,
+            wall_time: Duration::ZERO,
             plan_reports: Vec::new(),
             metrics: BTreeMap::new(),
             plan_failures,
@@ -446,12 +451,6 @@ impl Verifier {
         self
     }
 
-    /// The resource budget attached via [`with_budget`](Self::with_budget),
-    /// if any.
-    pub fn budget(&self) -> Option<&Budget> {
-        self.budget.as_ref()
-    }
-
     /// The resolved worker count for an unbounded batch: the explicit
     /// [`with_threads`](Self::with_threads) setting if any, otherwise
     /// [`pool::default_threads`] (`PV_THREADS` / available parallelism).
@@ -527,6 +526,7 @@ impl Verifier {
         unpipelined: &Netlist,
         plans: &[SimulationPlan],
     ) -> Result<VerificationReport, VerifyError> {
+        let started = Instant::now();
         self.spec.check(pipelined, unpipelined, plans)?;
         let threads = self.threads().min(plans.len().max(1));
         let instr_order = self.instr_order(pipelined);
@@ -567,12 +567,10 @@ impl Verifier {
                 }
             }
         }
-        Ok(VerificationReport::merge(
-            self.spec.name.clone(),
-            threads,
-            prefix,
-            failures,
-        ))
+        let mut report =
+            VerificationReport::merge(self.spec.name.clone(), threads, prefix, failures);
+        report.wall_time = started.elapsed();
+        Ok(report)
     }
 
     /// The FORCE-derived static order of the instruction bits

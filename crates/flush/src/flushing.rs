@@ -35,16 +35,12 @@
 use std::fmt;
 use std::time::{Duration, Instant};
 
-use pipeverify_core::{
-    pool, Budget, FlowCounterexample, FlowError, FlowErrorKind, FlowReport, UnitFailure,
-    VerificationFlow,
-};
+use pipeverify_core::{pool, Budget, FlowCounterexample, FlowErrorKind, FlowReport, UnitFailure};
 use pv_netlist::Netlist;
 
 use crate::euf::{self, EufCounterexample};
 use crate::pipeline::{
-    flush, impl_step, spec_step_for, ArchState, DeriveError, Instruction, PipelineDesc,
-    PipelineState,
+    flush, impl_step, spec_step, ArchState, DeriveError, Instruction, PipelineDesc, PipelineState,
 };
 use crate::term::{Sort, Term, TermManager};
 
@@ -184,12 +180,6 @@ pub struct FlushVerifier {
     desc: PipelineDesc,
     threads: Option<usize>,
     budget: Option<Budget>,
-    /// Whether `desc` came from [`PipelineDesc::from_netlist`]. A
-    /// netlist-derived verifier follows whatever netlist the
-    /// [`VerificationFlow`] front-end hands it; an explicitly configured one
-    /// refuses a netlist that derives a different description (see
-    /// [`FlushVerifier::verify_flow`]).
-    netlist_derived: bool,
 }
 
 // Cube checks run on pool workers holding `&FlushVerifier` and the shared
@@ -212,7 +202,6 @@ impl FlushVerifier {
             desc,
             threads: None,
             budget: None,
-            netlist_derived: false,
         }
     }
 
@@ -225,10 +214,7 @@ impl FlushVerifier {
     /// Returns [`DeriveError`] when the netlist records no pipeline
     /// structure or has no stall input.
     pub fn from_netlist(netlist: &Netlist) -> Result<Self, DeriveError> {
-        Ok(FlushVerifier {
-            netlist_derived: true,
-            ..FlushVerifier::new(PipelineDesc::from_netlist(netlist)?)
-        })
+        Ok(FlushVerifier::new(PipelineDesc::from_netlist(netlist)?))
     }
 
     /// Sets the worker count for the EUF case split: `1` checks the cubes
@@ -282,7 +268,7 @@ impl FlushVerifier {
         // the implementation itself with bubbles, so the same (possibly buggy)
         // model is used on both legs.
         let start = flush(terms, &self.desc, &s);
-        let spec = spec_step_for(terms, &self.desc, start, fetched);
+        let spec = spec_step(terms, &self.desc, start, fetched);
 
         // In an annulling description the step consumes the fetched
         // instruction only when the branch in RD/EX does not squash it, so
@@ -382,56 +368,6 @@ impl FlushVerifier {
         }
         report.wall_time = started.elapsed();
         report
-    }
-}
-
-impl VerificationFlow for FlushVerifier {
-    fn flow_name(&self) -> &'static str {
-        "flushing"
-    }
-
-    /// Derives the pipeline description from the **pipelined** netlist and
-    /// checks the commuting diagram. The unpipelined netlist is not
-    /// consulted: flushing's specification side is the uninterpreted
-    /// single-step ISA semantics ([`spec_step_for`]), which is exactly what makes
-    /// the flow independent of the datapath width.
-    ///
-    /// A verifier built with [`FlushVerifier::from_netlist`] follows whatever
-    /// netlist it is handed (the front-end contract: the netlist is the
-    /// source of truth — a design pair seeded with a bug re-derives the
-    /// buggy model). A verifier built with an **explicit** description
-    /// ([`FlushVerifier::new`]) is *checked* against the derivation instead:
-    /// handing it a netlist that derives a different description is an
-    /// error, never a silent substitution.
-    fn verify_flow(
-        &self,
-        pipelined: &Netlist,
-        _unpipelined: &Netlist,
-    ) -> Result<FlowReport, FlowError> {
-        let desc = PipelineDesc::from_netlist(pipelined)
-            .map_err(|e| FlowError::invalid(self.flow_name(), e.to_string()))?;
-        let matches = self.desc.depth == desc.depth
-            && self.desc.bug == desc.bug
-            && self.desc.branching == desc.branching
-            && self.desc.annulling == desc.annulling;
-        if !self.netlist_derived && !matches {
-            return Err(FlowError::invalid(
-                self.flow_name(),
-                format!(
-                    "this verifier was configured with `{}` but netlist `{}` derives `{}`; \
-                     use FlushVerifier::from_netlist for the netlist-backed front-end \
-                     (or FlushVerifier::verify to check the configured description directly)",
-                    self.desc.name,
-                    pipelined.name(),
-                    desc.name
-                ),
-            ));
-        }
-        let derived = FlushVerifier {
-            desc,
-            ..self.clone()
-        };
-        Ok(derived.verify().to_flow_report())
     }
 }
 

@@ -37,10 +37,12 @@
 //!   deterministic lowest-index-counterexample merge the β-relation verifier
 //!   uses.
 //!
-//! [`FlushVerifier`] implements `pipeverify_core::VerificationFlow` — the
-//! same front-end trait as the β-relation `Verifier` — so one stallable
-//! netlist can be pushed through both flows and the shared reports compared
-//! (see the `both_flows` example and `DESIGN.md` § "Where they meet").
+//! [`FlushVerifier::from_netlist`] derives the model from a stallable
+//! netlist, and [`FlushReport::to_flow_report`] renders the result in
+//! `pipeverify_core::FlowReport`, the shape the β-relation `Verifier`'s
+//! report renders into too — so one stallable netlist can be pushed through
+//! both flows and the shared reports compared (see the `both_flows` example
+//! and `DESIGN.md` § "Where they meet").
 //!
 //! # Example
 //!
@@ -68,7 +70,7 @@ pub mod term;
 pub use euf::{check_sat, check_valid, AtomAssignment, EufCounterexample, EufReport};
 pub use flushing::{FlushReport, FlushVerifier};
 pub use pipeline::{
-    flush, impl_step, spec_step, spec_step_for, ArchState, DeriveError, ExStage, Instruction,
-    PipelineBug, PipelineDesc, PipelineState, ResultStage,
+    flush, impl_step, spec_step, ArchState, DeriveError, ExStage, Instruction, PipelineBug,
+    PipelineDesc, PipelineState, ResultStage,
 };
 pub use term::{Sort, Term, TermManager, TermNode};

@@ -248,8 +248,8 @@ impl PipelineDesc {
         // a stall port that gates nothing cannot inject bubbles, and a noted
         // forwarding count that differs from the wired bypass network would
         // derive a model with the wrong hazard semantics. Refusing here (the
-        // `VerificationFlow` front-end maps this to a `FlowError`) beats
-        // silently verifying the wrong model.
+        // service answers it as an `invalid` job error) beats silently
+        // verifying the wrong model.
         if hints.stall_gates == 0 {
             return Err(DeriveError::StallGatesNothing {
                 netlist: netlist.name().to_owned(),
@@ -449,35 +449,25 @@ impl PipelineState {
     }
 }
 
-/// The ISA-level specification step: execute one instruction atomically.
-/// This is the original straight-line (non-branching) semantics; use
-/// [`spec_step_for`] for a description with control transfers.
-pub fn spec_step(t: &mut TermManager, arch: ArchState, instr: Instruction) -> ArchState {
-    let a = t.select(arch.rf, instr.src1);
-    let b = t.select(arch.rf, instr.src2);
-    let result = t.app("alu", &[instr.op, a, b]);
-    let rf = t.store(arch.rf, instr.dest, result);
-    let pc = t.app("succ", &[arch.pc]);
-    ArchState { rf, pc }
-}
-
-/// The ISA-level specification step for `desc`'s instruction set. For a
-/// non-branching description this is exactly [`spec_step`]; for a branching
-/// one the branch op `opbr` writes the link value `succ(pc)` to its
-/// destination and redirects the PC to `btgt(succ(pc), src1)` (every other op
-/// behaves as before).
-pub fn spec_step_for(
+/// The ISA-level specification step for `desc`'s instruction set: execute
+/// one instruction atomically. Every op writes `alu(op, rf[src1], rf[src2])`
+/// to its destination and advances the PC to `succ(pc)`; in a branching
+/// description the branch op `opbr` instead writes the link value `succ(pc)`
+/// and redirects the PC to `btgt(succ(pc), src1)`.
+pub fn spec_step(
     t: &mut TermManager,
     desc: &PipelineDesc,
     arch: ArchState,
     instr: Instruction,
 ) -> ArchState {
-    if !desc.branching {
-        return spec_step(t, arch, instr);
-    }
     let a = t.select(arch.rf, instr.src1);
     let b = t.select(arch.rf, instr.src2);
     let alu = t.app("alu", &[instr.op, a, b]);
+    if !desc.branching {
+        let rf = t.store(arch.rf, instr.dest, alu);
+        let pc = t.app("succ", &[arch.pc]);
+        return ArchState { rf, pc };
+    }
     let opbr = t.var("opbr", Sort::Data);
     let is_br = t.eq(instr.op, opbr);
     let link = t.app("succ", &[arch.pc]);
@@ -690,7 +680,7 @@ mod tests {
             pc: t.var("pc", Sort::Data),
         };
         let i = Instruction::symbolic(&mut t, "i0");
-        let next = spec_step(&mut t, arch, i);
+        let next = spec_step(&mut t, &PipelineDesc::with_depth(3), arch, i);
         // The destination now holds the ALU application of the read operands.
         let got = t.select(next.rf, i.dest);
         let a = t.select(arch.rf, i.src1);
@@ -887,7 +877,7 @@ mod tests {
     }
 
     #[test]
-    fn spec_step_for_executes_branches_atomically() {
+    fn spec_step_executes_branches_atomically() {
         let mut t = TermManager::new();
         let arch = ArchState {
             rf: t.var("rf", Sort::Array),
@@ -895,7 +885,7 @@ mod tests {
         };
         let i = Instruction::symbolic(&mut t, "i0");
         let desc = PipelineDesc::with_depth(3).with_branching();
-        let next = spec_step_for(&mut t, &desc, arch, i);
+        let next = spec_step(&mut t, &desc, arch, i);
         let opbr = t.var("opbr", Sort::Data);
         let is_br = t.eq(i.op, opbr);
         let link = t.app("succ", &[arch.pc]);
@@ -906,10 +896,6 @@ mod tests {
         let b = t.select(arch.rf, i.src2);
         let alu = t.app("alu", &[i.op, a, b]);
         assert_eq!(got, t.ite(is_br, link, alu));
-        // A non-branching description keeps the original semantics exactly.
-        let plain = PipelineDesc::with_depth(3);
-        let next = spec_step_for(&mut t, &plain, arch, i);
-        assert_eq!(next, spec_step(&mut t, arch, i));
     }
 
     #[test]

@@ -50,7 +50,7 @@ impl SymState {
 /// Symbolic simulator for one [`Netlist`].
 ///
 /// [`new`](Self::new) derives an evaluation plan from the netlist once (see
-/// [`Eval`]); every [`step`](Self::step), [`outputs`](Self::outputs) and
+/// the private `Eval`); every [`step`](Self::step), [`outputs`](Self::outputs) and
 /// [`relation`](Self::relation) follows it. ROBDDs are canonical, so the plan
 /// changes how many BDD operations a cycle costs, never a function computed.
 #[derive(Clone, Debug)]

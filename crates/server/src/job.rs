@@ -149,13 +149,10 @@ impl JobRunner {
 
             self.misses.fetch_add(1, Ordering::Relaxed);
             let report = match flow {
-                FlowKind::Beta => {
-                    let started = std::time::Instant::now();
-                    verifier
-                        .verify_plans(&pipelined, &unpipelined, &plans)
-                        .map_err(|e| JobError::invalid(e.to_string()))?
-                        .to_flow_report(started.elapsed())
-                }
+                FlowKind::Beta => verifier
+                    .verify_plans(&pipelined, &unpipelined, &plans)
+                    .map_err(|e| JobError::invalid(e.to_string()))?
+                    .to_flow_report(),
                 FlowKind::Flushing => {
                     let mut flushing = FlushVerifier::from_netlist(&pipelined)
                         .map_err(|e| JobError::invalid(e.to_string()))?
@@ -298,8 +295,15 @@ fn validate_design(design: &DesignSpec) -> Result<(), String> {
 }
 
 /// Elaborates the (possibly bug-seeded) implementation, its *correct*
-/// specification and the β-relation machine specification.
-fn elaborate(design: &DesignSpec) -> Result<(Netlist, Netlist, MachineSpec), String> {
+/// specification and the β-relation machine specification — the one
+/// elaboration of a [`DesignSpec`], shared by [`JobRunner::run`] and callers
+/// that replay a job's counterexample on the netlists it verified.
+///
+/// # Errors
+/// Returns the elaborator's message when the design cannot be built. The
+/// parameters are not range-checked here: [`JobRunner::run`] checks them
+/// first, because out-of-range ones can panic the elaborator.
+pub fn elaborate(design: &DesignSpec) -> Result<(Netlist, Netlist, MachineSpec), String> {
     match *design {
         DesignSpec::Family(config) => {
             let base = FamilyConfig {
@@ -413,6 +417,19 @@ mod tests {
             node_budget: None,
         };
         assert!(runner.run(&vsm).is_err());
+        // The flushing flow drains the pipeline through its stall input, so
+        // a design without one is rejected, not verified.
+        let unstallable = JobRequest {
+            design: DesignSpec::Vsm {
+                num_regs: 2,
+                stallable: false,
+            },
+            flows: vec![FlowKind::Flushing],
+            ..vsm
+        };
+        let error = runner.run(&unstallable).expect_err("no stall input");
+        assert_eq!(error.kind, FlowErrorKind::Invalid);
+        assert!(error.message.contains("stall input"), "{}", error.message);
     }
 
     #[test]

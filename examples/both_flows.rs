@@ -1,8 +1,9 @@
-//! One stallable netlist, two verification flows, one front-end.
+//! One stallable netlist, two verification flows, one report shape.
 //!
 //! The stallable reduced VSM (a `stall` input added to the Figure 12
 //! pipeline; bit-identical to it when un-stalled) runs through **both** of
-//! the repository's verification flows via the `VerificationFlow` trait:
+//! the repository's verification flows, and each flow's report is rendered
+//! into the shared `FlowReport`:
 //!
 //! * the **β-relation** flow simulates the pipelined and unpipelined
 //!   netlists bit-level and compares the sampled observed variables as
@@ -10,16 +11,17 @@
 //! * the **flushing** flow derives a term-level pipeline description from
 //!   the same pipelined netlist (stall port, stage-valid registers,
 //!   forwarding paths) and decides the Burch–Dill commuting diagram in EUF.
+//!   Each design derives its own model, so the bugged design below yields
+//!   the bugged term model.
 //!
-//! Both answer with the same report shape, and both verdicts must agree:
-//! PASS on the correct design, FAIL with a counterexample on the design
-//! seeded with the forwarding bug — which the bit-level flow sees as stale
-//! operand values and the term-level flow sees as a broken commuting
-//! diagram.
+//! Both verdicts must agree: PASS on the correct design, FAIL with a
+//! counterexample on the design seeded with the forwarding bug — which the
+//! bit-level flow sees as stale operand values and the term-level flow sees
+//! as a broken commuting diagram.
 //!
 //! Run with `cargo run --release --example both_flows`.
 
-use pipeverify::core::{MachineSpec, VerificationFlow, Verifier};
+use pipeverify::core::{MachineSpec, Verifier};
 use pipeverify::flush::FlushVerifier;
 use pipeverify::proc::vsm::{self, VsmBug, VsmConfig};
 
@@ -32,11 +34,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let spec = MachineSpec::vsm_reduced(REGS).with_stall_port("stall");
 
     let beta = Verifier::new(spec);
-    // A netlist-derived flushing verifier follows whatever netlist the
-    // front-end hands it, so the bugged design below re-derives the bugged
-    // term model.
-    let flushing = FlushVerifier::from_netlist(&vsm::pipelined(config)?)?;
-    let flows: [&dyn VerificationFlow; 2] = [&beta, &flushing];
 
     for (title, bug, expect_pass) in [
         ("correct stallable VSM", None, true),
@@ -48,9 +45,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ] {
         println!("=== {title} ===\n");
         let pipelined = vsm::pipelined(VsmConfig { bug, ..config })?;
+        let reports = [
+            beta.verify(&pipelined, &unpipelined)?.to_flow_report(),
+            FlushVerifier::from_netlist(&pipelined)?
+                .verify()
+                .to_flow_report(),
+        ];
         let mut verdicts = Vec::new();
-        for flow in flows {
-            let report = flow.verify_flow(&pipelined, &unpipelined)?;
+        for report in reports {
             print!("{report}");
             println!();
             verdicts.push(report.equivalent);

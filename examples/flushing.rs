@@ -1,9 +1,9 @@
-//! The Burch–Dill flushing method, driven through the unified
-//! `VerificationFlow` front-end (see `DESIGN.md`): the pipeline description
-//! is **derived from the stallable VSM netlist** — the same netlist the
-//! β-relation flow simulates bit-level — and the commuting diagram is decided
-//! in EUF, with the independent case-split blocks fanned out over the shared
-//! worker pool.
+//! The Burch–Dill flushing method on a bit-level design (see `DESIGN.md`):
+//! the pipeline description is **derived from the stallable VSM netlist** —
+//! the same netlist the β-relation flow simulates bit-level — the commuting
+//! diagram is decided in EUF, with the independent case-split blocks fanned
+//! out over the shared worker pool, and the result is printed in the
+//! `FlowReport` shape both flows share.
 //!
 //! The example then drops to the term level: the classic three-stage model
 //! (the depth-3 instantiation of the depth-parametric pipeline) is checked
@@ -12,17 +12,14 @@
 //!
 //! Run with `cargo run --release --example flushing`.
 
-use pipeverify::core::VerificationFlow;
 use pipeverify::flush::{FlushVerifier, PipelineBug, PipelineDesc, TermManager};
 use pipeverify::proc::vsm::{self, VsmConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("=== Burch–Dill flushing verification (term level, uninterpreted ALU) ===\n");
 
-    // ---- the netlist-backed front-end --------------------------------------
-    let config = VsmConfig::reduced(2).stallable();
-    let pipelined = vsm::pipelined(config)?;
-    let unpipelined = vsm::unpipelined(config)?;
+    // ---- the model derived from a netlist ----------------------------------
+    let pipelined = vsm::pipelined(VsmConfig::reduced(2).stallable())?;
     let derived = FlushVerifier::from_netlist(&pipelined)?;
     println!(
         "derived from `{}`: {:?} (flush bound {})\n",
@@ -30,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         derived.desc(),
         derived.desc().flush_bound()
     );
-    let flow_report = derived.verify_flow(&pipelined, &unpipelined)?;
+    let flow_report = derived.verify().to_flow_report();
     print!("{flow_report}");
     assert!(flow_report.equivalent);
 

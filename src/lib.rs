@@ -14,7 +14,7 @@
 //! * [`proc`] — pipelined and unpipelined processor netlists (Figures 12–15),
 //!   including the stallable variants both verification flows share,
 //! * [`core`] — the verification methodology itself (Chapter 5, Figure 8)
-//!   and the `VerificationFlow` front-end,
+//!   and the `FlowReport` shape both flows' reports render into,
 //! * [`flush`] — the Burch–Dill flushing flow: depth-parametric term-level
 //!   pipelines (derivable from a stallable netlist) and the EUF
 //!   commuting-diagram check.

@@ -6,7 +6,7 @@
 //!
 //! The literals below were recorded from the full (non-stopping) run.
 
-use pipeverify::core::{FlowReport, MachineSpec, VerificationFlow, Verifier};
+use pipeverify::core::{FlowReport, MachineSpec, Verifier};
 use pipeverify::proc::family::{self, FamilyBug, FamilyConfig};
 
 /// The depth-4, 4-bit, 2-register member with one delay slot.
@@ -26,8 +26,9 @@ fn beta_report(bug: Option<FamilyBug>) -> (FlowReport, bool) {
         base.delay_slots,
     ));
     let report = verifier
-        .verify_flow(&pipelined, &unpipelined)
-        .expect("the family pair verifies");
+        .verify(&pipelined, &unpipelined)
+        .expect("the family pair verifies")
+        .to_flow_report();
     let replayed = report
         .replay(&pipelined, &unpipelined)
         .is_some_and(|r| r.diverged && r.matches_report);

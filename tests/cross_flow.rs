@@ -1,6 +1,6 @@
 //! Cross-flow agreement: **one stallable netlist, two verification flows,
-//! matching verdicts** — the bridge the `VerificationFlow` front-end exists
-//! for.
+//! matching verdicts** — each flow's report rendered into the shared
+//! `FlowReport` shape.
 //!
 //! The stallable reduced VSM runs through the β-relation flow (bit-level
 //! symbolic simulation of the netlist pair) and through the flushing flow
@@ -11,8 +11,9 @@
 //! the term-level flow inherits through the netlist's recorded forwarding
 //! hints.
 
-use pipeverify::core::{MachineSpec, VerificationFlow, Verifier};
-use pipeverify::flush::{FlushVerifier, PipelineDesc};
+use pipeverify::core::{FlowReport, MachineSpec, Verifier};
+use pipeverify::flush::{DeriveError, FlushVerifier, PipelineDesc};
+use pipeverify::netlist::Netlist;
 use pipeverify::proc::vsm::{self, VsmBug, VsmConfig};
 
 /// Register count of the reduced verification model (Section 6.2).
@@ -25,25 +26,24 @@ fn stallable(bug: Option<VsmBug>) -> VsmConfig {
     }
 }
 
-/// The two flows behind the one front-end: the β-relation verifier and a
-/// flushing verifier (whose description is re-derived from whatever netlist
-/// the front-end hands it).
-fn flows<'a>(
-    beta: &'a Verifier,
-    flushing: &'a FlushVerifier,
-) -> [(&'static str, &'a dyn VerificationFlow); 2] {
-    [("beta-relation", beta), ("flushing", flushing)]
+/// Both flows' reports on one design pair, in the shared shape: the
+/// β-relation's default plan sweep over the pair and the flushing check of
+/// the model derived from the pipelined netlist.
+fn flow_reports(pipelined: &Netlist, unpipelined: &Netlist) -> [FlowReport; 2] {
+    let beta = Verifier::new(MachineSpec::vsm_reduced(REGS).with_stall_port("stall"))
+        .verify(pipelined, unpipelined)
+        .expect("the stallable VSM pair is well-formed");
+    let flushing = FlushVerifier::from_netlist(pipelined).expect("derive");
+    [beta.to_flow_report(), flushing.verify().to_flow_report()]
 }
 
 #[test]
 fn both_flows_accept_the_correct_stallable_vsm() {
     let pipelined = vsm::pipelined(stallable(None)).expect("build");
     let unpipelined = vsm::unpipelined(stallable(None)).expect("build");
-    let beta = Verifier::new(MachineSpec::vsm_reduced(REGS).with_stall_port("stall"));
-    let flushing = FlushVerifier::from_netlist(&pipelined).expect("derive");
-    for (name, flow) in flows(&beta, &flushing) {
-        assert_eq!(flow.flow_name(), name);
-        let report = flow.verify_flow(&pipelined, &unpipelined).expect(name);
+    let reports = flow_reports(&pipelined, &unpipelined);
+    for (report, name) in reports.iter().zip(["beta-relation", "flushing"]) {
+        assert_eq!(report.flow, name);
         assert!(report.equivalent, "{name} must accept: {report}");
         assert!(report.counterexample.is_none(), "{name}");
         assert!(report.units_checked > 0 && report.checks > 0, "{name}");
@@ -53,14 +53,12 @@ fn both_flows_accept_the_correct_stallable_vsm() {
 
 #[test]
 fn both_flows_reject_the_seeded_forwarding_bug_with_counterexamples() {
+    // The flushing model is derived from the bugged netlist, which carries
+    // `NoForwarding` into the term model.
     let pipelined = vsm::pipelined(stallable(Some(VsmBug::NoBypass))).expect("build");
     let unpipelined = vsm::unpipelined(stallable(None)).expect("build");
-    let beta = Verifier::new(MachineSpec::vsm_reduced(REGS).with_stall_port("stall"));
-    // Netlist-derived verifiers follow the netlist the front-end hands them:
-    // deriving from the bugged design carries `NoForwarding` into the model.
-    let flushing = FlushVerifier::from_netlist(&pipelined).expect("derive");
-    for (name, flow) in flows(&beta, &flushing) {
-        let report = flow.verify_flow(&pipelined, &unpipelined).expect(name);
+    for report in flow_reports(&pipelined, &unpipelined) {
+        let name = report.flow;
         assert!(!report.equivalent, "{name} must reject the bug: {report}");
         let cex = report
             .counterexample
@@ -74,36 +72,11 @@ fn both_flows_reject_the_seeded_forwarding_bug_with_counterexamples() {
 #[test]
 fn the_flushing_flow_requires_the_stallable_design() {
     // The un-stallable Figure 12 netlist still verifies under the β-relation
-    // flow but is *rejected* by the flushing front-end: without a stall
-    // input there is nothing to drain the pipeline with.
+    // flow but derives no flushing model: without a stall input there is
+    // nothing to drain the pipeline with.
     let pipelined = vsm::pipelined(VsmConfig::reduced(REGS)).expect("build");
-    let unpipelined = vsm::unpipelined(VsmConfig::reduced(REGS)).expect("build");
-    let flushing = FlushVerifier::new(PipelineDesc::three_stage());
-    let err = flushing
-        .verify_flow(&pipelined, &unpipelined)
-        .expect_err("no stall input");
-    assert_eq!(err.flow, "flushing");
-    assert!(err.message.contains("stall"), "{err}");
-}
-
-#[test]
-fn an_explicitly_configured_description_is_never_silently_replaced() {
-    // A verifier configured with its own description (rather than derived
-    // from a netlist) refuses a netlist that derives a different model: the
-    // front-end substitutes nothing behind the caller's back.
-    let pipelined = vsm::pipelined(stallable(None)).expect("build");
-    let unpipelined = vsm::unpipelined(stallable(None)).expect("build");
-    let configured = FlushVerifier::new(PipelineDesc::three_stage());
-    let err = configured
-        .verify_flow(&pipelined, &unpipelined)
-        .expect_err("the stallable VSM derives depth 4, not the configured depth 3");
-    assert!(err.message.contains("derives"), "{err}");
-    // A matching explicit description is accepted.
-    let matching = FlushVerifier::new(PipelineDesc::with_depth(4));
-    let report = matching
-        .verify_flow(&pipelined, &unpipelined)
-        .expect("matching description");
-    assert!(report.equivalent);
+    let err = FlushVerifier::from_netlist(&pipelined).expect_err("no stall input");
+    assert!(matches!(err, DeriveError::NoStallInput { .. }), "{err}");
 }
 
 #[test]

@@ -4,6 +4,9 @@
 //! with a β-relation counterexample that replays through the concrete
 //! netlist interpreter to a real divergence.
 //!
+//! Each cell runs as one job through the service's `JobRunner::run`, the
+//! path `pv batch` takes, so this test and the service verify one way.
+//!
 //! The full 13-configuration matrix is `--release`-only (the debug build
 //! keeps a two-configuration smoke subset so `cargo test` stays fast); CI
 //! runs the full matrix through the `family_campaign` binary and uploads the

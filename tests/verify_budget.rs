@@ -113,7 +113,7 @@ fn a_node_budget_abort_degrades_the_report_identically_at_any_thread_count() {
     assert_degraded_identical(&runs[0], &runs[2]);
 
     // The flow-shaped rendering carries the per-unit failures.
-    let flow = runs[0].to_flow_report(Duration::ZERO);
+    let flow = runs[0].to_flow_report();
     assert_eq!(flow.unit_failures.len(), runs[0].plan_failures.len());
     assert!(flow.equivalent, "degraded but no counterexample");
 }

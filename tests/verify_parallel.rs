@@ -140,6 +140,29 @@ fn check_plan_is_a_pure_unit_of_work() {
 }
 
 #[test]
+fn the_batch_wall_covers_its_plans_and_reaches_the_flow_report() {
+    // One worker checks the plans one after another on the calling thread,
+    // inside the batch's own wall clock.
+    let (pipelined, unpipelined) = vsm_pair(None);
+    let plans = [
+        SimulationPlan::all_normal(2),
+        SimulationPlan::with_control_at(2, 0),
+    ];
+    let report = Verifier::new(MachineSpec::vsm_reduced(2))
+        .with_threads(1)
+        .verify_plans(&pipelined, &unpipelined, &plans)
+        .expect("verify");
+    assert_eq!(report.plans_checked, 2);
+    assert!(
+        report.wall_time >= report.plan_wall_total(),
+        "{:?} < {:?}",
+        report.wall_time,
+        report.plan_wall_total()
+    );
+    assert_eq!(report.to_flow_report().wall_time, report.wall_time);
+}
+
+#[test]
 fn oversized_and_zero_worker_counts_are_clamped() {
     let (pipelined, unpipelined) = vsm_pair(None);
     let verifier = Verifier::new(MachineSpec::vsm_reduced(2));
