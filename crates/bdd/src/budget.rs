@@ -173,20 +173,9 @@ impl Budget {
         false
     }
 
-    /// The deadline, if one is set.
-    pub fn deadline(&self) -> Option<Instant> {
-        self.inner.deadline
-    }
-
     /// The allocated-node limit (`usize::MAX` when unlimited).
     pub fn node_limit(&self) -> usize {
         self.inner.node_limit
-    }
-
-    /// Whether checking this budget can ever fail for a reason other than
-    /// cancellation.
-    pub fn is_unlimited(&self) -> bool {
-        self.inner.deadline.is_none() && self.inner.node_limit == usize::MAX
     }
 
     /// Checks the budget against the caller's current allocated-node count.
@@ -226,7 +215,6 @@ mod tests {
     #[test]
     fn unlimited_budgets_always_pass() {
         let b = Budget::unlimited();
-        assert!(b.is_unlimited());
         assert_eq!(b.check(usize::MAX - 1), Ok(()));
     }
 

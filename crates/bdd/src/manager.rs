@@ -1295,63 +1295,6 @@ impl BddManager {
         count + 2
     }
 
-    /// Enumerates every satisfying total assignment of `f` over `vars`,
-    /// calling `visit` with each. Intended for small variable sets (tests and
-    /// counterexample expansion); the number of calls is exponential in
-    /// `vars.len()`. The assignment pairs are presented in variable order
-    /// (topmost first), which the enumeration needs to proceed top-down.
-    pub fn for_each_model<F: FnMut(&[(Var, bool)])>(&self, f: Bdd, vars: &[Var], mut visit: F) {
-        let mut ordered: Vec<Var> = vars.to_vec();
-        ordered.sort_unstable();
-        let mut assignment: Vec<(Var, bool)> = Vec::with_capacity(ordered.len());
-        self.for_each_model_rec(f, &ordered, &mut assignment, &mut visit);
-    }
-
-    fn for_each_model_rec<F: FnMut(&[(Var, bool)])>(
-        &self,
-        f: Bdd,
-        vars: &[Var],
-        assignment: &mut Vec<(Var, bool)>,
-        visit: &mut F,
-    ) {
-        if f.is_false() {
-            return;
-        }
-        if vars.is_empty() {
-            if f.is_true() {
-                visit(assignment);
-            }
-            return;
-        }
-        let v = vars[0];
-        for value in [false, true] {
-            let restricted = self.restrict_const(f, v, value);
-            assignment.push((v, value));
-            self.for_each_model_rec(restricted, &vars[1..], assignment, visit);
-            assignment.pop();
-        }
-    }
-
-    /// Non-mutating restriction used by model enumeration: only valid when the
-    /// restricted variable is at or above the root, which holds because
-    /// enumeration proceeds top-down in variable order and therefore never
-    /// needs to create nodes.
-    fn restrict_const(&self, f: Bdd, var: Var, value: bool) -> Bdd {
-        if f.is_const() {
-            return f;
-        }
-        let (v, lo, hi) = self.cofactors(f);
-        if v == var.0 {
-            if value {
-                hi
-            } else {
-                lo
-            }
-        } else {
-            f
-        }
-    }
-
     /// Current statistics of the manager.
     pub fn stats(&self) -> BddStats {
         BddStats {
@@ -1524,9 +1467,6 @@ mod tests {
         assert!(model.iter().all(|&(_, val)| val));
         let nf = m.not(f);
         assert_eq!(m.sat_count(nf), 15.0);
-        let mut count = 0;
-        m.for_each_model(f, &v, |_| count += 1);
-        assert_eq!(count, 1);
     }
 
     #[test]

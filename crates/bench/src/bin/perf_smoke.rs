@@ -32,13 +32,12 @@ use pipeverify_core::json::Json;
 use pipeverify_core::{MachineSpec, SimulationPlan, VerificationReport, Verifier};
 use pv_bdd::{BddManager, BddVec, Budget, BudgetExceeded};
 use pv_bench::counter_system;
-use pv_bench::matrix::{cell_bugs, smoke_configs};
+use pv_bench::matrix::{cell_jobs, cells, smoke_configs};
 use pv_flush::{FlushReport, FlushVerifier, PipelineDesc};
 use pv_isa::alpha0::Alpha0Config;
 use pv_proc::alpha0::{self, PipelineConfig};
 use pv_proc::vsm::{self, VsmConfig};
 use pv_server::job::JobRunner;
-use pv_server::protocol::{DesignSpec, FlowKind, JobRequest, PlanSet};
 use pv_server::sched;
 
 /// Schema tag of the baseline file and of the emitted artifact.
@@ -360,20 +359,7 @@ fn flush_par() -> Vec<Row> {
 fn cache() -> Vec<Row> {
     let scratch = std::env::temp_dir().join(format!("pv-perf-smoke-cache-{}", std::process::id()));
     std::fs::remove_dir_all(&scratch).ok();
-    let mut jobs: Vec<JobRequest> = Vec::new();
-    for config in smoke_configs() {
-        let bugs = cell_bugs(&config).into_iter().map(|b| config.with_bug(b));
-        for design in std::iter::once(config).chain(bugs) {
-            jobs.push(JobRequest {
-                id: jobs.len() as u64,
-                design: DesignSpec::Family(design),
-                flows: vec![FlowKind::Beta, FlowKind::Flushing],
-                plans: PlanSet::Default,
-                deadline_ms: None,
-                node_budget: None,
-            });
-        }
-    }
+    let jobs = cell_jobs(&cells(&smoke_configs()));
     let sweep = |case: &'static str| {
         let runner = JobRunner::new(Some(ArtifactCache::at(scratch.join("cache"))));
         let (wall, outcomes) = timed(|| sched::run_jobs(&runner, &jobs, THREADS, |_, _| {}));

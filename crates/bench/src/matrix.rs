@@ -17,19 +17,21 @@
 //! a completeness hole, and a counterexample that does not replay concretely
 //! is an artefact of the symbolic machinery rather than a real divergence.
 //!
-//! Each cell runs as one `pv batch` job through [`JobRunner::run`] (no
-//! cache), so the campaign exercises the service's own elaboration and flow
-//! dispatch, and the `PV_DEADLINE_MS`/`PV_NODE_BUDGET` defaults govern it as
-//! they govern the service.
+//! Each cell is one `pv batch` job ([`cell_jobs`]), and the campaign runs
+//! them as one wave through [`sched::run_jobs`] on every core (no cache) —
+//! the path `pv batch` takes — so it exercises the service's own
+//! elaboration, validation, scheduling and flow dispatch, and the
+//! `PV_DEADLINE_MS`/`PV_NODE_BUDGET` defaults govern it as they govern the
+//! service.
 
 use std::fmt;
 use std::time::Duration;
 
-use pipeverify_core::ReplayOutcome;
+use pipeverify_core::{pool, ReplayOutcome};
 use pv_proc::family::{FamilyBug, FamilyConfig};
-use pv_server::job;
 use pv_server::protocol::{DesignSpec, FlowKind, JobRequest, PlanSet};
-use pv_server::JobRunner;
+use pv_server::sched::{self, JobOutcome};
+use pv_server::{job, JobRunner};
 
 /// The campaign's configuration axis: thirteen stallable family members
 /// spanning depths 2–8, two word widths, two register-file sizes and both
@@ -152,26 +154,90 @@ impl fmt::Display for CellReport {
     }
 }
 
-/// Runs one matrix cell: the (possibly bug-injected) design as one job
-/// through both flows on [`JobRunner::run`], then concretely replays the β
-/// counterexample, if there is one, on the netlists [`job::elaborate`]
-/// builds for that job.
-///
-/// # Errors
-/// Returns the job error's rendering when the job fails outright (a flow
-/// rejects the generated pair, or a budget starves a flow) — which the
-/// matrix also counts as a violation, since every generated design must be
-/// *verifiable*.
-pub fn run_cell(config: FamilyConfig, bug: Option<FamilyBug>) -> Result<CellReport, String> {
-    let job = JobRequest {
-        id: 0,
-        design: DesignSpec::Family(bug.map_or(config, |bug| config.with_bug(bug))),
-        flows: vec![FlowKind::Beta, FlowKind::Flushing],
-        plans: PlanSet::Default,
-        deadline_ms: None,
-        node_budget: None,
-    };
-    let response = JobRunner::new(None).run(&job).map_err(|e| e.to_string())?;
+/// The matrix cells of `configs`, in campaign order: each configuration's
+/// correct cell, then one cell per applicable bug in [`FamilyBug::ALL`]
+/// order.
+pub fn cells(configs: &[FamilyConfig]) -> Vec<(FamilyConfig, Option<FamilyBug>)> {
+    configs
+        .iter()
+        .flat_map(|&config| {
+            let bugs = cell_bugs(&config).into_iter().map(Some);
+            std::iter::once(None)
+                .chain(bugs)
+                .map(move |bug| (config, bug))
+        })
+        .collect()
+}
+
+/// One `pv batch` job per cell, with the cell's index as its id: the
+/// (possibly bug-injected) design through both flows with the default plan
+/// sweep and no budget of its own.
+pub fn cell_jobs(cells: &[(FamilyConfig, Option<FamilyBug>)]) -> Vec<JobRequest> {
+    cells
+        .iter()
+        .enumerate()
+        .map(|(id, &(config, bug))| JobRequest {
+            id: id as u64,
+            design: DesignSpec::Family(bug.map_or(config, |bug| config.with_bug(bug))),
+            flows: vec![FlowKind::Beta, FlowKind::Flushing],
+            plans: PlanSet::Default,
+            deadline_ms: None,
+            node_budget: None,
+        })
+        .collect()
+}
+
+/// Runs the whole campaign over `configs`: the [`cells`] as one
+/// [`sched::run_jobs`] wave on every core, then a concrete replay of each β
+/// counterexample on the netlists [`job::elaborate`] builds for its job.
+/// Rows come back in [`cells`] order for any worker count. A job error (a
+/// flow rejects the generated pair, or a budget starves a flow) is folded
+/// into a failing row (`beta_equivalent`/`flush_equivalent` both `false`,
+/// no replay) with the error text alongside, so the campaign always produces
+/// a full table — and counts the cell as a violation, since every generated
+/// design must be *verifiable*.
+pub fn run_campaign(configs: &[FamilyConfig]) -> Vec<(CellReport, Option<String>)> {
+    let cells = cells(configs);
+    let jobs = cell_jobs(&cells);
+    let outcomes = sched::run_jobs(
+        &JobRunner::new(None),
+        &jobs,
+        pool::default_threads(),
+        |_, _| {},
+    );
+    cells
+        .into_iter()
+        .zip(&jobs)
+        .zip(outcomes)
+        .map(
+            |(((config, bug), job), outcome)| match cell_report(config, bug, job, outcome) {
+                Ok(report) => (report, None),
+                Err(message) => {
+                    let report = CellReport {
+                        config,
+                        bug,
+                        beta_equivalent: false,
+                        flush_equivalent: false,
+                        replay: None,
+                        beta_wall: Duration::ZERO,
+                        flush_wall: Duration::ZERO,
+                    };
+                    (report, Some(message))
+                }
+            },
+        )
+        .collect()
+}
+
+/// One cell's row from its job's outcome: the two verdicts and walls, and
+/// the β counterexample's replay on [`job::elaborate`]'s netlists.
+fn cell_report(
+    config: FamilyConfig,
+    bug: Option<FamilyBug>,
+    job: &JobRequest,
+    outcome: JobOutcome,
+) -> Result<CellReport, String> {
+    let response = outcome.map_err(|e| e.to_string())?;
     let beta = &response.results[0].report;
     let flushing = &response.results[1].report;
     let replay = if beta.counterexample.is_some() {
@@ -189,36 +255,4 @@ pub fn run_cell(config: FamilyConfig, bug: Option<FamilyBug>) -> Result<CellRepo
         beta_wall: beta.wall_time,
         flush_wall: flushing.wall_time,
     })
-}
-
-/// Runs the whole campaign over `configs`: the correct cell plus every
-/// applicable bug cell per configuration, in a stable order. Flow-level
-/// errors are folded into failing cells (`beta_equivalent`/`flush_equivalent`
-/// both `false`, no replay) so the campaign always produces a full table;
-/// the error text is returned alongside.
-pub fn run_campaign(configs: &[FamilyConfig]) -> Vec<(CellReport, Option<String>)> {
-    let mut rows = Vec::new();
-    for &config in configs {
-        let mut cells: Vec<Option<FamilyBug>> = vec![None];
-        cells.extend(cell_bugs(&config).into_iter().map(Some));
-        for bug in cells {
-            let row = match run_cell(config, bug) {
-                Ok(report) => (report, None),
-                Err(message) => (
-                    CellReport {
-                        config,
-                        bug,
-                        beta_equivalent: false,
-                        flush_equivalent: false,
-                        replay: None,
-                        beta_wall: Duration::ZERO,
-                        flush_wall: Duration::ZERO,
-                    },
-                    Some(message),
-                ),
-            };
-            rows.push(row);
-        }
-    }
-    rows
 }

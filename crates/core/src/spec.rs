@@ -99,23 +99,6 @@ impl MachineSpec {
         }
     }
 
-    /// A VSM specification that observes only the write-back port and the PC
-    /// instead of the full register file — the "single general purpose
-    /// register model" optimisation discussed in Section 6.2.
-    pub fn vsm_writeback_only() -> Self {
-        MachineSpec {
-            name: "VSM (write-back port observation)".to_owned(),
-            observed: vec![
-                "wb_en".to_owned(),
-                "wb_addr".to_owned(),
-                "wb_data".to_owned(),
-                "pc".to_owned(),
-            ],
-            sample_offset: -1,
-            ..Self::vsm()
-        }
-    }
-
     /// The Alpha0 design pair of Section 6.3 for a given datapath
     /// condensation: `k = 5`, `d = 1`, 32-bit instructions, observing the
     /// registers, the data memory and the retired PC.
@@ -491,8 +474,6 @@ mod tests {
         assert!(v.observed.contains(&"pc".to_owned()));
         assert!(v.irq_port.is_none());
         assert!(MachineSpec::vsm_with_interrupts().irq_port.is_some());
-        let wb = MachineSpec::vsm_writeback_only();
-        assert!(wb.observed.contains(&"wb_data".to_owned()));
         let a = MachineSpec::alpha0(Alpha0Config::default());
         assert_eq!(a.k, 5);
         assert_eq!(a.observed.len(), 8 + 8 + 1);

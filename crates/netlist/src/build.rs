@@ -252,12 +252,6 @@ impl NetlistBuilder {
         self.not(x)
     }
 
-    /// 2-input NOR.
-    pub fn nor(&mut self, a: NetId, b: NetId) -> NetId {
-        let x = self.or(a, b);
-        self.not(x)
-    }
-
     /// Bit multiplexer: `sel ? t : e`.
     pub fn mux(&mut self, sel: NetId, t: NetId, e: NetId) -> NetId {
         if let Some(v) = self.const_of(sel) {

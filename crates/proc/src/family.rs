@@ -68,6 +68,23 @@ impl FamilyBug {
         FamilyBug::LostAnnul,
     ];
 
+    /// The bug's short name: the suffix [`FamilyConfig::tag`] renders after
+    /// a `+`, and the `bug` tag of the service's job protocol.
+    pub fn tag(self) -> &'static str {
+        match self {
+            FamilyBug::DropForwardPath => "drop-fwd",
+            FamilyBug::WrongStallCondition => "inv-stall",
+            FamilyBug::BranchTargetOffByOne => "off-by-one",
+            FamilyBug::LostAnnul => "lost-annul",
+        }
+    }
+
+    /// The bug named by `tag` (the inverse of [`FamilyBug::tag`]), or `None`
+    /// for an unknown tag.
+    pub fn from_tag(tag: &str) -> Option<Self> {
+        FamilyBug::ALL.into_iter().find(|bug| bug.tag() == tag)
+    }
+
     /// One line describing exactly what the injection broke in the circuit.
     pub fn description(self) -> &'static str {
         match self {
@@ -158,33 +175,42 @@ impl FamilyConfig {
         3 * self.reg_addr_width() + 3
     }
 
-    /// Validates the configuration.
+    /// Validates the configuration: the one statement of which family
+    /// members exist and which bugs apply to them.
     ///
-    /// # Panics
-    /// Panics if a parameter is out of range or the injected bug does not
-    /// apply to this configuration (see [`FamilyBug::applies_to`]).
-    pub fn validate(&self) {
-        assert!(
-            (2..=8).contains(&self.depth),
-            "depth must be between 2 and 8"
-        );
-        assert!(
-            self.num_regs.is_power_of_two() && (2..=8).contains(&self.num_regs),
-            "num_regs must be a power of two between 2 and 8"
-        );
-        assert!(
-            self.word_width >= self.reg_addr_width() && self.word_width <= 16,
-            "word_width must be at least the register-address width and at most 16"
-        );
-        assert!(
-            self.delay_slots <= 1,
-            "the family models 0 or 1 branch delay slots"
-        );
-        if let Some(bug) = self.bug {
-            assert!(
-                bug.applies_to(self),
-                "{bug:?} does not apply to this configuration"
-            );
+    /// # Errors
+    /// Returns a message naming the first parameter out of range, or the
+    /// injected bug that does not apply to this configuration (see
+    /// [`FamilyBug::applies_to`]).
+    pub fn validate(&self) -> Result<(), String> {
+        if !(2..=8).contains(&self.depth) {
+            return Err(format!("family depth {} out of range 2..=8", self.depth));
+        }
+        if !self.num_regs.is_power_of_two() || !(2..=8).contains(&self.num_regs) {
+            return Err(format!(
+                "family num_regs {} must be a power of two in 2..=8",
+                self.num_regs
+            ));
+        }
+        if self.word_width < self.reg_addr_width() || self.word_width > 16 {
+            return Err(format!(
+                "family word_width {} out of range {}..=16",
+                self.word_width,
+                self.reg_addr_width()
+            ));
+        }
+        if self.delay_slots > 1 {
+            return Err(format!(
+                "family delay_slots {} out of range 0..=1",
+                self.delay_slots
+            ));
+        }
+        match self.bug {
+            Some(bug) if !bug.applies_to(self) => Err(format!(
+                "bug {bug:?} does not apply to configuration {}",
+                FamilyConfig { bug: None, ..*self }.tag()
+            )),
+            _ => Ok(()),
         }
     }
 
@@ -206,12 +232,8 @@ impl FamilyConfig {
             tag.push('s');
         }
         if let Some(bug) = self.bug {
-            tag.push_str(match bug {
-                FamilyBug::DropForwardPath => "+drop-fwd",
-                FamilyBug::WrongStallCondition => "+inv-stall",
-                FamilyBug::BranchTargetOffByOne => "+off-by-one",
-                FamilyBug::LostAnnul => "+lost-annul",
-            });
+            tag.push('+');
+            tag.push_str(bug.tag());
         }
         tag
     }
@@ -273,8 +295,11 @@ struct Lat {
 /// # Errors
 /// Returns [`BuildError`] only if the internal construction is inconsistent
 /// (which would be a bug in this crate).
+///
+/// # Panics
+/// Panics with [`FamilyConfig::validate`]'s message on an invalid configuration.
 pub fn pipelined(config: FamilyConfig) -> Result<Netlist, BuildError> {
-    config.validate();
+    config.validate().unwrap_or_else(|e| panic!("{e}"));
     let bug = config.bug;
     let aw = config.reg_addr_width();
     let w = config.word_width;
@@ -450,8 +475,11 @@ pub fn pipelined(config: FamilyConfig) -> Result<Netlist, BuildError> {
 ///
 /// # Errors
 /// Returns [`BuildError`] only if the internal construction is inconsistent.
+///
+/// # Panics
+/// Panics with [`FamilyConfig::validate`]'s message on an invalid configuration.
 pub fn unpipelined(config: FamilyConfig) -> Result<Netlist, BuildError> {
-    config.validate();
+    config.validate().unwrap_or_else(|e| panic!("{e}"));
     let aw = config.reg_addr_width();
     let w = config.word_width;
     let iw = config.instr_width();
@@ -679,6 +707,85 @@ mod tests {
             FamilyConfig::new(6, 4, 4, 1),
             FamilyConfig::new(8, 3, 2, 0),
         ]
+    }
+
+    #[test]
+    fn bug_tags_round_trip() {
+        for bug in FamilyBug::ALL {
+            assert_eq!(FamilyBug::from_tag(bug.tag()), Some(bug));
+            let tag = FamilyConfig::new(3, 4, 2, 1)
+                .stallable()
+                .with_bug(bug)
+                .tag();
+            assert!(tag.ends_with(&format!("+{}", bug.tag())), "{tag}");
+        }
+        assert_eq!(FamilyBug::from_tag("nope"), None);
+    }
+
+    #[test]
+    fn validate_states_one_rule_per_parameter() {
+        let ok = FamilyConfig::new(2, 4, 2, 0).stallable();
+        for (config, message) in [
+            (
+                FamilyConfig { depth: 1, ..ok },
+                "family depth 1 out of range 2..=8",
+            ),
+            (
+                FamilyConfig { depth: 9, ..ok },
+                "family depth 9 out of range 2..=8",
+            ),
+            (
+                FamilyConfig { num_regs: 3, ..ok },
+                "family num_regs 3 must be a power of two in 2..=8",
+            ),
+            (
+                FamilyConfig { num_regs: 16, ..ok },
+                "family num_regs 16 must be a power of two in 2..=8",
+            ),
+            (
+                FamilyConfig {
+                    word_width: 17,
+                    ..ok
+                },
+                "family word_width 17 out of range 1..=16",
+            ),
+            (
+                FamilyConfig::new(2, 1, 4, 0),
+                "family word_width 1 out of range 2..=16",
+            ),
+            (
+                FamilyConfig {
+                    delay_slots: 2,
+                    ..ok
+                },
+                "family delay_slots 2 out of range 0..=1",
+            ),
+            (
+                ok.with_bug(FamilyBug::DropForwardPath),
+                "bug DropForwardPath does not apply to configuration k2w4r2d0s",
+            ),
+            (
+                FamilyConfig::new(3, 4, 2, 0).with_bug(FamilyBug::WrongStallCondition),
+                "bug WrongStallCondition does not apply to configuration k3w4r2d0",
+            ),
+            (
+                ok.with_bug(FamilyBug::LostAnnul),
+                "bug LostAnnul does not apply to configuration k2w4r2d0s",
+            ),
+        ] {
+            assert_eq!(config.validate(), Err(message.to_owned()), "{config:?}");
+        }
+        for config in sample_configs() {
+            assert_eq!(config.validate(), Ok(()), "{config:?}");
+        }
+        // Two registers need one address bit, so a 1-bit word is enough.
+        assert_eq!(FamilyConfig::new(2, 1, 2, 0).validate(), Ok(()));
+    }
+
+    #[test]
+    #[should_panic(expected = "family depth 9 out of range 2..=8")]
+    fn elaborators_panic_with_the_validation_message() {
+        let _ = pipelined(FamilyConfig::new(9, 4, 2, 0));
     }
 
     #[test]

@@ -3,14 +3,13 @@
 //!
 //! * [`vsm`] — the VSM (Figures 12 and 13): a 4-stage static pipeline with
 //!   operand bypassing and one annulled delay slot after `br`, and the serial
-//!   (one instruction per 4 cycles) unpipelined specification machine;
+//!   (one instruction per 4 cycles) unpipelined specification machine —
+//!   plus the interrupt/trap variant (`VsmConfig::with_interrupts`) that
+//!   exercises the *dynamic* β-relation of Section 5.5;
 //! * [`alpha0`] — Alpha0 (Figures 14 and 15): a 5-stage static pipeline with
 //!   a data memory, conditional branches and jumps, full operand bypassing
 //!   and one annulled delay slot after every control-transfer instruction,
 //!   plus the serial unpipelined specification machine;
-//! * [`interrupt`] — a VSM variant with an external interrupt input and trap
-//!   handling logic, used to exercise the *dynamic* β-relation of
-//!   Section 5.5;
 //! * [`family`] — a **parametric processor family**: generators elaborating
 //!   any depth-2–8 in-order pipeline (configurable word width, register
 //!   count, forwarding subset, optional stall input, 0 or 1 branch delay
@@ -44,5 +43,4 @@
 
 pub mod alpha0;
 pub mod family;
-pub mod interrupt;
 pub mod vsm;

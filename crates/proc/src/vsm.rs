@@ -88,7 +88,17 @@ impl VsmConfig {
         }
     }
 
-    /// The interrupt/trap extension, without bugs.
+    /// The interrupt/trap extension of Section 5.5, without bugs.
+    ///
+    /// The extended machines have an additional `irq` input. When `irq` is
+    /// asserted during an instruction-fetch cycle, the fetched instruction is
+    /// replaced by a *trap*: the return address (the architectural PC + 1) is
+    /// written to register [`TRAP_LINK_REG`] and control transfers to the
+    /// fixed handler address [`TRAP_HANDLER_PC`]. In the pipelined machine
+    /// the trap behaves like a control-transfer instruction — it annuls the
+    /// instruction in its delay slot — so the output-filtering function has
+    /// to be modified *on the fly* when the event occurs: this is the dynamic
+    /// β-relation the verifier exercises in the `interrupts` example.
     pub fn with_interrupts() -> Self {
         VsmConfig {
             with_interrupt: true,
@@ -122,13 +132,16 @@ impl VsmConfig {
 
     /// Validates the configuration.
     ///
-    /// # Panics
-    /// Panics if `num_regs` is not a power of two in `1..=8`.
-    pub fn validate(&self) {
-        assert!(
-            self.num_regs.is_power_of_two() && (1..=NUM_REGS).contains(&self.num_regs),
-            "num_regs must be a power of two between 1 and 8"
-        );
+    /// # Errors
+    /// Returns a message when `num_regs` is not a power of two in `1..=8`.
+    pub fn validate(&self) -> Result<(), String> {
+        if !self.num_regs.is_power_of_two() || !(1..=NUM_REGS).contains(&self.num_regs) {
+            return Err(format!(
+                "vsm num_regs {} must be a power of two in 1..=8",
+                self.num_regs
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -197,8 +210,11 @@ fn expose_architectural_state(
 /// # Errors
 /// Returns [`BuildError`] only if the internal construction is inconsistent
 /// (which would be a bug in this crate).
+///
+/// # Panics
+/// Panics with [`VsmConfig::validate`]'s message on an invalid configuration.
 pub fn pipelined(config: VsmConfig) -> Result<Netlist, BuildError> {
-    config.validate();
+    config.validate().unwrap_or_else(|e| panic!("{e}"));
     let bug = config.bug;
     let aw = config.reg_addr_width();
     let mut b = NetlistBuilder::new("vsm-pipelined");
@@ -381,8 +397,11 @@ pub fn pipelined(config: VsmConfig) -> Result<Netlist, BuildError> {
 ///
 /// # Errors
 /// Returns [`BuildError`] only if the internal construction is inconsistent.
+///
+/// # Panics
+/// Panics with [`VsmConfig::validate`]'s message on an invalid configuration.
 pub fn unpipelined(config: VsmConfig) -> Result<Netlist, BuildError> {
-    config.validate();
+    config.validate().unwrap_or_else(|e| panic!("{e}"));
     let aw = config.reg_addr_width();
     let mut b = NetlistBuilder::new("vsm-unpipelined");
     let instr = b.input("instr", INSTR_WIDTH);
@@ -721,6 +740,21 @@ mod tests {
     }
 
     #[test]
+    fn validate_accepts_exactly_the_powers_of_two_up_to_eight() {
+        for num_regs in [1, 2, 4, 8] {
+            assert_eq!(VsmConfig::reduced(num_regs).validate(), Ok(()));
+        }
+        for num_regs in [0, 3, 16] {
+            assert_eq!(
+                VsmConfig::reduced(num_regs).validate(),
+                Err(format!(
+                    "vsm num_regs {num_regs} must be a power of two in 1..=8"
+                ))
+            );
+        }
+    }
+
+    #[test]
     fn interrupt_variant_has_irq_input() {
         let p = pipelined(VsmConfig::with_interrupts()).expect("build");
         let u = unpipelined(VsmConfig::with_interrupts()).expect("build");
@@ -732,5 +766,50 @@ mod tests {
                 .input_width("irq"),
             None
         );
+    }
+
+    /// Both machines, fed the same two instructions with an interrupt arriving
+    /// at the second instruction slot, end in the same architectural state:
+    /// the trap takes the place of the second instruction.
+    #[test]
+    fn trap_behaves_identically_in_both_machines() {
+        let i1 = u64::from(VsmInstr::add_lit(1, 0, 3).encode());
+        let i2 = u64::from(VsmInstr::add_lit(2, 0, 5).encode());
+
+        // Unpipelined: interrupt asserted during the fetch phase of slot 2.
+        let un = unpipelined(VsmConfig::with_interrupts()).expect("build");
+        let mut us = ConcreteSim::new(&un);
+        us.step(&[("reset", 1), ("instr", 0), ("irq", 0)]);
+        us.step(&[("instr", i1), ("irq", 0)]);
+        for _ in 0..3 {
+            us.step(&[("instr", 0), ("irq", 0)]);
+        }
+        us.step(&[("instr", i2), ("irq", 1)]); // slot 2 becomes a trap
+        for _ in 0..3 {
+            us.step(&[("instr", 0), ("irq", 0)]);
+        }
+        let uo = us.outputs(&[("instr", 0), ("irq", 0)]);
+
+        // Pipelined: interrupt asserted during the IF cycle of slot 2; one
+        // extra (annulled) slot follows the trap.
+        let pn = pipelined(VsmConfig::with_interrupts()).expect("build");
+        let mut ps = ConcreteSim::new(&pn);
+        ps.step(&[("reset", 1), ("instr", 0), ("irq", 0)]);
+        ps.step(&[("instr", i1), ("irq", 0)]);
+        ps.step(&[("instr", i2), ("irq", 1)]);
+        ps.step(&[("instr", i2), ("irq", 0)]); // delay slot of the trap: annulled
+        for _ in 0..3 {
+            ps.step(&[("instr", 0), ("irq", 0)]);
+        }
+        let po = ps.outputs(&[("instr", 0), ("irq", 0)]);
+
+        for name in ["r1", "r2", "pc", &format!("r{TRAP_LINK_REG}")] {
+            assert_eq!(uo[name], po[name], "{name}");
+        }
+        assert_eq!(uo["pc"], TRAP_HANDLER_PC);
+        assert_eq!(uo["r1"], 3);
+        assert_eq!(uo["r2"], 0, "the interrupted instruction must not execute");
+        // The trap links to the interrupted instruction's address.
+        assert_eq!(uo[&format!("r{TRAP_LINK_REG}")], 2 & 0x7);
     }
 }

@@ -98,7 +98,6 @@ impl JobRunner {
         // Chaos site: a worker exploding mid-job must surface as a
         // `worker_panicked` error response for this job only.
         pv_obs::fail::inject_panic("job.run");
-        validate_design(&job.design).map_err(JobError::invalid)?;
         let (pipelined, unpipelined, spec) = elaborate(&job.design).map_err(JobError::invalid)?;
         let budget = job_budget(job);
         let mut verifier = Verifier::new(spec).with_threads(1);
@@ -241,71 +240,20 @@ fn job_budget(job: &JobRequest) -> Option<Budget> {
     Some(budget)
 }
 
-/// Checks design parameters up front, so malformed jobs answer with an error
-/// line instead of panicking a worker inside the elaborator's asserts.
-fn validate_design(design: &DesignSpec) -> Result<(), String> {
-    match *design {
-        DesignSpec::Family(config) => {
-            if !(2..=8).contains(&config.depth) {
-                return Err(format!("family depth {} out of range 2..=8", config.depth));
-            }
-            if !config.num_regs.is_power_of_two() || !(2..=8).contains(&config.num_regs) {
-                return Err(format!(
-                    "family num_regs {} must be a power of two in 2..=8",
-                    config.num_regs
-                ));
-            }
-            if config.word_width < config.reg_addr_width() || config.word_width > 16 {
-                return Err(format!(
-                    "family word_width {} out of range {}..=16",
-                    config.word_width,
-                    config.reg_addr_width()
-                ));
-            }
-            if config.delay_slots > 1 {
-                return Err(format!(
-                    "family delay_slots {} out of range 0..=1",
-                    config.delay_slots
-                ));
-            }
-            if let Some(bug) = config.bug {
-                if !bug.applies_to(&config) {
-                    return Err(format!(
-                        "bug {:?} does not apply to configuration {}",
-                        bug,
-                        FamilyConfig {
-                            bug: None,
-                            ..config
-                        }
-                        .tag()
-                    ));
-                }
-            }
-            Ok(())
-        }
-        DesignSpec::Vsm { num_regs, .. } => {
-            if !num_regs.is_power_of_two() || !(1..=8).contains(&num_regs) {
-                return Err(format!(
-                    "vsm num_regs {num_regs} must be a power of two in 1..=8"
-                ));
-            }
-            Ok(())
-        }
-    }
-}
-
 /// Elaborates the (possibly bug-seeded) implementation, its *correct*
 /// specification and the β-relation machine specification — the one
 /// elaboration of a [`DesignSpec`], shared by [`JobRunner::run`] and callers
 /// that replay a job's counterexample on the netlists it verified.
 ///
 /// # Errors
-/// Returns the elaborator's message when the design cannot be built. The
-/// parameters are not range-checked here: [`JobRunner::run`] checks them
-/// first, because out-of-range ones can panic the elaborator.
+/// Returns the message of [`FamilyConfig::validate`] or
+/// [`VsmConfig::validate`] for a malformed design (checked first, so it never
+/// reaches an elaborator's panic), or the elaborator's message when the
+/// design cannot be built.
 pub fn elaborate(design: &DesignSpec) -> Result<(Netlist, Netlist, MachineSpec), String> {
     match *design {
         DesignSpec::Family(config) => {
+            config.validate()?;
             let base = FamilyConfig {
                 bug: None,
                 ..config
@@ -325,6 +273,7 @@ pub fn elaborate(design: &DesignSpec) -> Result<(Netlist, Netlist, MachineSpec),
             stallable,
         } => {
             let mut config = VsmConfig::reduced(num_regs);
+            config.validate()?;
             if stallable {
                 config = config.stallable();
             }
@@ -396,14 +345,23 @@ mod tests {
     #[test]
     fn invalid_designs_answer_with_errors_not_panics() {
         let runner = JobRunner::new(None);
-        for config in [
-            FamilyConfig::new(1, 4, 2, 0),
-            FamilyConfig::new(2, 4, 3, 0),
-            FamilyConfig::new(2, 1, 2, 0),
-            FamilyConfig::new(2, 4, 2, 2),
-            FamilyConfig::new(2, 4, 2, 0).with_bug(FamilyBug::DropForwardPath),
+        // Every row is stallable, so the flushing flow would accept it: the
+        // error comes from the violated parameter alone.
+        for (config, field) in [
+            (FamilyConfig::new(1, 4, 2, 0), "depth"),
+            (FamilyConfig::new(2, 4, 3, 0), "num_regs"),
+            (FamilyConfig::new(2, 17, 2, 0), "word_width"),
+            (FamilyConfig::new(2, 4, 2, 2), "delay_slots"),
+            (
+                FamilyConfig::new(2, 4, 2, 0).with_bug(FamilyBug::DropForwardPath),
+                "bug DropForwardPath",
+            ),
         ] {
-            assert!(runner.run(&family_job(0, config)).is_err(), "{config:?}");
+            let error = runner
+                .run(&family_job(0, config.stallable()))
+                .expect_err("out of range");
+            assert_eq!(error.kind, FlowErrorKind::Invalid, "{config:?}");
+            assert!(error.message.contains(field), "{}", error.message);
         }
         let vsm = JobRequest {
             id: 0,
@@ -416,7 +374,13 @@ mod tests {
             deadline_ms: None,
             node_budget: None,
         };
-        assert!(runner.run(&vsm).is_err());
+        let error = runner.run(&vsm).expect_err("3 is not a power of two");
+        assert_eq!(error.kind, FlowErrorKind::Invalid);
+        assert!(
+            error.message.contains("vsm num_regs 3"),
+            "{}",
+            error.message
+        );
         // The flushing flow drains the pipeline through its stall input, so
         // a design without one is rejected, not verified.
         let unstallable = JobRequest {
@@ -430,6 +394,13 @@ mod tests {
         let error = runner.run(&unstallable).expect_err("no stall input");
         assert_eq!(error.kind, FlowErrorKind::Invalid);
         assert!(error.message.contains("stall input"), "{}", error.message);
+    }
+
+    #[test]
+    fn elaborate_answers_an_invalid_design_with_an_error() {
+        let design = DesignSpec::Family(FamilyConfig::new(1, 4, 2, 0).stallable());
+        let error = elaborate(&design).expect_err("depth 1 is out of range");
+        assert_eq!(error, "family depth 1 out of range 2..=8");
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! module is its executable counterpart. In brief, a request names
 //!
 //! * a **design**: a generated-family configuration (depth, word width,
-//!   registers, delay slots, stall input, optional seeded bug by tag) or a
-//!   reduced VSM pair,
+//!   registers, delay slots, stall input, optional seeded bug by its
+//!   [`FamilyBug::tag`]) or a reduced VSM pair,
 //! * the **flows** to run (`"beta"` and/or `"flushing"`), and
 //! * the **plan set** for the β-relation flow: `"default"` for the Section
 //!   5.3 sweep or an explicit list of plan strings (`"r 0 0 1"` — the
@@ -159,33 +159,6 @@ fn fail<T>(message: impl Into<String>) -> Result<T, ProtocolError> {
     Err(ProtocolError(message.into()))
 }
 
-/// The wire tags of the seeded family bugs — the same suffixes
-/// [`FamilyConfig::tag`] renders.
-const BUG_TAGS: [(&str, FamilyBug); 4] = [
-    ("drop-fwd", FamilyBug::DropForwardPath),
-    ("inv-stall", FamilyBug::WrongStallCondition),
-    ("off-by-one", FamilyBug::BranchTargetOffByOne),
-    ("lost-annul", FamilyBug::LostAnnul),
-];
-
-/// Parses a bug wire tag (`"drop-fwd"`, `"inv-stall"`, `"off-by-one"`,
-/// `"lost-annul"`).
-pub fn bug_from_tag(tag: &str) -> Option<FamilyBug> {
-    BUG_TAGS
-        .iter()
-        .find(|(t, _)| *t == tag)
-        .map(|&(_, bug)| bug)
-}
-
-/// The wire tag of a seeded bug (inverse of [`bug_from_tag`]).
-pub fn bug_tag(bug: FamilyBug) -> &'static str {
-    BUG_TAGS
-        .iter()
-        .find(|&&(_, b)| b == bug)
-        .map(|&(t, _)| t)
-        .expect("every bug has a tag")
-}
-
 fn get_usize(v: &Json, field: &str) -> Result<usize, ProtocolError> {
     v.get(field)
         .and_then(Json::as_usize)
@@ -221,7 +194,7 @@ pub fn request_from_json(v: &Json) -> Result<JobRequest, ProtocolError> {
                     .as_str()
                     .ok_or_else(|| ProtocolError("`bug` must be a tag string".to_owned()))?;
                 config = config.with_bug(
-                    bug_from_tag(tag)
+                    FamilyBug::from_tag(tag)
                         .ok_or_else(|| ProtocolError(format!("unknown bug tag `{tag}`")))?,
                 );
             }
@@ -322,7 +295,7 @@ pub fn request_to_json(job: &JobRequest) -> Json {
                 ("stall".to_owned(), Json::Bool(config.with_stall)),
             ];
             if let Some(bug) = config.bug {
-                fields.push(("bug".to_owned(), Json::Str(bug_tag(bug).to_owned())));
+                fields.push(("bug".to_owned(), Json::Str(bug.tag().to_owned())));
             }
             Json::Obj(vec![("family".to_owned(), Json::Obj(fields))])
         }
@@ -592,13 +565,6 @@ mod tests {
         ] {
             let v = Json::parse(line).unwrap();
             assert!(request_from_json(&v).is_err(), "must reject {what}");
-        }
-    }
-
-    #[test]
-    fn bug_tags_round_trip() {
-        for bug in FamilyBug::ALL {
-            assert_eq!(bug_from_tag(bug_tag(bug)), Some(bug));
         }
     }
 }

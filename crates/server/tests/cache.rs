@@ -11,40 +11,21 @@
 use std::path::PathBuf;
 
 use pipeverify_core::cache::ArtifactCache;
-use pv_bench::matrix::{cell_bugs, smoke_configs};
+use pv_bench::matrix::{cell_jobs, cells, smoke_configs};
 use pv_proc::family::{FamilyBug, FamilyConfig};
 use pv_server::job::JobRunner;
-use pv_server::protocol::{self, DesignSpec, FlowKind, JobRequest, PlanSet};
+use pv_server::protocol::{self, DesignSpec, JobRequest};
 use pv_server::sched;
 
 fn scratch(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("pv-server-cache-test-{tag}-{}", std::process::id()))
 }
 
-/// The smoke subset of the PR-6 family matrix as a job list: every smoke
+/// The smoke subset of the family matrix as a job list: every smoke
 /// configuration, correct and with each applicable seeded bug, through both
 /// flows.
 fn smoke_jobs() -> Vec<JobRequest> {
-    let mut jobs = Vec::new();
-    for config in smoke_configs() {
-        let mut cells: Vec<Option<FamilyBug>> = vec![None];
-        cells.extend(cell_bugs(&config).into_iter().map(Some));
-        for bug in cells {
-            let design = match bug {
-                Some(bug) => config.with_bug(bug),
-                None => config,
-            };
-            jobs.push(JobRequest {
-                id: jobs.len() as u64,
-                design: DesignSpec::Family(design),
-                flows: vec![FlowKind::Beta, FlowKind::Flushing],
-                plans: PlanSet::Default,
-                deadline_ms: None,
-                node_budget: None,
-            });
-        }
-    }
-    jobs
+    cell_jobs(&cells(&smoke_configs()))
 }
 
 fn run_all(runner: &JobRunner, jobs: &[JobRequest]) -> Vec<String> {

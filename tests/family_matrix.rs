@@ -4,8 +4,9 @@
 //! with a β-relation counterexample that replays through the concrete
 //! netlist interpreter to a real divergence.
 //!
-//! Each cell runs as one job through the service's `JobRunner::run`, the
-//! path `pv batch` takes, so this test and the service verify one way.
+//! Each cell is one job, and the cells run as one `sched::run_jobs` wave on
+//! every core — the path `pv batch` takes — so this test and the service
+//! verify one way.
 //!
 //! The full 13-configuration matrix is `--release`-only (the debug build
 //! keeps a two-configuration smoke subset so `cargo test` stays fast); CI
@@ -93,6 +94,37 @@ fn smoke_subset_is_contained_in_the_full_matrix() {
             "smoke config {} is not part of the full matrix",
             config.tag()
         );
+    }
+}
+
+/// The campaign's cells are each configuration followed by its applicable
+/// bugs in `FamilyBug::ALL` order, and each cell's job id is its index.
+#[test]
+fn cells_list_each_config_then_its_bugs_in_order() {
+    let configs = matrix::smoke_configs();
+    let cells = matrix::cells(&configs);
+    use FamilyBug::*;
+    let expected = [
+        (configs[0], None),
+        (configs[0], Some(WrongStallCondition)),
+        (configs[0], Some(BranchTargetOffByOne)),
+        (configs[1], None),
+        (configs[1], Some(DropForwardPath)),
+        (configs[1], Some(WrongStallCondition)),
+        (configs[1], Some(BranchTargetOffByOne)),
+        (configs[1], Some(LostAnnul)),
+    ];
+    assert_eq!(cells, expected);
+    let ids: Vec<u64> = matrix::cell_jobs(&cells).iter().map(|job| job.id).collect();
+    assert_eq!(ids, (0..8).collect::<Vec<u64>>());
+}
+
+/// Every cell of the full matrix is a design the family can elaborate.
+#[test]
+fn every_matrix_cell_is_a_valid_design() {
+    for (config, bug) in matrix::cells(&matrix::matrix_configs()) {
+        let design = bug.map_or(config, |bug| config.with_bug(bug));
+        assert_eq!(design.validate(), Ok(()), "{}", design.tag());
     }
 }
 
