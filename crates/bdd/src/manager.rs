@@ -58,6 +58,9 @@ pub struct BddStats {
     pub peak_live: usize,
     /// Number of garbage collections performed.
     pub gc_runs: usize,
+    /// Nodes reclaimed over all garbage collections (the sum of every
+    /// [`GcStats::collected`]).
+    pub gc_collected: usize,
     /// Number of allocated variables.
     pub vars: usize,
     /// Number of occupied slots in the computed table, which holds the
@@ -138,8 +141,9 @@ pub struct BddManager {
     pub(crate) unique: UniqueTable,
     /// The computed table: a fixed-size, direct-mapped cache of ITE standard
     /// triples and of the `constrain` entries keyed
-    /// `(CONSTRAIN_TAG, regular f, care)`. Its slot count follows the node
-    /// store's length (see [`ComputedTable::fit`]). Sharing one table gives
+    /// `(CONSTRAIN_TAG, regular f, care)`. Its slot count is half the node
+    /// store's length rounded up to a power of two (see
+    /// [`ComputedTable::fit`]). Sharing one table gives
     /// both operations one invalidation path: the collection's pass over it.
     pub(crate) ite_cache: ComputedTable,
     pub(crate) num_vars: u32,
@@ -155,6 +159,7 @@ pub struct BddManager {
     pub(crate) allocated: usize,
     pub(crate) peak_live: usize,
     gc_runs: usize,
+    gc_collected: usize,
     /// Computed-table traffic (ITE and constrain) and store growth (see the
     /// module-level metric statics); `flushed_*` are the portions already
     /// pushed to the global registry, so a flush only adds the delta.
@@ -221,6 +226,7 @@ impl BddManager {
             allocated: 2,
             peak_live: 2,
             gc_runs: 0,
+            gc_collected: 0,
             ite_hits: 0,
             ite_misses: 0,
             constrain_hits: 0,
@@ -1113,6 +1119,7 @@ impl BddManager {
         // trigger decays back to the default once the garbage is gone.
         self.gc_threshold = DEFAULT_GC_THRESHOLD.max(live.saturating_mul(2));
         self.gc_runs += 1;
+        self.gc_collected += collected;
         M_GC_RUNS.incr();
         M_GC_COLLECTED.add(collected as u64);
         // A collection is the natural (and rare) safe point to push the
@@ -1302,6 +1309,7 @@ impl BddManager {
             allocated: self.allocated,
             peak_live: self.peak_live,
             gc_runs: self.gc_runs,
+            gc_collected: self.gc_collected,
             vars: self.num_vars as usize,
             ite_cache_entries: self.ite_cache.len(),
             ite_hits: self.ite_hits,
@@ -1562,6 +1570,31 @@ mod tests {
         assert_eq!(stats.live, 2 + m.node_count(f) - 2);
         assert!(m.eval(nf, |x| x == v[0]));
         assert_eq!(m.gc().collected, 0, "a second collection finds no garbage");
+    }
+
+    #[test]
+    fn tables_cost_half_a_cache_slot_and_two_buckets_per_store_slot() {
+        // x_i ∧ x_{i+20}, or-ed in allocation order, doubles the store with
+        // each pair: stop once it has grown past 2^17 nodes.
+        let (mut m, v) = setup(40);
+        let lits: Vec<Bdd> = v.iter().map(|&x| m.var(x)).collect();
+        let mut f = Bdd::FALSE;
+        for i in 0..20 {
+            let t = m.and(lits[i], lits[i + 20]);
+            f = m.or(f, t);
+            if m.nodes.len() > 1 << 17 {
+                break;
+            }
+        }
+        assert!(m.nodes.len() > 1 << 17, "store stayed at {}", m.nodes.len());
+        assert_eq!(
+            m.ite_cache.slot_count(),
+            m.nodes.len().next_power_of_two() / 2
+        );
+        assert_eq!(
+            m.unique.bucket_count(),
+            2 * m.nodes.capacity().next_power_of_two()
+        );
     }
 
     #[test]

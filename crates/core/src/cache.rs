@@ -108,7 +108,13 @@ static M_CACHE_CORRUPT: Counter = Counter::new("cache.corrupt");
 /// carry as one `ite` and skips gates nothing reads, so β reports' `space`
 /// and `metrics` shrank for identical inputs (verdicts and counterexamples
 /// did not change).
-pub const ENGINE_EPOCH: u32 = 10;
+///
+/// Epoch 11: the computed table has half a slot per node-store slot, so the
+/// `bdd.ite.cache_*` and `bdd.constrain.cache_*` counts in plan reports'
+/// `metrics` changed for identical inputs, and plan reports gained
+/// `bdd.gc.runs` and `bdd.gc.collected` (verdicts, counterexamples and node
+/// counts did not change).
+pub const ENGINE_EPOCH: u32 = 11;
 
 /// Environment variable overriding the default cache directory.
 pub const PV_CACHE_DIR: &str = "PV_CACHE_DIR";

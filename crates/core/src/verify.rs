@@ -420,8 +420,12 @@ impl Verifier {
     /// [`VerificationReport::threads_used`] itself).
     ///
     /// **Memory:** every in-flight plan owns a full `BddManager`, so peak
-    /// residency is up to `threads ×` the largest single plan's peak-live
-    /// footprint (the Alpha0 slot-4 plan alone peaks at ~3.6 M live nodes).
+    /// residency is up to `threads ×` the largest single plan's manager. A
+    /// manager costs about 32 bytes per slot of its node store (the store's
+    /// length rounded up to a power of two): 16 for the node, 8 for its two
+    /// unique-table buckets and 8 for its share of the half-size computed
+    /// table. The Alpha0 slot-4 plan peaks at ~2.94 M live nodes, a 2^22-slot
+    /// store of ~128 MiB.
     /// On a machine that runs a big sweep near its memory ceiling, set
     /// `PV_THREADS` (or this knob) below the core count — `1` restores the
     /// sequential footprint exactly.
@@ -838,6 +842,8 @@ impl Verifier {
                 stats.constrain_misses as u64,
             ),
             ("bdd.unique.grow".to_owned(), stats.unique_grows as u64),
+            ("bdd.gc.runs".to_owned(), stats.gc_runs as u64),
+            ("bdd.gc.collected".to_owned(), stats.gc_collected as u64),
         ]);
         PlanReport {
             plan: plan.clone(),

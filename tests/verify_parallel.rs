@@ -11,7 +11,7 @@
 //! gate; the heavier Alpha0 sweep twin is `--release`-only, as ROADMAP
 //! prescribes for heavy suites (CI runs it optimised in the release step).
 
-use pipeverify::core::{MachineSpec, SimulationPlan, VerificationReport, Verifier};
+use pipeverify::core::{MachineSpec, PlanReport, SimulationPlan, VerificationReport, Verifier};
 use pipeverify::proc::alpha0::{self, Alpha0Bug, PipelineConfig};
 use pipeverify::proc::vsm::{self, VsmBug, VsmConfig};
 
@@ -42,7 +42,17 @@ fn assert_reports_identical(sequential: &VerificationReport, parallel: &Verifica
         assert_eq!(s.bdd_vars, p.bdd_vars);
         assert_eq!(s.filters, p.filters);
         assert_eq!(s.counterexample, p.counterexample);
+        assert_eq!(s.metrics, p.metrics);
     }
+    assert_eq!(sequential.metrics, parallel.metrics);
+}
+
+/// A plan report's `(bdd.gc.runs, bdd.gc.collected)`.
+fn gc_counts(plan: &PlanReport) -> (u64, u64) {
+    (
+        plan.metrics["bdd.gc.runs"],
+        plan.metrics["bdd.gc.collected"],
+    )
 }
 
 fn vsm_pair(bug: Option<VsmBug>) -> (pipeverify::netlist::Netlist, pipeverify::netlist::Netlist) {
@@ -114,6 +124,28 @@ fn parallel_sweep_report_is_identical_to_sequential_on_a_failing_pair() {
     assert!(sequential.plan_reports[0].equivalent());
     assert!(!sequential.plan_reports[1].equivalent());
     assert_reports_identical(&sequential, &parallel);
+}
+
+#[test]
+fn plans_under_the_collection_floor_report_no_collections() {
+    // The reduced VSM plans stay far below the 2^20 live nodes at which
+    // `maybe_gc` first collects, at one worker and at two.
+    let (pipelined, unpipelined) = vsm_pair(None);
+    let verifier = Verifier::new(MachineSpec::vsm_reduced(2));
+    let plans = [
+        SimulationPlan::all_normal(2),
+        SimulationPlan::with_control_at(2, 0),
+    ];
+    for threads in [1, 2] {
+        let report = verifier
+            .clone()
+            .with_threads(threads)
+            .verify_plans(&pipelined, &unpipelined, &plans)
+            .expect("verify");
+        for plan in &report.plan_reports {
+            assert_eq!(gc_counts(plan), (0, 0), "plan {}", plan.plan_index);
+        }
+    }
 }
 
 #[test]
@@ -206,6 +238,47 @@ fn parallel_default_sweep_is_identical_to_sequential_on_vsm() {
         assert_eq!(parallel.threads_used, 4);
         assert_reports_identical(&sequential, &parallel);
     }
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "release-only: two Alpha0 plans are too slow unoptimised"
+)]
+fn collection_counts_agree_at_one_and_two_workers() {
+    // The condensed Alpha0 plan with its control transfer in slot 3
+    // outgrows the 2^20-node collection floor; their collection counts are a function
+    // of the plan alone, whatever worker checks it.
+    let cfg = pipeverify::isa::alpha0::Alpha0Config::condensed();
+    let pipelined = alpha0::pipelined(PipelineConfig::condensed(cfg)).expect("build");
+    let unpipelined = alpha0::unpipelined(PipelineConfig::condensed(cfg)).expect("build");
+    let verifier = Verifier::new(MachineSpec::alpha0_condensed(cfg));
+    let k = verifier.spec().k;
+    let sweep = [
+        SimulationPlan::with_control_at(k, 3),
+        SimulationPlan::with_control_at(k, 2),
+    ];
+    let run = |threads| {
+        verifier
+            .clone()
+            .with_threads(threads)
+            .verify_plans(&pipelined, &unpipelined, &sweep)
+            .expect("verify")
+    };
+    let (one, two) = (run(1), run(2));
+    assert!(one.equivalent(), "{one}");
+    assert_eq!(two.threads_used, 2);
+    let counts: Vec<_> = one.plan_reports.iter().map(gc_counts).collect();
+    assert!(
+        counts
+            .iter()
+            .any(|&(runs, collected)| runs > 0 && collected > 0),
+        "{counts:?}"
+    );
+    assert_eq!(
+        counts,
+        two.plan_reports.iter().map(gc_counts).collect::<Vec<_>>()
+    );
 }
 
 #[test]
