@@ -111,15 +111,9 @@ impl Budget {
     /// together.
     #[must_use]
     pub fn with_deadline(self, timeout: Duration) -> Self {
-        self.with_deadline_at(Instant::now() + timeout)
-    }
-
-    /// This budget with the given absolute deadline.
-    #[must_use]
-    pub fn with_deadline_at(self, at: Instant) -> Self {
         Budget {
             inner: Arc::new(BudgetInner {
-                deadline: Some(at),
+                deadline: Some(Instant::now() + timeout),
                 node_limit: self.inner.node_limit,
                 cancelled: AtomicBool::new(self.inner.cancelled.load(Ordering::Relaxed)),
                 parent: self.inner.parent.clone(),

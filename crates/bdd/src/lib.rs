@@ -18,8 +18,9 @@
 //!   *smoothing* operator of Definition 3.3.1), composition and monotone
 //!   variable replacement,
 //! * satisfiability queries, model extraction and model counting,
-//! * [`BddVec`], fixed-width bit-vectors of BDDs with adder/comparator/shifter
-//!   logic used when building word-level datapaths symbolically,
+//! * [`BddVec`], fixed-width bit-vectors of BDDs: the words a symbolic
+//!   simulation takes in and gives out, with an adder, comparators and a
+//!   multiplexer for hand-built transition systems,
 //! * [`TransitionSystem`], the transition-relation representation of a
 //!   synchronous machine together with image computation and breadth-first
 //!   reachability (Coudert–Berthet–Madre 1989, Section 3.3 of the thesis),

@@ -1,9 +1,12 @@
 //! Fixed-width bit-vectors of BDDs.
 //!
-//! Word-level datapath elements (adders, comparators, shifters, multiplexers)
-//! are expressed over vectors of BDDs so that the symbolic simulator can track
-//! register and bus contents as Boolean formulae. The representation is
-//! little-endian: bit 0 is the least significant bit.
+//! A [`BddVec`] is how words cross the symbolic simulator's boundary: input
+//! words go in, and output words and named registers come out of
+//! `pv_netlist::SymbolicSim`, which itself evaluates the netlist gate by
+//! gate. The few word operations here (addition, increment, comparison,
+//! multiplexing) serve hand-built transition systems and the BDD
+//! benchmarks. The representation is little-endian: bit 0 is the least
+//! significant bit.
 
 use crate::{Bdd, BddManager, Var};
 
@@ -110,44 +113,6 @@ impl BddVec {
         value
     }
 
-    /// Bitwise negation.
-    pub fn not(&self, m: &mut BddManager) -> Self {
-        BddVec {
-            bits: self.bits.iter().map(|&b| m.not(b)).collect(),
-        }
-    }
-
-    fn zip(
-        &self,
-        m: &mut BddManager,
-        other: &Self,
-        op: fn(&mut BddManager, Bdd, Bdd) -> Bdd,
-    ) -> Self {
-        assert_eq!(self.width(), other.width(), "width mismatch");
-        let bits = self
-            .bits
-            .iter()
-            .zip(&other.bits)
-            .map(|(&a, &b)| op(m, a, b))
-            .collect();
-        BddVec { bits }
-    }
-
-    /// Bitwise conjunction.
-    pub fn and(&self, m: &mut BddManager, other: &Self) -> Self {
-        self.zip(m, other, BddManager::and)
-    }
-
-    /// Bitwise disjunction.
-    pub fn or(&self, m: &mut BddManager, other: &Self) -> Self {
-        self.zip(m, other, BddManager::or)
-    }
-
-    /// Bitwise exclusive or.
-    pub fn xor(&self, m: &mut BddManager, other: &Self) -> Self {
-        self.zip(m, other, BddManager::xor)
-    }
-
     /// Ripple-carry addition, truncated to the common width.
     ///
     /// # Panics
@@ -160,23 +125,6 @@ impl BddVec {
             let axb = m.xor(a, b);
             let sum = m.xor(axb, carry);
             let ab = m.and(a, b);
-            let ac = m.and(axb, carry);
-            carry = m.or(ab, ac);
-            bits.push(sum);
-        }
-        BddVec { bits }
-    }
-
-    /// Two's-complement subtraction, truncated to the common width.
-    pub fn sub(&self, m: &mut BddManager, other: &Self) -> Self {
-        assert_eq!(self.width(), other.width(), "width mismatch");
-        let mut carry = Bdd::TRUE;
-        let mut bits = Vec::with_capacity(self.width());
-        for (&a, &b) in self.bits.iter().zip(&other.bits) {
-            let nb = m.not(b);
-            let axb = m.xor(a, nb);
-            let sum = m.xor(axb, carry);
-            let ab = m.and(a, nb);
             let ac = m.and(axb, carry);
             carry = m.or(ab, ac);
             bits.push(sum);
@@ -216,23 +164,6 @@ impl BddVec {
         lt
     }
 
-    /// Signed (two's-complement) less-than as a single BDD.
-    pub fn slt(&self, m: &mut BddManager, other: &Self) -> Bdd {
-        assert!(self.width() > 0, "signed comparison of zero-width word");
-        let sa = *self.bits.last().expect("non-empty");
-        let sb = *other.bits.last().expect("non-empty");
-        let ult = self.ult(m, other);
-        // Different signs: a < b iff a is negative. Same signs: unsigned compare.
-        let diff = m.xor(sa, sb);
-        m.ite(diff, sa, ult)
-    }
-
-    /// Signed less-or-equal as a single BDD.
-    pub fn sle(&self, m: &mut BddManager, other: &Self) -> Bdd {
-        let gt = other.slt(m, self);
-        m.not(gt)
-    }
-
     /// The reduction-OR of all bits (word is non-zero).
     pub fn nonzero(&self, m: &mut BddManager) -> Bdd {
         let bits = self.bits.clone();
@@ -248,93 +179,6 @@ impl BddVec {
             .zip(&else_word.bits)
             .map(|(&t, &e)| m.ite(sel, t, e))
             .collect();
-        BddVec { bits }
-    }
-
-    /// Logical left shift by a constant amount (zero fill).
-    pub fn shl_const(&self, m: &BddManager, amount: usize) -> Self {
-        let w = self.width();
-        let bits = (0..w)
-            .map(|i| {
-                if i >= amount {
-                    self.bits[i - amount]
-                } else {
-                    m.constant(false)
-                }
-            })
-            .collect();
-        BddVec { bits }
-    }
-
-    /// Logical right shift by a constant amount (zero fill).
-    pub fn shr_const(&self, m: &BddManager, amount: usize) -> Self {
-        let w = self.width();
-        let bits = (0..w)
-            .map(|i| {
-                if i + amount < w {
-                    self.bits[i + amount]
-                } else {
-                    m.constant(false)
-                }
-            })
-            .collect();
-        BddVec { bits }
-    }
-
-    /// Logical left shift by a symbolic amount (a barrel shifter over the
-    /// shift word's bits; amounts at or beyond the width produce zero).
-    pub fn shl(&self, m: &mut BddManager, amount: &Self) -> Self {
-        let mut acc = self.clone();
-        for (stage, &abit) in amount.bits.iter().enumerate() {
-            let shifted = acc.shl_const(m, 1 << stage);
-            acc = BddVec::mux(m, abit, &shifted, &acc);
-            if 1usize << stage >= self.width() {
-                // Further stages only matter for the "amount too large" case.
-            }
-        }
-        acc
-    }
-
-    /// Logical right shift by a symbolic amount.
-    pub fn shr(&self, m: &mut BddManager, amount: &Self) -> Self {
-        let mut acc = self.clone();
-        for (stage, &abit) in amount.bits.iter().enumerate() {
-            let shifted = acc.shr_const(m, 1 << stage);
-            acc = BddVec::mux(m, abit, &shifted, &acc);
-        }
-        acc
-    }
-
-    /// Sign-extends (or truncates) to `width` bits.
-    ///
-    /// # Panics
-    /// Panics if the source word is empty.
-    pub fn sext(&self, _m: &BddManager, width: usize) -> Self {
-        assert!(!self.bits.is_empty(), "cannot sign-extend an empty word");
-        let sign = *self.bits.last().expect("non-empty");
-        let mut bits = self.bits.clone();
-        bits.truncate(width);
-        while bits.len() < width {
-            bits.push(sign);
-        }
-        BddVec { bits }
-    }
-
-    /// Extracts bits `[lo, lo+len)`.
-    ///
-    /// # Panics
-    /// Panics if the range is out of bounds.
-    pub fn slice(&self, lo: usize, len: usize) -> Self {
-        assert!(lo + len <= self.width(), "slice out of range");
-        BddVec {
-            bits: self.bits[lo..lo + len].to_vec(),
-        }
-    }
-
-    /// Concatenates `self` (low part) with `high`.
-    pub fn concat(&self, high: &Self) -> Self {
-        let mut bits = self.bits.clone();
-        bits.extend_from_slice(&high.bits);
         BddVec { bits }
     }
 }
@@ -353,38 +197,9 @@ mod tests {
         for (a, b) in [(0u64, 0u64), (3, 5), (7, 9), (15, 1), (12, 12)] {
             let (va, vb) = consts(&m, a, b, 4);
             assert_eq!(va.add(&mut m, &vb).as_const(&m), Some((a + b) & 0xF));
-            assert_eq!(
-                va.sub(&mut m, &vb).as_const(&m),
-                Some(a.wrapping_sub(b) & 0xF)
-            );
-            assert_eq!(va.and(&mut m, &vb).as_const(&m), Some(a & b));
-            assert_eq!(va.or(&mut m, &vb).as_const(&m), Some(a | b));
-            assert_eq!(va.xor(&mut m, &vb).as_const(&m), Some(a ^ b));
             assert_eq!(va.eq(&mut m, &vb).is_true(), a == b);
             assert_eq!(va.ult(&mut m, &vb).is_true(), a < b);
         }
-    }
-
-    #[test]
-    fn signed_comparison() {
-        let mut m = BddManager::new();
-        // 4-bit words: 0b1111 = -1, 0b0001 = 1
-        let (neg1, one) = consts(&m, 0xF, 0x1, 4);
-        assert!(neg1.slt(&mut m, &one).is_true());
-        assert!(one.slt(&mut m, &neg1).is_false());
-        assert!(neg1.sle(&mut m, &neg1).is_true());
-    }
-
-    #[test]
-    fn shifts() {
-        let mut m = BddManager::new();
-        let v = BddVec::constant(&m, 0b0110, 4);
-        assert_eq!(v.shl_const(&m, 1).as_const(&m), Some(0b1100));
-        assert_eq!(v.shr_const(&m, 2).as_const(&m), Some(0b0001));
-        let amt = BddVec::constant(&m, 3, 2);
-        assert_eq!(v.shl(&mut m, &amt).as_const(&m), Some(0b0000));
-        let amt1 = BddVec::constant(&m, 1, 2);
-        assert_eq!(v.shr(&mut m, &amt1).as_const(&m), Some(0b0011));
     }
 
     #[test]
@@ -412,7 +227,7 @@ mod tests {
     }
 
     #[test]
-    fn mux_sext_slice_concat() {
+    fn mux_selects_a_word() {
         let mut m = BddManager::new();
         let s = m.new_var();
         let sel = m.var(s);
@@ -420,12 +235,6 @@ mod tests {
         let x = BddVec::mux(&mut m, sel, &a, &b);
         assert_eq!(x.eval(&m, |v| v == s), 0b1010);
         assert_eq!(x.eval(&m, |_| false), 0b0101);
-        let sx = a.sext(&m, 6);
-        assert_eq!(sx.as_const(&m), Some(0b111010));
-        let sl = a.slice(1, 2);
-        assert_eq!(sl.as_const(&m), Some(0b01));
-        let cat = sl.concat(&BddVec::constant(&m, 0b1, 1));
-        assert_eq!(cat.as_const(&m), Some(0b101));
     }
 
     #[test]

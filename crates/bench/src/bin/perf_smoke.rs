@@ -11,11 +11,12 @@
 //! * the baseline must hold exactly the keys the cases measure.
 //!
 //! Three twin gates ([`TWINS`]) compare two rows of the same run: a parallel
-//! twin must beat its sequential primary on a runner with at least two cores
-//! (skipped with a notice on one), the traced Alpha0 sweep may cost at most
-//! 10% over the untraced one (medians of alternating runs), and the warm
-//! artifact-cache sweep at most max(0.2 × cold, 5 ms). A parallel or traced
-//! twin redoes its primary's work, so its counts must equal the primary's;
+//! twin, on at most one worker per core, must beat its sequential primary on
+//! a runner with at least two cores (skipped with a notice on one), the
+//! traced Alpha0 sweep may cost at most 10% over the untraced one (medians
+//! of alternating runs), and the warm artifact-cache sweep at most
+//! max(0.2 × cold, 5 ms). A parallel or traced twin redoes its primary's
+//! work, so its counts must equal the primary's;
 //! full report identity is owned by the tests (`tests/verify_parallel.rs`,
 //! `crates/flush/tests/depths.rs`, `crates/server/tests/cache.rs`,
 //! `crates/bench/tests/trace_props.rs`).
@@ -45,7 +46,8 @@ const SCHEMA: &str = "pipeverify-bdd-smoke-v2";
 /// The one wall rule: a row's wall may be at most this factor over its
 /// baseline.
 const WALL_FACTOR: f64 = 1.5;
-/// Worker count of every parallel twin and of the cache sweeps.
+/// Upper bound on the worker count of a parallel twin and of the cache
+/// sweeps; [`workers`] applies it.
 const THREADS: usize = 4;
 /// Alternating untraced/traced sequential sweeps whose medians give the
 /// `alpha0_sweep_seq` and `alpha0_sweep_traced` walls.
@@ -114,10 +116,26 @@ const CASES: [fn() -> Vec<Row>; 8] = [
     budget_abort,
 ];
 
+/// The runner's cores.
+fn cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// Worker count of the parallel twins and the cache sweeps: [`THREADS`],
+/// but no more than the runner's cores. More workers than cores only queue
+/// for them, which can make a parallel twin slower than its sequential
+/// primary on working code.
+fn workers() -> usize {
+    THREADS.min(cores())
+}
+
 fn main() {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let cores = cores();
     let threads = pipeverify_core::pool::default_threads();
-    println!("runner: {cores} core(s), effective PV_THREADS {threads}");
+    println!(
+        "runner: {cores} core(s), effective PV_THREADS {threads}, twin workers {}",
+        workers()
+    );
     let rows: Vec<Row> = CASES.iter().flat_map(|case| case()).collect();
     for row in &rows {
         println!("{:<20}: {:.6} s  {:?}", row.case, row.wall, row.counts);
@@ -325,7 +343,7 @@ fn alpha0_sweep() -> Vec<Row> {
         runs[0].wall = median(runs.iter().map(|r| r.wall).collect());
         runs.swap_remove(0)
     };
-    let par = run("alpha0_sweep_par", THREADS);
+    let par = run("alpha0_sweep_par", workers());
     vec![with_median(untraced), with_median(traced), par]
 }
 
@@ -351,7 +369,7 @@ fn flush_par() -> Vec<Row> {
         assert!(report.valid(), "the deep pipeline must verify");
         Row::new(case, wall, flush_counts(&report))
     };
-    vec![run("flush_par_seq", 1), run("flush_par_par", THREADS)]
+    vec![run("flush_par_seq", 1), run("flush_par_par", workers())]
 }
 
 /// The family-matrix smoke sweep (both flows per cell) through the job
@@ -362,7 +380,7 @@ fn cache() -> Vec<Row> {
     let jobs = cell_jobs(&cells(&smoke_configs()));
     let sweep = |case: &'static str| {
         let runner = JobRunner::new(Some(ArtifactCache::at(scratch.join("cache"))));
-        let (wall, outcomes) = timed(|| sched::run_jobs(&runner, &jobs, THREADS, |_, _| {}));
+        let (wall, outcomes) = timed(|| sched::run_jobs(&runner, &jobs, workers(), |_, _| {}));
         assert!(outcomes.iter().all(Result::is_ok), "a smoke cell failed");
         let (hits, misses) = (runner.cache_hits(), runner.cache_misses());
         Row::new(case, wall, vec![("hits", hits), ("misses", misses)])

@@ -50,9 +50,9 @@ impl SymState {
 /// Symbolic simulator for one [`Netlist`].
 ///
 /// [`new`](Self::new) derives an evaluation plan from the netlist once (see
-/// the private `Eval`); every [`step`](Self::step), [`outputs`](Self::outputs) and
-/// [`relation`](Self::relation) follows it. ROBDDs are canonical, so the plan
-/// changes how many BDD operations a cycle costs, never a function computed.
+/// the private `Eval`); [`step`](Self::step) and [`relation`](Self::relation)
+/// both follow it. ROBDDs are canonical, so the plan changes how many BDD
+/// operations a cycle costs, never a function computed.
 #[derive(Clone, Debug)]
 pub struct SymbolicSim<'a> {
     netlist: &'a Netlist,
@@ -276,27 +276,6 @@ impl<'a> SymbolicSim<'a> {
             })
             .collect();
         (SymState { regs }, outputs)
-    }
-
-    /// Samples the observed outputs in the given state without stepping.
-    ///
-    /// # Panics
-    /// Panics if a declared input port is missing from `inputs`.
-    pub fn outputs(
-        &self,
-        manager: &mut BddManager,
-        state: &SymState,
-        inputs: &BTreeMap<String, BddVec>,
-    ) -> BTreeMap<String, BddVec> {
-        let values = self.eval_nets(manager, state, inputs);
-        self.netlist
-            .outputs
-            .iter()
-            .map(|(name, nets)| {
-                let bits = nets.iter().map(|n| values[n.0 as usize]).collect();
-                (name.clone(), BddVec::from_bits(bits))
-            })
-            .collect()
     }
 
     /// Exports the netlist as a **partitioned** transition relation

@@ -173,12 +173,6 @@ pub mod examples {
         })
     }
 
-    /// Figure 2: the filter marking the implementation's relevant output
-    /// cycles (every sixth cycle, offset 5).
-    pub fn serial_output_filter() -> CharFn {
-        CharFn::from_sequence_fn(|t| u64::from(t % 6 == 5))
-    }
-
     /// Figure 2: the filter marking the implementation's relevant input
     /// cycles (every sixth cycle, offset 0).
     pub fn serial_input_filter() -> CharFn {

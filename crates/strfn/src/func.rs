@@ -49,11 +49,6 @@ impl CharFn {
             f: Box::new(move |t, _| f(t)),
         }
     }
-
-    /// A string function of both the position and the input character.
-    pub fn from_indexed_fn<F: Fn(usize, u64) -> u64 + 'static>(f: F) -> Self {
-        CharFn { f: Box::new(f) }
-    }
 }
 
 impl StringFn for CharFn {
